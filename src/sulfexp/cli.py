@@ -25,7 +25,12 @@ EXIT_NUMERICAL = 3
 
 def _default_seed() -> int:
     env = os.environ.get("SULFEXP_SEED")
-    return int(env) if env else model.DEFAULT_SEED
+    if not env:
+        return model.DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(f"SULFEXP_SEED must be an integer, got {env!r}") from None
 
 
 def _load_bundle_or_default(path: str | None) -> model.ModelBundle:
@@ -284,9 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

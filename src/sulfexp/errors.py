@@ -133,3 +133,7 @@ class NonIncreasing(NumericalError):
 
 class AlreadyFailed(NumericalError):
     pass
+
+
+class PredictionOverflow(NumericalError):
+    """A log-linear prediction is too large to represent as a float."""

@@ -13,7 +13,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from .errors import (
     MissingField,
     NegativeTime,
     NonIncreasing,
+    PredictionOverflow,
     SulfexpError,
     ValidationError,
 )
@@ -82,7 +86,7 @@ class ModelBundle:
     equality or serialization.
     """
 
-    models: dict[GroupLabel, GroupModel]
+    models: Mapping[GroupLabel, GroupModel]
     boundary_first: LinearBoundary | None
     boundary_first_simplified: LinearBoundary | None
     boundary_second: LinearBoundary | None
@@ -112,6 +116,55 @@ class ModelBundle:
         )
 
 
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+def _build_default_bundle() -> ModelBundle:
+    models = {
+        GroupLabel.LL: GroupModel(
+            group=GroupLabel.LL,
+            form="linear",
+            variable_roles=("WC*T", "const"),
+            coefficients=_read_only([0.0157, 0.0305]),
+        ),
+        GroupLabel.ML: GroupModel(
+            group=GroupLabel.ML,
+            form="linear",
+            variable_roles=("WC*T", "C3A*T", "const"),
+            coefficients=_read_only([0.0293, 0.000975, 0.0216]),
+        ),
+        GroupLabel.HN: GroupModel(
+            group=GroupLabel.HN,
+            form="log-linear",
+            variable_roles=("CC*T", "T", "const"),
+            coefficients=_read_only([11.20, -5.68, -3.66]),
+        ),
+    }
+    return ModelBundle(
+        models=MappingProxyType(models),
+        boundary_first=LinearBoundary(
+            feature_names=("c3a", "wc"), weights=_read_only([1.0, 1.241]), bias=-8.697,
+            box_constraint=100.0,
+        ),
+        boundary_first_simplified=LinearBoundary(
+            feature_names=("c3a", "wc"), weights=_read_only([1.0, 0.0]), bias=-8.00,
+            box_constraint=100.0,
+        ),
+        boundary_second=LinearBoundary(
+            feature_names=("c3s", "wc"), weights=_read_only([1.0, 387.3]), bias=-233.6,
+            box_constraint=100.0,
+        ),
+        provenance=PROVENANCE_DEFAULT,
+    )
+
+
+#: built once; read-only so that every caller can share it
+_DEFAULT_BUNDLE = _build_default_bundle()
+
+
 def default_bundle() -> ModelBundle:
     """The shipped model with the reference coefficients.
 
@@ -119,43 +172,12 @@ def default_bundle() -> ModelBundle:
     0.0293*(WC*T) + 0.000975*(C3A*T) + 0.0216, HN ln(expansion)
     11.20*(CC*T) - 5.68*T - 3.66. First boundary C3A + 1.241*WC - 8.697
     (simplified: C3A = 8.00), second boundary C3S + 387.3*WC - 233.6.
+
+    Every call returns the same read-only instance: its ``models`` mapping
+    and its coefficient and weight arrays reject writes. Derive a variant
+    with ``dataclasses.replace``.
     """
-    models = {
-        GroupLabel.LL: GroupModel(
-            group=GroupLabel.LL,
-            form="linear",
-            variable_roles=("WC*T", "const"),
-            coefficients=np.array([0.0157, 0.0305]),
-        ),
-        GroupLabel.ML: GroupModel(
-            group=GroupLabel.ML,
-            form="linear",
-            variable_roles=("WC*T", "C3A*T", "const"),
-            coefficients=np.array([0.0293, 0.000975, 0.0216]),
-        ),
-        GroupLabel.HN: GroupModel(
-            group=GroupLabel.HN,
-            form="log-linear",
-            variable_roles=("CC*T", "T", "const"),
-            coefficients=np.array([11.20, -5.68, -3.66]),
-        ),
-    }
-    return ModelBundle(
-        models=models,
-        boundary_first=LinearBoundary(
-            feature_names=("c3a", "wc"), weights=np.array([1.0, 1.241]), bias=-8.697,
-            box_constraint=100.0,
-        ),
-        boundary_first_simplified=LinearBoundary(
-            feature_names=("c3a", "wc"), weights=np.array([1.0, 0.0]), bias=-8.00,
-            box_constraint=100.0,
-        ),
-        boundary_second=LinearBoundary(
-            feature_names=("c3s", "wc"), weights=np.array([1.0, 387.3]), bias=-233.6,
-            box_constraint=100.0,
-        ),
-        provenance=PROVENANCE_DEFAULT,
-    )
+    return _DEFAULT_BUNDLE
 
 
 def _boundary_point(mix: Mixture, boundary: LinearBoundary) -> np.ndarray:
@@ -174,7 +196,8 @@ def classify_mixture(
     value of exactly zero counts as HN. Non-HN mixtures go to ML when the
     second boundary's decision value is >= 0, else LL.
     """
-    bundle = bundle or default_bundle()
+    if bundle is None:
+        bundle = _DEFAULT_BUNDLE
     if bundle.boundary_second is None or (
         bundle.boundary_first is None and bundle.boundary_first_simplified is None
     ):
@@ -194,6 +217,33 @@ def classify_mixture(
     return GroupLabel.ML if second > 0 else GroupLabel.LL
 
 
+#: largest log-linear predictor whose exponential is a finite float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _evaluate(model: GroupModel, mix: Mixture, times: np.ndarray | np.float64):
+    """A group model's expansion at ``times`` (an array, or one numpy scalar).
+
+    Every prediction goes through here, so curves, point values and the
+    closed-form failure time share one line ``slope*t + intercept`` from
+    :meth:`GroupModel.time_line`, and numpy's elementwise arithmetic gives
+    a point the same bits as the same time on a curve. Raises
+    :class:`PredictionOverflow` where a log-linear prediction exceeds the
+    largest float.
+    """
+    slope, intercept = model.time_line(mix)
+    value = slope * times + intercept
+    if model.form == "linear":
+        return value
+    peak = value.max() if value.ndim else value
+    if peak > _LOG_FLOAT_MAX:
+        raise PredictionOverflow(
+            f"mixture {mix.id!r}: group {model.group} expansion exp({peak:.6g}) "
+            f"overflows a float"
+        )
+    return np.exp(value)
+
+
 def predict_expansion(
     mix: Mixture,
     group: GroupLabel,
@@ -203,10 +253,9 @@ def predict_expansion(
     """Expansion percent of a mixture at time t under its group's model."""
     if t < 0:
         raise NegativeTime(f"time must be >= 0, got {t}")
-    bundle = bundle or default_bundle()
-    model = bundle.model_for(group)
-    value = model.linear_predictor(mix, t)
-    return math.exp(value) if model.form == "log-linear" else value
+    if bundle is None:
+        bundle = _DEFAULT_BUNDLE
+    return float(_evaluate(bundle.model_for(group), mix, np.float64(t)))
 
 
 def predict_curve(
@@ -219,12 +268,14 @@ def predict_curve(
     """Classify, then sample the predicted curve on the grid 0, step, ... <= horizon."""
     if horizon <= 0 or step <= 0:
         raise ValidationError("horizon and step must both be positive")
-    bundle = bundle or default_bundle()
+    if bundle is None:
+        bundle = _DEFAULT_BUNDLE
     group = classify_mixture(mix, bundle, use_simplified_first)
     step = min(step, horizon)
     n_steps = int(math.floor(horizon / step + 1e-9))
-    times = [i * step for i in range(n_steps + 1)]
-    samples = tuple((t, predict_expansion(mix, group, bundle, t)) for t in times)
+    times = np.arange(n_steps + 1) * step
+    values = _evaluate(bundle.model_for(group), mix, times)
+    samples = tuple(zip(times.tolist(), values.tolist()))
     return ExpansionSeries(mixture_id=mix.id, samples=samples, group=group.value)
 
 
@@ -242,7 +293,8 @@ def predicted_failure_time(
     not positive and :class:`AlreadyFailed` when the model starts at or
     above the threshold.
     """
-    bundle = bundle or default_bundle()
+    if bundle is None:
+        bundle = _DEFAULT_BUNDLE
     if group is None:
         group = classify_mixture(mix, bundle, use_simplified_first)
     model = bundle.model_for(group)
@@ -531,6 +583,3 @@ def refit_r2_report(
         )
     return report
 
-
-def with_provenance(bundle: ModelBundle, provenance: str) -> ModelBundle:
-    return replace(bundle, provenance=provenance)

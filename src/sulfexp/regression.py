@@ -175,8 +175,9 @@ class GroupModel:
 
     ``form`` is "linear" (predicts expansion directly) or "log-linear"
     (the linear predictor models ln of expansion). ``variable_roles`` and
-    ``coefficients`` are aligned, constant term last. ``dropped_rows``
-    counts non-positive-expansion rows excluded before a log fit.
+    ``coefficients`` are aligned, constant term last; an unknown role is
+    rejected at construction. ``dropped_rows`` counts
+    non-positive-expansion rows excluded before a log fit.
     """
 
     group: GroupLabel
@@ -196,6 +197,7 @@ class GroupModel:
             raise DimensionMismatch(
                 f"{len(self.variable_roles)} roles but {coeffs.shape[0]} coefficients"
             )
+        role_fields(self.variable_roles)
 
     def __eq__(self, other):
         if not isinstance(other, GroupModel):
@@ -210,10 +212,6 @@ class GroupModel:
     def required_fields(self) -> list[str]:
         return role_fields(self.variable_roles)
 
-    def linear_predictor(self, mixture: Mixture, t: float) -> float:
-        terms = [role_value(role, mixture, t) for role in self.variable_roles]
-        return float(np.dot(self.coefficients, terms))
-
     def time_line(self, mixture: Mixture) -> tuple[float, float]:
         """Decompose the linear predictor as slope*t + intercept for one mixture.
 
@@ -222,7 +220,7 @@ class GroupModel:
         """
         slope = 0.0
         intercept = 0.0
-        for role, c in zip(self.variable_roles, self.coefficients):
+        for role, c in zip(self.variable_roles, self.coefficients.tolist()):
             if role == CONST_ROLE:
                 intercept += c
             else:

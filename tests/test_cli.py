@@ -6,10 +6,13 @@ from sulfexp.cli import main
 from sulfexp.dataio import (
     generate_synthetic,
     load_bundle,
+    save_bundle,
     write_mixtures,
     write_series,
 )
+from sulfexp.errors import ValidationError
 from sulfexp.mixtures import Mixture
+from sulfexp.model import default_bundle
 
 MIX_HEADER = "id,wc,c3a,c3s,c2s,c4af,cement_content,air\n"
 
@@ -77,12 +80,41 @@ class TestPredict:
         p.write_text(MIX_HEADER + "1000,0.49,5.0,40,,,,\n")
         assert main(["predict", str(p), "--step", "0"]) == 2
 
+    def test_overflowing_prediction_exits_3(self, tmp_path, capsys):
+        p = tmp_path / "mix.csv"
+        p.write_text(MIX_HEADER + "hot,0.5,10,40,,,1.0,\n")
+        assert main(["predict", str(p), "--horizon", "200"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "overflows" in err
+
     def test_never_failing_mixture_reported(self, tmp_path, capsys):
         # low cement content: HN model never reaches the threshold
         p = tmp_path / "mix.csv"
         p.write_text(MIX_HEADER + "cold,0.5,9.0,40,,,0.45,\n")
         assert main(["predict", str(p)]) == 0
         assert "NonIncreasing" in capsys.readouterr().out
+
+
+class TestBundleRoles:
+    @pytest.fixture
+    def bad_role_bundle(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        save_bundle(default_bundle(), path)
+        doc = json.loads(path.read_text())
+        doc["models"]["ML"]["variable_roles"][0] = "FOO*T"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_load_rejects_unknown_role(self, bad_role_bundle):
+        with pytest.raises(ValidationError, match="FOO"):
+            load_bundle(bad_role_bundle)
+
+    @pytest.mark.parametrize("command", ["classify", "predict"])
+    def test_unknown_role_exits_2(self, tmp_path, capsys, bad_role_bundle, command):
+        p = tmp_path / "mix.csv"
+        p.write_text(MIX_HEADER + "m,0.53,6.0,40,,,,\n")
+        assert main([command, str(p), "--bundle", str(bad_role_bundle)]) == 2
+        assert "unknown regressor role 'FOO*T'" in capsys.readouterr().err
 
 
 class TestFit:
@@ -193,6 +225,13 @@ class TestSeedEnvOverride:
         monkeypatch.setenv("SULFEXP_SEED", "777")
         args = build_parser().parse_args(["cluster", "whatever.csv"])
         assert args.seed == 777
+
+    def test_non_integer_seed_exits_2(self, monkeypatch, tmp_path, capsys):
+        p = tmp_path / "mix.csv"
+        p.write_text(MIX_HEADER + "slow,0.45,5.0,55,,,,\n")
+        monkeypatch.setenv("SULFEXP_SEED", "abc")
+        assert main(["classify", str(p)]) == 2
+        assert "SULFEXP_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 class TestHelp:

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sulfexp.curves import ExpansionSeries
 from sulfexp.dataio import generate_synthetic
@@ -13,6 +16,7 @@ from sulfexp.errors import (
     NegativeTime,
     NonIncreasing,
     NonPositiveTrend,
+    PredictionOverflow,
     ValidationError,
 )
 from sulfexp.mixtures import GroupLabel, Mixture
@@ -54,6 +58,18 @@ class TestDefaultBundle:
         b = default_bundle()
         for g, model in b.models.items():
             assert (model.form == "log-linear") == (g is HN)
+
+    def test_one_shared_read_only_instance(self):
+        b = default_bundle()
+        assert b is default_bundle()
+        with pytest.raises(ValueError):
+            b.models[LL].coefficients[0] = 1.0
+        with pytest.raises(ValueError):
+            b.boundary_second.weights[1] = 0.0
+        with pytest.raises(TypeError):
+            b.models[LL] = b.models[ML]
+        assert b.models[LL].coefficients.tolist() == [0.0157, 0.0305]
+        assert b.boundary_second.weights.tolist() == [1.0, 387.3]
 
 
 class TestClassifyMixture:
@@ -177,6 +193,80 @@ class TestPredictCurve:
     def test_bad_grid(self):
         with pytest.raises(ValidationError):
             predict_curve(Mixture(id="x", wc=0.49, c3a=5.0, c3s=40.0), step=0.0)
+
+    @pytest.mark.parametrize("horizon,step", [(40.0, 1.0), (40.0, 7.0), (12.5, 0.3)])
+    def test_curve_equals_point_predictions_bit_for_bit(self, horizon, step):
+        for mix in (
+            Mixture(id="ll", wc=0.43, c3a=4.2, c3s=55.0),
+            Mixture(id="ml", wc=0.53, c3a=6.1, c3s=40.0),
+            Mixture(id="hn", wc=0.55, c3a=10.0, c3s=45.0, cement_content=0.601),
+        ):
+            series = predict_curve(mix, horizon=horizon, step=step)
+            group = GroupLabel(series.group)
+            assert group.value == mix.id.upper()
+            assert series.values.tolist() == [
+                predict_expansion(mix, group, t=t) for t in series.times.tolist()]
+
+
+class TestPredictionOverflow:
+    HOT = Mixture(id="hot", wc=0.5, c3a=10.0, c3s=40.0, cement_content=1.0)
+
+    def test_overflowing_hn_prediction_is_typed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PredictionOverflow, match="'hot'"):
+                predict_curve(self.HOT, horizon=200.0)
+            with pytest.raises(PredictionOverflow):
+                predict_expansion(self.HOT, HN, t=200.0)
+
+    def test_largest_finite_prediction_passes(self):
+        # ln(expansion) = 5.52*t - 3.66 stays below ln(float max) ~ 709.78 up to t ~ 129.2
+        assert math.isfinite(predict_expansion(self.HOT, HN, t=129.0))
+        assert math.isfinite(predict_curve(self.HOT, horizon=100.0).values[-1])
+
+
+def _generator_mixture(group: GroupLabel, u: list[float]) -> Mixture:
+    """A mixture inside ``generate_synthetic``'s region for ``group``, from uniforms in [0, 1]."""
+    def span(x, lo, hi):
+        return lo + x * (hi - lo)
+
+    if group is HN:
+        return Mixture(id="h", wc=span(u[0], 0.45, 0.65), c3a=span(u[1], 8.5, 12.0),
+                       c3s=span(u[2], 35.0, 60.0), cement_content=span(u[3], 0.58, 0.615))
+    if group is ML:
+        wc = span(u[0], 0.50, 0.58)
+        return Mixture(id="m", wc=wc, c3a=span(u[1], 3.0, 7.8),
+                       c3s=233.6 - 387.3 * wc + span(u[2], 3.0, 15.0),
+                       cement_content=span(u[3], 0.56, 0.62))
+    wc = span(u[0], 0.40, 0.46)
+    return Mixture(id="l", wc=wc, c3a=span(u[1], 3.0, 6.0),
+                   c3s=max(15.0, 233.6 - 387.3 * wc - span(u[2], 3.0, 15.0)),
+                   cement_content=span(u[3], 0.56, 0.62))
+
+
+def _paper_equation(group: GroupLabel, mix: Mixture, t: np.ndarray) -> np.ndarray:
+    if group is LL:
+        return 0.0157 * (mix.wc * t) + 0.0305
+    if group is ML:
+        return 0.0293 * (mix.wc * t) + 0.000975 * (mix.c3a * t) + 0.0216
+    return np.exp(11.20 * (mix.cement_content * t) - 5.68 * t - 3.66)
+
+
+class TestGeneratorRegionProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        group=st.sampled_from([HN, ML, LL]),
+        u=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        step=st.sampled_from([0.25, 1.0, 2.5]),
+    )
+    def test_curve_matches_paper_and_failure_time_inverts(self, group, u, step):
+        mix = _generator_mixture(group, u)
+        series = predict_curve(mix, horizon=40.0, step=step)
+        assert series.group == group.value
+        expected = _paper_equation(group, mix, series.times)
+        assert np.all(np.abs(series.values - expected) <= 1e-12 * np.abs(expected))
+        t_fail = predicted_failure_time(mix)
+        assert predict_expansion(mix, group, t=t_fail) == pytest.approx(0.5, rel=1e-12)
 
 
 class TestPredictedFailureTime:

