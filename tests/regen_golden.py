@@ -1,0 +1,130 @@
+"""Regenerate ``golden_fits.json``, the exact fingerprints of reference fits.
+
+Run from the repository root with ``PYTHONPATH=src python tests/regen_golden.py``.
+Each golden dataset is generated, fitted with the default configuration and
+reduced to its input hash, the sha256 of the saved bundle and the ``repr``
+of every coefficient, boundary weight and bias, plus the cluster
+assignments. Before overwriting an existing file the script prints, per
+field, the largest relative drift from the stored values, so a deliberate
+numerical change can be documented.
+
+Regenerate only when a change is meant to move fitted values.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from sulfexp import fit_pipeline, generate_synthetic, save_bundle
+from sulfexp.model import dataset_hash
+
+GOLDEN_PATH = Path(__file__).with_name("golden_fits.json")
+NOISE = 0.03
+#: (HN, ML, LL) counts and generator seed of every golden dataset
+DATASETS = (
+    ((12, 16, 12), 0),
+    ((12, 16, 12), 1),
+    ((12, 16, 12), 2),
+    ((12, 16, 12), 3),
+    ((120, 160, 120), 0),
+)
+BOUNDARIES = ("boundary_first", "boundary_first_simplified", "boundary_second")
+
+
+def dataset_key(counts, seed) -> str:
+    return f"{'-'.join(map(str, counts))}@{seed}"
+
+
+def bundle_sha256(bundle) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bundle.json"
+        save_bundle(bundle, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def snapshot(counts, seed) -> dict:
+    """Fit one golden dataset and fingerprint the result."""
+    pairs = generate_synthetic(counts, noise=NOISE, seed=seed).pairs
+    bundle = fit_pipeline(pairs)
+    boundaries = {}
+    for name in BOUNDARIES:
+        boundary = getattr(bundle, name)
+        boundaries[name] = {
+            "weights": [repr(float(w)) for w in boundary.weights],
+            "bias": repr(boundary.bias),
+        }
+    assignments = bundle.diagnostics.assignments
+    return {
+        "dataset_hash": dataset_hash(pairs),
+        "bundle_sha256": bundle_sha256(bundle),
+        "coefficients": {
+            label.value: [repr(float(c)) for c in model.coefficients]
+            for label, model in sorted(bundle.models.items(), key=lambda kv: kv[0].value)
+        },
+        "boundaries": boundaries,
+        "assignments": " ".join(assignments[mid].value for mid in sorted(assignments)),
+    }
+
+
+def snapshot_all() -> dict:
+    return {dataset_key(counts, seed): snapshot(counts, seed) for counts, seed in DATASETS}
+
+
+def _relative(old: str, new: str) -> float:
+    a, b = float(old), float(new)
+    if a == b:
+        return 0.0
+    return abs(b - a) / max(abs(a), abs(b))
+
+
+def drift_table(old: dict, new: dict) -> list[tuple[str, str]]:
+    """(field, largest relative drift) over every dataset present in both."""
+    worst: dict[str, float] = {}
+    changed_assignments = 0
+
+    def note(field, values_old, values_new):
+        drift = max((_relative(a, b) for a, b in zip(values_old, values_new)), default=0.0)
+        worst[field] = max(worst.get(field, 0.0), drift)
+
+    for key in sorted(set(old) & set(new)):
+        before, after = old[key], new[key]
+        for group in sorted(set(before["coefficients"]) & set(after["coefficients"])):
+            note(f"coefficients {group}", before["coefficients"][group],
+                 after["coefficients"][group])
+        for name in BOUNDARIES:
+            note(f"{name}.weights", before["boundaries"][name]["weights"],
+                 after["boundaries"][name]["weights"])
+            note(f"{name}.bias", [before["boundaries"][name]["bias"]],
+                 [after["boundaries"][name]["bias"]])
+        changed_assignments += sum(
+            a != b for a, b in zip(before["assignments"].split(), after["assignments"].split())
+        )
+    rows = [(field, f"{value:.2g}") for field, value in sorted(worst.items())]
+    rows.append(("assignments changed", str(changed_assignments)))
+    return rows
+
+
+def main() -> int:
+    new = snapshot_all()
+    if GOLDEN_PATH.exists():
+        old = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        moved = [key for key in sorted(set(old) & set(new))
+                 if old[key]["dataset_hash"] != new[key]["dataset_hash"]]
+        if moved:
+            print(f"warning: the generator moved for {moved}; drift below mixes input "
+                  "and fit changes", file=sys.stderr)
+        print("| field | max relative drift |")
+        print("|---|---|")
+        for field, value in drift_table(old, new):
+            print(f"| {field} | {value} |")
+    GOLDEN_PATH.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN_PATH}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
