@@ -448,7 +448,7 @@ def fit_pipeline(
                 for i in range(len(dataset))
             ])
             boundary_first = svm.svm_train(
-                pts_first, y_first, C=config.box_constraint, seed=config.seed,
+                pts_first, y_first, C=config.box_constraint,
                 feature_names=config.first_axes,
             )
             boundary_first_simplified = svm.simplify_axis_parallel(boundary_first, pts_first, y_first)
@@ -460,7 +460,7 @@ def fit_pipeline(
                 1.0 if assignments[dataset[i][0].id] is GroupLabel.ML else -1.0 for i in rest
             ])
             boundary_second = svm.svm_train(
-                pts_second, y_second, C=config.box_constraint, seed=config.seed,
+                pts_second, y_second, C=config.box_constraint,
                 feature_names=config.second_axes,
             )
 

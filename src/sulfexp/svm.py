@@ -1,13 +1,15 @@
 """Soft-margin linear classifier in the primal, for 2-D boundaries.
 
 Minimizes 0.5*|beta|^2 + C * sum_i max(0, 1 - y_i*(x_i.beta + b)) over a
-two-feature plane. Training runs a deterministic projected subgradient
-warmup (keeping the objective-best iterate) and then refines it to machine
-precision with exact line searches: the objective restricted to any ray is
-piecewise quadratic, so each step minimizes it exactly, and the preferred
-direction aims at the KKT solution of the margin set the iterate sits on.
-Clean multipliers certify global optimality of this convex problem. The
-dual formulation is never used.
+two-feature plane. Training is one deterministic active-set descent from
+the origin: each round identifies the margin set at the current point,
+aims at that set's KKT solution and takes an exact line search toward it.
+The objective restricted to a ray is convex piecewise quadratic, so the
+line search sorts its breakpoints once and reads the minimizer off the
+cumulative jumps of the derivative (Keerthi & DeCoste, JMLR 2005). Clean
+multipliers certify global optimality of this convex problem, and the
+result is then the KKT solution of the certified margin set. The dual
+formulation is never used.
 """
 
 from __future__ import annotations
@@ -101,42 +103,38 @@ def _subgradient(X, y, C, z):
 
 
 def _line_minimize(X, y, C, z, d):
-    """Exactly minimize the objective along z + tau*d.
+    """Exactly minimize the objective along z + tau*d; returns (tau, objective).
 
-    The restriction is convex piecewise quadratic in tau with breakpoints
-    where a point's margin crosses 1; scanning interval minimizers and
-    breakpoints gives the exact step.
+    The restriction is convex piecewise quadratic in tau. Point i's hinge
+    turns on or off at its breakpoint (1 - a_i)/c_i, where a_i and c_i are
+    its margin and margin slope, and there the derivative
+    q + tau*dd - C*sum_active c_i jumps up by C*|c_i|. Sorting the
+    breakpoints once and summing the jumps gives the right derivative at
+    every breakpoint; the first one that is non-negative bounds the
+    interval holding the minimizer, which is that interval's quadratic
+    vertex or its right end.
     """
     d_beta = d[:2]
-    d_b = d[2]
     a = y * (X @ z[:2] + z[2])          # margins at tau = 0
-    c = y * (X @ d_beta + d_b)          # margin slopes
-    taus = [0.0]
-    nz = np.abs(c) > 0
-    taus.extend(((1.0 - a[nz]) / c[nz]).tolist())
-    taus = sorted(set(taus))
-    beta_dot_d = float(z[:2] @ d_beta)
+    c = y * (X @ d_beta + d[2])         # margin slopes
     dd = float(d_beta @ d_beta)
-
-    def objective_at(tau):
-        zz = z + tau * d
-        return _primal_objective(X, y, C, zz[:2], zz[2])
-
-    # breakpoints cover every kink; interior quadratic vertices cover the rest
-    candidates = list(taus)
+    nz = c != 0.0
+    breaks = (1.0 - a[nz]) / c[nz]
+    order = np.argsort(breaks, kind="stable")
+    breaks = breaks[order]
+    # derivative minus tau*dd left of every breakpoint, then right of each
+    # one; for tau -> -inf exactly the points with c_i > 0 are active
+    q0 = float(z[:2] @ d_beta) - C * float(c[c > 0].sum())
+    offsets = q0 + np.concatenate(([0.0], np.cumsum(C * np.abs(c[nz][order]))))
+    k = int(np.searchsorted(offsets[1:] + breaks * dd, 0.0))
     if dd > 0:
-        bounds = [-np.inf] + taus + [np.inf]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            probe = (lo + hi) / 2.0 if np.isfinite(lo) and np.isfinite(hi) else (
-                hi - 1.0 if np.isfinite(hi) else lo + 1.0
-            )
-            active = (a + probe * c) < 1.0
-            q1 = beta_dot_d - C * float(c[active].sum())
-            tau_star = -q1 / dd
-            if lo - 1e-12 <= tau_star <= hi + 1e-12:
-                candidates.append(tau_star)
-    best_tau = min(candidates, key=objective_at)
-    return best_tau, objective_at(best_tau)
+        tau = -offsets[k] / dd
+        if k < breaks.size:
+            tau = min(tau, float(breaks[k]))
+    else:
+        tau = float(breaks[min(k, breaks.size - 1)]) if breaks.size else 0.0
+    zz = z + tau * d
+    return tau, _primal_objective(X, y, C, zz[:2], zz[2])
 
 
 _COORDINATE_DIRECTIONS = (
@@ -216,9 +214,11 @@ def _polish(X, y, C, z, max_rounds=300):
     already solves its partition's system, a negative (or above-C)
     multiplier names the constraint to release, which is the classical
     escape from a non-optimal vertex; clean multipliers certify global
-    optimality of this convex problem. Subgradient and coordinate
-    directions back the KKT direction up, each under the same exact line
-    search, so a failed round can never move uphill.
+    optimality of this convex problem, and the partition's KKT solution
+    is returned, so the answer depends on the certified margin set and not
+    on the path that found it. Subgradient and coordinate directions back
+    the KKT direction up, each under the same exact line search, so a
+    failed round can never move uphill. Returns (point, certified).
     """
     obj = _primal_objective(X, y, C, z[:2], z[2])
     kkt_tol = 1e-9 * (1.0 + C)
@@ -258,7 +258,7 @@ def _polish(X, y, C, z, max_rounds=300):
                     # solution; the multipliers decide what happens next
                     low, high = float(mu.min()), float(mu.max())
                     if low >= -kkt_tol and high <= C + kkt_tol:
-                        return z, True
+                        return z_c, True
                     # release the worst-priced margin constraint
                     released = on_margin.copy()
                     viol = violating.copy()
@@ -310,64 +310,18 @@ def _polish(X, y, C, z, max_rounds=300):
     return z, False
 
 
-def _subgradient_phase(X, y, C, max_iter, stall_window=100, stall_rtol=1e-8):
-    """Normalized projected subgradient descent; returns the best iterate.
-
-    Steps are scaled by the subgradient norm (raw hinge subgradients grow
-    with C and would overshoot any schedule). This phase only coarsely
-    locates the optimum; the line-search refinement does the rest.
-    """
-    n = X.shape[0]
-    z = np.zeros(3)
-    radius = np.sqrt(2.0 * C * n)          # any optimum satisfies 0.5|beta|^2 <= P(0) = C*n
-    b_cap = 1.0 + radius * float(np.abs(X).max(initial=0.0)) + 1.0
-    scale = 1.0 + float(np.abs(X).max(initial=0.0))
-
-    best = (_primal_objective(X, y, C, z[:2], z[2]), z.copy())
-    window_best = np.inf
-    since_improve = 0
-    converged = False
-    for t in range(1, max_iter + 1):
-        g = _subgradient(X, y, C, z)
-        norm_g = float(np.linalg.norm(g))
-        if norm_g == 0.0:
-            converged = True
-            break
-        z = z - (scale / np.sqrt(t)) * g / norm_g
-        norm = np.linalg.norm(z[:2])
-        if norm > radius:
-            z[:2] *= radius / norm
-        z[2] = float(np.clip(z[2], -b_cap, b_cap))
-        obj = _primal_objective(X, y, C, z[:2], z[2])
-        if obj < best[0]:
-            best = (obj, z.copy())
-        # stop once the best objective stops moving for a full window
-        if obj < window_best * (1.0 - stall_rtol):
-            window_best = obj
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve >= stall_window:
-                converged = True
-                break
-    return best[1], converged
-
-
 def svm_train(
     points,
     labels,
     C: float = DEFAULT_BOX_CONSTRAINT,
-    seed: int = 0,
     feature_names: tuple[str, str] = ("x0", "x1"),
-    max_iter: int = 100_000,
-    subgradient_iter: int = 5_000,
 ) -> LinearBoundary:
     """Train the soft-margin boundary on labeled 2-D points.
 
-    ``labels`` must contain both +1 and -1. The result carries the primal
-    objective and per-point slack values. Raises :class:`NoConvergence`
-    when neither the subgradient stall rule nor an exact polish certified
-    the solution within the iteration budget.
+    ``labels`` must contain both +1 and -1. Training is deterministic: an
+    exact active-set descent from the origin. The result carries the
+    primal objective and per-point slack values. Raises
+    :class:`NoConvergence` when the descent certified no optimum.
     """
     X = linalg.check_finite(points, "points")
     if X.ndim != 2 or X.shape[1] != 2:
@@ -381,12 +335,10 @@ def svm_train(
         raise SingleClass("training data contains a single class")
     if not C > 0:
         raise ValidationError(f"box constraint must be positive, got {C}")
-    del seed  # training is deterministic from a zero start; kept for interface stability
 
-    z, stalled = _subgradient_phase(X, y, C, min(subgradient_iter, max_iter))
-    z, clean = _polish(X, y, C, z)
+    z, clean = _polish(X, y, C, np.zeros(3))
     beta, b = z[:2], float(z[2])
-    if not (clean or stalled):
+    if not clean:
         raise NoConvergence(
             "svm training certified no optimum",
             objective=_primal_objective(X, y, C, beta, b),

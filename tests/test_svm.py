@@ -3,8 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sulfexp import fit_pipeline, generate_synthetic
 from sulfexp.errors import SingleClass, ValidationError
-from sulfexp.svm import LinearBoundary, classify, simplify_axis_parallel, svm_train
+from sulfexp.mixtures import GroupLabel
+from sulfexp.svm import (
+    LinearBoundary,
+    _line_minimize,
+    _polish,
+    classify,
+    simplify_axis_parallel,
+    svm_train,
+)
 
 
 def primal_objective(X, y, C, beta, b):
@@ -129,6 +138,79 @@ class TestSvmTrain:
         y = np.array([1.0, -1.0, 1.0, -1.0])
         boundary = svm_train(X, y, C=10.0)
         assert np.any(boundary.slacks > 0.5)
+
+
+def scan_line_candidates(X, y, C, z, d):
+    """Every point where a ray's objective can be smallest, by brute force.
+
+    tau = 0, each breakpoint where a margin crosses 1, and the quadratic
+    vertex of every interval between neighbouring breakpoints, with the
+    active set of each interval read off at an interior probe.
+    """
+    a = y * (X @ z[:2] + z[2])
+    c = y * (X @ d[:2] + d[2])
+    breaks = sorted({float(t) for t in (1.0 - a[c != 0]) / c[c != 0]})
+    taus = [0.0] + breaks
+    dd = float(d[:2] @ d[:2])
+    if dd > 0:
+        bounds = [breaks[0] - 1.0] + breaks + [breaks[-1] + 1.0] if breaks else [-1.0, 1.0]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            active = (a + 0.5 * (lo + hi) * c) < 1.0
+            taus.append(-(float(z[:2] @ d[:2]) - C * float(c[active].sum())) / dd)
+    return taus
+
+
+class TestExactLineSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        log_c=st.floats(-2.0, 4.0),
+        bias_only=st.booleans(),
+    )
+    def test_never_above_any_candidate(self, seed, n, log_c, bias_only):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 2)) * rng.uniform(0.1, 50.0, size=2)
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        y[:2] = (-1.0, 1.0)
+        C = 10.0 ** log_c
+        z = rng.normal(size=3) * rng.uniform(0.0, 5.0)
+        d = np.array([0.0, 0.0, 1.0]) if bias_only else rng.normal(size=3)
+        d /= np.linalg.norm(d)
+        tau, obj = _line_minimize(X, y, C, z, d)
+        zz = z + tau * d
+        assert obj == primal_objective(X, y, C, zz[:2], zz[2])
+        for t in scan_line_candidates(X, y, C, z, d):
+            zt = z + t * d
+            other = primal_objective(X, y, C, zt[:2], zt[2])
+            assert obj <= other + 1e-12 * abs(other)
+
+
+def paper_scale_boundary_problems():
+    """The two boundary training sets of a generated paper-scale fit."""
+    pairs = generate_synthetic((12, 16, 12), noise=0.03, seed=0).pairs
+    assignments = fit_pipeline(pairs).diagnostics.assignments
+    mixtures = [mix for mix, _ in pairs]
+    rest = [mix for mix in mixtures if assignments[mix.id] is not GroupLabel.HN]
+    return [
+        (np.array([m.require("c3a", "wc") for m in mixtures]),
+         np.array([1.0 if assignments[m.id] is GroupLabel.HN else -1.0 for m in mixtures])),
+        (np.array([m.require("c3s", "wc") for m in rest]),
+         np.array([1.0 if assignments[m.id] is GroupLabel.ML else -1.0 for m in rest])),
+    ]
+
+
+class TestPolishStart:
+    def test_result_does_not_depend_on_the_start(self):
+        rng = np.random.default_rng(6)
+        for X, y in paper_scale_boundary_problems():
+            z0, clean0 = _polish(X, y, 100.0, np.zeros(3))
+            assert clean0
+            for _ in range(3):
+                start = z0 + rng.normal(size=3) * (1.0 + np.abs(z0))
+                z1, clean1 = _polish(X, y, 100.0, start)
+                assert clean1
+                assert z1.tobytes() == z0.tobytes()
 
 
 class TestClassify:
