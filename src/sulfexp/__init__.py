@@ -40,7 +40,7 @@ from .model import (
     validate_holdout,
 )
 from .pca import PCAResult, center_and_scale, principal_components, select_dominant_variables
-from .regression import GroupModel, OLSFit, fit_group_model, ols_fit, predict
+from .regression import GroupModel, OLSFit, fit_group_model, ols_fit
 from .svm import LinearBoundary, classify, simplify_axis_parallel, svm_train
 
 __version__ = "0.1.0"
@@ -49,7 +49,7 @@ __all__ = [
     "ExpansionSeries", "FailurePoint", "smooth", "failure_point", "cluster_features",
     "KMeansResult", "kmeans", "assign_step", "update_step", "standardize_features",
     "PCAResult", "center_and_scale", "principal_components", "select_dominant_variables",
-    "OLSFit", "GroupModel", "ols_fit", "predict", "fit_group_model",
+    "OLSFit", "GroupModel", "ols_fit", "fit_group_model",
     "LinearBoundary", "svm_train", "classify", "simplify_axis_parallel",
     "GroupLabel", "Mixture",
     "ModelBundle", "PipelineConfig", "HoldoutReport",

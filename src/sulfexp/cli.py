@@ -80,8 +80,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    if args.step <= 0 or args.horizon <= 0:
-        raise ValidationError("horizon and step must both be positive")
     bundle = _load_bundle_or_default(args.bundle)
     mixtures = dataio.load_mixtures(args.mixtures)
     if not mixtures:

@@ -304,6 +304,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
         raise ParseError(f"cannot read {path}: {exc}", path=str(path)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path=str(path)) from exc
+    if not isinstance(doc, dict):
+        raise ParseError("bundle document must be a JSON object", path=str(path))
     version = str(doc.get("schema_version", ""))
     if version.split(".")[0] != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
@@ -312,9 +314,17 @@ def load_bundle(path: str | Path) -> ModelBundle:
     unknown = set(doc) - _BUNDLE_KEYS
     if unknown:
         warnings.warn(f"bundle {path} carries unknown fields {sorted(unknown)}; ignored")
+    models = doc.get("models")
+    if not isinstance(models, dict):
+        raise ParseError("bundle field 'models' must be an object keyed by group",
+                         path=str(path), field="models")
+    unknown_groups = sorted(set(models) - {label.value for label in GroupLabel})
+    if unknown_groups:
+        raise ParseError(f"bundle has models for unknown groups {unknown_groups}",
+                         path=str(path), field="models")
     try:
         return ModelBundle(
-            models={GroupLabel(k): _model_from_doc(v) for k, v in doc["models"].items()},
+            models={GroupLabel(k): _model_from_doc(v) for k, v in models.items()},
             boundary_first=_boundary_from_doc(doc.get("boundary_first")),
             boundary_first_simplified=_boundary_from_doc(doc.get("boundary_first_simplified")),
             boundary_second=_boundary_from_doc(doc.get("boundary_second")),
@@ -323,7 +333,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
             partial=doc.get("partial", False),
             schema_version=version,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed bundle document: {exc!r}", path=str(path)) from exc
 
 

@@ -6,7 +6,7 @@ import enum
 import math
 from dataclasses import dataclass, fields
 
-from .errors import MissingField, RangeViolation
+from .errors import MissingField, RangeViolation, ValidationError
 
 
 class GroupLabel(enum.Enum):
@@ -78,9 +78,14 @@ class Mixture:
                 )
 
     def require(self, *names: str) -> list[float]:
-        """Fetch fields, raising MissingField for any that are absent."""
+        """Fetch fields, raising MissingField for any that are absent.
+
+        A name outside :data:`MIXTURE_FIELDS` raises :class:`ValidationError`.
+        """
         values = []
         for name in names:
+            if name not in MIXTURE_FIELDS:
+                raise ValidationError(f"unknown mixture field {name!r}")
             value = getattr(self, name)
             if value is None:
                 raise MissingField(f"mixture {self.id!r} is missing field {name!r}")

@@ -40,6 +40,9 @@ DEFAULT_SEED = 42
 PROVENANCE_DEFAULT = "default"
 PROVENANCE_FITTED = "fitted"
 
+#: most points a predicted curve's time grid may hold
+MAX_CURVE_POINTS = 100_000
+
 #: order in which ascending mean failure time maps onto group labels
 LABELS_BY_FAILURE_TIME = (GroupLabel.HN, GroupLabel.ML, GroupLabel.LL)
 
@@ -265,13 +268,25 @@ def predict_curve(
     step: float = 1.0,
     use_simplified_first: bool = True,
 ) -> ExpansionSeries:
-    """Classify, then sample the predicted curve on the grid 0, step, ... <= horizon."""
-    if horizon <= 0 or step <= 0:
-        raise ValidationError("horizon and step must both be positive")
+    """Classify, then sample the predicted curve on the grid 0, step, ... <= horizon.
+
+    ``horizon`` and ``step`` must be positive and finite, and the grid may
+    hold at most :data:`MAX_CURVE_POINTS` points; both are checked before
+    anything is allocated.
+    """
+    if not (math.isfinite(horizon) and math.isfinite(step) and horizon > 0 and step > 0):
+        raise ValidationError(
+            f"horizon and step must both be positive and finite, got {horizon} and {step}"
+        )
+    step = min(step, horizon)
+    if horizon / step + 1 > MAX_CURVE_POINTS:
+        raise ValidationError(
+            f"a horizon of {horizon:g} at step {step:g} needs more than "
+            f"{MAX_CURVE_POINTS} grid points"
+        )
     if bundle is None:
         bundle = _DEFAULT_BUNDLE
     group = classify_mixture(mix, bundle, use_simplified_first)
-    step = min(step, horizon)
     n_steps = int(math.floor(horizon / step + 1e-9))
     times = np.arange(n_steps + 1) * step
     values = _evaluate(bundle.model_for(group), mix, times)

@@ -157,18 +157,6 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> OLSFit:
     )
 
 
-def predict(fit: OLSFit, X_new: np.ndarray) -> np.ndarray:
-    """Evaluate a fit on new regressor rows."""
-    X_new = linalg.check_finite(X_new, "X_new")
-    if X_new.ndim != 2:
-        raise ValidationError(f"X_new must be 2-D, got ndim={X_new.ndim}")
-    if X_new.shape[1] != fit.coefficients.shape[0]:
-        raise DimensionMismatch(
-            f"fit has {fit.coefficients.shape[0]} coefficients but X_new has {X_new.shape[1]} columns"
-        )
-    return X_new @ fit.coefficients
-
-
 @dataclass(frozen=True)
 class GroupModel:
     """A fitted (or preset) expansion model for one group.

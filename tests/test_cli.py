@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from sulfexp.cli import main
@@ -12,7 +13,7 @@ from sulfexp.dataio import (
 )
 from sulfexp.errors import ValidationError
 from sulfexp.mixtures import Mixture
-from sulfexp.model import default_bundle
+from sulfexp.model import MAX_CURVE_POINTS, default_bundle
 
 MIX_HEADER = "id,wc,c3a,c3s,c2s,c4af,cement_content,air\n"
 
@@ -80,6 +81,38 @@ class TestPredict:
         p.write_text(MIX_HEADER + "1000,0.49,5.0,40,,,,\n")
         assert main(["predict", str(p), "--step", "0"]) == 2
 
+    @pytest.mark.parametrize("grid", [
+        ["--horizon", "inf"],
+        ["--horizon", "nan"],
+        ["--step", "nan"],
+        ["--step=-inf"],
+    ])
+    def test_non_finite_grid_exits_2(self, tmp_path, capsys, grid):
+        p = tmp_path / "mix.csv"
+        p.write_text(MIX_HEADER + "1000,0.49,5.0,40,,,,\n")
+        assert main(["predict", str(p), *grid]) == 2
+        assert "positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [
+        ["--horizon", "1e308", "--step", "1e300"],
+        ["--horizon", "1e308", "--step", "1e-300"],
+    ])
+    def test_oversized_grid_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch, grid):
+        p = tmp_path / "mix.csv"
+        p.write_text(MIX_HEADER + "1000,0.49,5.0,40,,,,\n")
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a time grid was allocated")
+
+        monkeypatch.setattr(np, "arange", no_grid)
+        assert main(["predict", str(p), *grid]) == 2
+        assert f"more than {MAX_CURVE_POINTS} grid points" in capsys.readouterr().err
+
+    def test_empty_table_with_bad_grid_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "mix.csv"
+        p.write_text(MIX_HEADER)
+        assert main(["predict", str(p), "--horizon", "nan"]) == 2
+
     def test_overflowing_prediction_exits_3(self, tmp_path, capsys):
         p = tmp_path / "mix.csv"
         p.write_text(MIX_HEADER + "hot,0.5,10,40,,,1.0,\n")
@@ -115,6 +148,38 @@ class TestBundleRoles:
         p.write_text(MIX_HEADER + "m,0.53,6.0,40,,,,\n")
         assert main([command, str(p), "--bundle", str(bad_role_bundle)]) == 2
         assert "unknown regressor role 'FOO*T'" in capsys.readouterr().err
+
+
+class TestMalformedBundle:
+    @pytest.fixture
+    def bundle_doc(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        save_bundle(default_bundle(), path)
+        return path, json.loads(path.read_text())
+
+    def _exit_code(self, tmp_path, path, doc):
+        path.write_text(json.dumps(doc))
+        p = tmp_path / "mix.csv"
+        p.write_text(MIX_HEADER + "m,0.53,6.0,40,,,,\n")
+        return main(["classify", str(p), "--bundle", str(path)])
+
+    def test_unknown_group_key_exits_2(self, tmp_path, capsys, bundle_doc):
+        path, doc = bundle_doc
+        doc["models"]["XX"] = doc["models"].pop("ML")
+        assert self._exit_code(tmp_path, path, doc) == 2
+        assert "unknown groups ['XX']" in capsys.readouterr().err
+
+    def test_models_not_an_object_exits_2(self, tmp_path, capsys, bundle_doc):
+        path, doc = bundle_doc
+        doc["models"] = []
+        assert self._exit_code(tmp_path, path, doc) == 2
+        assert "'models' must be an object" in capsys.readouterr().err
+
+    def test_unknown_boundary_feature_exits_2(self, tmp_path, capsys, bundle_doc):
+        path, doc = bundle_doc
+        doc["boundary_second"]["feature_names"][0] = "zzz"
+        assert self._exit_code(tmp_path, path, doc) == 2
+        assert "unknown mixture field 'zzz'" in capsys.readouterr().err
 
 
 class TestFit:

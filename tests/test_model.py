@@ -21,6 +21,7 @@ from sulfexp.errors import (
 )
 from sulfexp.mixtures import GroupLabel, Mixture
 from sulfexp.model import (
+    MAX_CURVE_POINTS,
     PipelineConfig,
     classify_mixture,
     fit_pipeline,
@@ -193,6 +194,13 @@ class TestPredictCurve:
     def test_bad_grid(self):
         with pytest.raises(ValidationError):
             predict_curve(Mixture(id="x", wc=0.49, c3a=5.0, c3s=40.0), step=0.0)
+
+    def test_grid_size_cap(self):
+        mix = Mixture(id="x", wc=0.49, c3a=5.0, c3s=40.0)
+        series = predict_curve(mix, horizon=MAX_CURVE_POINTS - 1.0, step=1.0)
+        assert len(series.samples) == MAX_CURVE_POINTS
+        with pytest.raises(ValidationError, match="grid points"):
+            predict_curve(mix, horizon=float(MAX_CURVE_POINTS), step=1.0)
 
     @pytest.mark.parametrize("horizon,step", [(40.0, 1.0), (40.0, 7.0), (12.5, 0.3)])
     def test_curve_equals_point_predictions_bit_for_bit(self, horizon, step):

@@ -4,12 +4,11 @@ import pytest
 from sulfexp.curves import ExpansionSeries
 from sulfexp.errors import (
     ConstantResponse,
-    DimensionMismatch,
     RankDeficient,
     TooFewRows,
 )
 from sulfexp.mixtures import GroupLabel, Mixture
-from sulfexp.regression import GroupModel, fit_group_model, ols_fit, predict
+from sulfexp.regression import GroupModel, fit_group_model, ols_fit
 
 
 def grid_refine_two_coefficients(X, y, lo=-10.0, hi=10.0, rounds=12, grid=41):
@@ -121,29 +120,6 @@ class TestOlsFit:
         # strong signal: slope t-stat enormous, both finite
         assert fit.t_statistics[0] > 100
         assert np.all(np.isfinite(fit.t_statistics))
-
-
-class TestPredict:
-    def test_evaluate_fitted_line(self):
-        fit = ols_fit(np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]), np.array([1.0, 3.0, 5.0]))
-        out = predict(fit, np.array([[3.0, 1.0]]))
-        assert out[0] == pytest.approx(7.0, abs=1e-12)
-
-    def test_training_reproduction(self):
-        rng = np.random.default_rng(6)
-        X = np.hstack([rng.normal(size=(20, 2)), np.ones((20, 1))])
-        y = rng.normal(size=20)
-        fit = ols_fit(X, y)
-        assert np.allclose(predict(fit, X), X @ fit.coefficients)
-
-    def test_zero_rows(self):
-        fit = ols_fit(np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]), np.array([1.0, 3.0, 5.0]))
-        assert predict(fit, np.empty((0, 2))).shape == (0,)
-
-    def test_dimension_mismatch(self):
-        fit = ols_fit(np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]), np.array([1.0, 3.0, 5.0]))
-        with pytest.raises(DimensionMismatch):
-            predict(fit, np.ones((2, 3)))
 
 
 def panel(mixtures, times, value):
