@@ -122,8 +122,9 @@ def _line_minimize(X, y, C, z, d):
     breaks = (1.0 - a[nz]) / c[nz]
     order = np.argsort(breaks, kind="stable")
     breaks = breaks[order]
-    # derivative minus tau*dd left of every breakpoint, then right of each
-    # one; for tau -> -inf exactly the points with c_i > 0 are active
+    # offsets[j] is the derivative minus tau*dd on the interval just left of
+    # breaks[j] (the last one: right of every breakpoint); left of all
+    # breakpoints exactly the points with c_i > 0 are active
     q0 = float(z[:2] @ d_beta) - C * float(c[c > 0].sum())
     offsets = q0 + np.concatenate(([0.0], np.cumsum(C * np.abs(c[nz][order]))))
     k = int(np.searchsorted(offsets[1:] + breaks * dd, 0.0))
