@@ -98,7 +98,7 @@ def cmd_predict(args) -> int:
         except NumericalError as exc:
             t_fail = None
             t_fail_text = f"n/a ({type(exc).__name__})"
-        final = series.samples[-1][1]
+        final = float(series.values[-1])
         rows.append([mix.id, series.group or "", f"{final:.6g}", t_fail_text])
         payload.append({"id": mix.id, "group": series.group,
                         "final_expansion": final, "predicted_failure_time": t_fail})

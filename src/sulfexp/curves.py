@@ -8,8 +8,7 @@ derives the two clustering features: failure time and the slope there.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,47 +25,68 @@ DEFAULT_ALPHA = 0.3          # smoothing weight on the point itself
 CENSORED_TIME_CAP = 200.0    # years; keeps extrapolated features finite
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ExpansionSeries:
     """One specimen's expansion history.
 
-    ``samples`` holds (time in years, expansion in percent) pairs with
-    strictly increasing times. Negative expansion values are legal
-    measurement noise; they are kept, not clamped.
+    ``samples`` is any (n, 2) array-like of (time in years, expansion in
+    percent) rows with strictly increasing times. It is stored as two
+    read-only float64 arrays, ``times`` and ``values``; the ``samples``
+    property rebuilds the pairs as a tuple of Python floats. Negative
+    expansion values are legal measurement noise; they are kept, not
+    clamped. Equality compares the id and both arrays, not ``group``.
     """
 
     mixture_id: str
-    samples: tuple[tuple[float, float], ...]
-    group: str | None = field(default=None, compare=False)
+    times: np.ndarray = field(init=False)
+    values: np.ndarray = field(init=False)
+    group: str | None = None
 
-    def __post_init__(self):
-        samples = tuple((float(t), float(e)) for t, e in self.samples)
-        object.__setattr__(self, "samples", samples)
-        times = [t for t, _ in samples]
-        values = [e for _, e in samples]
-        if any(not math.isfinite(t) or not math.isfinite(e) for t, e in samples):
-            raise NonFiniteValue(f"series {self.mixture_id!r} has non-finite samples")
-        if any(t < 0 for t in times):
-            raise ValidationError(f"series {self.mixture_id!r} has negative times")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValidationError(f"series {self.mixture_id!r} times not strictly increasing")
-        del values
+    def __init__(self, mixture_id: str, samples, group: str | None = None):
+        array = np.asarray(samples, dtype=float)
+        if array.size == 0:
+            array = array.reshape(0, 2)
+        if array.ndim != 2 or array.shape[1] != 2:
+            raise ValidationError(
+                f"series {mixture_id!r} samples must be (time, value) pairs, "
+                f"got shape {array.shape}"
+            )
+        columns = array.T.copy()
+        if not np.isfinite(columns).all():
+            raise NonFiniteValue(f"series {mixture_id!r} has non-finite samples")
+        columns.flags.writeable = False
+        times, values = columns
+        if np.count_nonzero(times < 0):
+            raise ValidationError(f"series {mixture_id!r} has negative times")
+        if np.count_nonzero(times[1:] <= times[:-1]):
+            raise ValidationError(f"series {mixture_id!r} times not strictly increasing")
+        object.__setattr__(self, "mixture_id", mixture_id)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "group", group)
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, ExpansionSeries):
+            return NotImplemented
+        return (
+            self.mixture_id == other.mixture_id
+            and np.array_equal(self.times, other.times)
+            and np.array_equal(self.values, other.values)
+        )
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.samples])
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([e for _, e in self.samples])
+    def samples(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.times.tolist(), self.values.tolist()))
 
     @property
     def has_negative_values(self) -> bool:
         """Flags measurement-noise dips below zero."""
-        return any(e < 0 for _, e in self.samples)
+        return bool((self.values < 0).any())
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.times.shape[0]
 
 
 @dataclass(frozen=True)
@@ -84,7 +104,10 @@ class FailurePoint:
 
 
 def smoothing_weights(alpha: float, dt_prev: float, dt_next: float) -> tuple[float, float, float]:
-    """Convolution weights (previous, self, next) for one interior point.
+    """Convolution weights (previous, self, next) for interior points.
+
+    ``dt_prev`` and ``dt_next`` are the intervals either side of a point,
+    as scalars or as aligned arrays (one entry per interior point).
 
     The neighbor weights are cross-scaled by the opposite interval, which
     makes every affine series a fixed point regardless of sample spacing:
@@ -103,6 +126,9 @@ def smooth(series: ExpansionSeries, alpha: float = DEFAULT_ALPHA) -> ExpansionSe
     First and last samples pass through unchanged (no neighbor exists on
     one side) and time stamps are preserved exactly. ``alpha`` balances the
     point's own value against its neighbors; ``alpha = 1`` is the identity.
+    All interior points are computed at once from the time and value
+    arrays, in the same per-element operation order as a point-by-point
+    loop, so the result is bit-identical to it.
     """
     if not 0.0 <= alpha <= 1.0:
         raise InvalidAlpha(f"alpha must be in [0, 1], got {alpha}")
@@ -112,13 +138,14 @@ def smooth(series: ExpansionSeries, alpha: float = DEFAULT_ALPHA) -> ExpansionSe
         )
     t = series.times
     s = series.values
+    dt = np.diff(t)
+    w_prev, _, w_next = smoothing_weights(alpha, dt[:-1], dt[1:])
+    # delta form of the convolution: exact when both neighbors equal the
+    # point (the weights sum to 1, so only differences matter)
+    mid = s[1:-1]
     out = s.copy()
-    for n in range(1, len(s) - 1):
-        w_prev, _, w_next = smoothing_weights(alpha, t[n] - t[n - 1], t[n + 1] - t[n])
-        # delta form of the convolution: exact when both neighbors equal the
-        # point (the weights sum to 1, so only differences matter)
-        out[n] = s[n] + w_prev * (s[n - 1] - s[n]) + w_next * (s[n + 1] - s[n])
-    return replace(series, samples=tuple(zip(t.tolist(), out.tolist())))
+    out[1:-1] = mid + w_prev * (s[:-2] - mid) + w_next * (s[2:] - mid)
+    return ExpansionSeries(series.mixture_id, np.array((t, out)).T, series.group)
 
 
 def failure_point(series: ExpansionSeries, threshold: float = DEFAULT_THRESHOLD) -> FailurePoint:

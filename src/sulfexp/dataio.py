@@ -136,14 +136,17 @@ def load_series(path: str | Path) -> list[ExpansionSeries]:
 
     out = []
     for mid in order:
-        samples = sorted(by_id[mid])
-        for (t1, _, l1), (t2, _, l2) in zip(samples, samples[1:]):
-            if t1 == t2:
-                raise DuplicateTimestamp(
-                    f"mixture {mid!r} has two samples at t = {t1} (lines {l1} and {l2})",
-                    path=str(path), line=l2,
-                )
-        out.append(ExpansionSeries(mixture_id=mid, samples=tuple((t, e) for t, e, _ in samples)))
+        rows_of_mid = np.array(sorted(by_id[mid]))
+        repeats = np.flatnonzero(np.diff(rows_of_mid[:, 0]) == 0)
+        if repeats.size:
+            i = int(repeats[0])
+            l1, l2 = int(rows_of_mid[i, 2]), int(rows_of_mid[i + 1, 2])
+            raise DuplicateTimestamp(
+                f"mixture {mid!r} has two samples at t = {float(rows_of_mid[i, 0])} "
+                f"(lines {l1} and {l2})",
+                path=str(path), line=l2,
+            )
+        out.append(ExpansionSeries(mixture_id=mid, samples=rows_of_mid[:, :2]))
     return out
 
 
@@ -203,7 +206,7 @@ def load_dataset(manifest: DatasetManifest) -> list[tuple[Mixture, ExpansionSeri
         if manifest.expansion_unit == "fraction":
             series = ExpansionSeries(
                 mixture_id=series.mixture_id,
-                samples=tuple((t, e * 100.0) for t, e in series.samples),
+                samples=np.array((series.times, series.values * 100.0)).T,
             )
         pairs.append((mixtures[series.mixture_id], series))
     return pairs
@@ -416,14 +419,17 @@ def generate_synthetic(
                 cement_content=cc,
                 air=rng.uniform(1.0, 6.0),
             )
-            samples = []
+            sample_times: list[float] = []
+            sample_values: list[float] = []
             for t in times:
                 clean = predict_expansion(mix, group, bundle, float(t))
                 value = clean * (1.0 + noise * rng.standard_normal()) if noise > 0 else clean
-                samples.append((float(t), value))
-                if clean > stop_expansion and len(samples) >= 3:
+                sample_times.append(float(t))
+                sample_values.append(value)
+                if clean > stop_expansion and len(sample_times) >= 3:
                     break
-            pairs.append((mix, ExpansionSeries(mixture_id=mid, samples=tuple(samples))))
+            samples = np.array((sample_times, sample_values)).T
+            pairs.append((mix, ExpansionSeries(mixture_id=mid, samples=samples)))
             labels[mid] = group
     return SyntheticDataset(pairs=pairs, labels=labels)
 
@@ -445,7 +451,7 @@ def emit_plot_data(
         raise ValidationError("one label per series required")
     lines = ["series_label,t,value"]
     for label, series in zip(labels, series_list):
-        for t, e in series.samples:
+        for t, e in zip(series.times.tolist(), series.values.tolist()):
             lines.append(f"{label},{t!r},{e!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -465,6 +471,6 @@ def write_series(series_list: list[ExpansionSeries], path: str | Path) -> None:
     """Inverse of :func:`load_series`."""
     lines = [",".join(SERIES_HEADER)]
     for series in series_list:
-        for t, e in series.samples:
+        for t, e in zip(series.times.tolist(), series.values.tolist()):
             lines.append(f"{series.mixture_id},{t!r},{e!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
+import numbers
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -86,7 +87,9 @@ class ModelBundle:
 
     ``boundary_first``/``boundary_second`` may be None for partial bundles
     (degenerate single-group fits). Diagnostics never participate in
-    equality or serialization.
+    equality or serialization. Construction rejects a ``failure_threshold``
+    that is not a finite positive real number (a bool included) and a
+    model stored under another group's key.
     """
 
     models: Mapping[GroupLabel, GroupModel]
@@ -98,6 +101,17 @@ class ModelBundle:
     partial: bool = False
     schema_version: str = "1"
     diagnostics: PipelineDiagnostics | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        threshold = self.failure_threshold
+        if (isinstance(threshold, bool) or not isinstance(threshold, numbers.Real)
+                or not math.isfinite(threshold) or threshold <= 0):
+            raise ValidationError(
+                f"failure_threshold must be a finite positive number, got {threshold!r}"
+            )
+        for label, model in self.models.items():
+            if model.group is not label:
+                raise ValidationError(f"the model stored under {label} is for group {model.group}")
 
     def model_for(self, group: GroupLabel) -> GroupModel:
         if group not in self.models:
@@ -290,8 +304,8 @@ def predict_curve(
     n_steps = int(math.floor(horizon / step + 1e-9))
     times = np.arange(n_steps + 1) * step
     values = _evaluate(bundle.model_for(group), mix, times)
-    samples = tuple(zip(times.tolist(), values.tolist()))
-    return ExpansionSeries(mixture_id=mix.id, samples=samples, group=group.value)
+    return ExpansionSeries(mixture_id=mix.id, samples=np.array((times, values)).T,
+                           group=group.value)
 
 
 def predicted_failure_time(
@@ -353,15 +367,20 @@ def _stage(name: str):
 
 
 def dataset_hash(dataset: list[tuple[Mixture, ExpansionSeries]]) -> str:
-    """Stable fingerprint of a dataset, for bundle provenance."""
+    """Stable fingerprint of a dataset, for bundle provenance.
+
+    sha256 of, per mixture in id order: the id, the ``repr`` of each
+    field, then the ``repr`` of each sample's time and value in turn. Each
+    mixture's text is joined and fed to the hash in one update.
+    """
     h = hashlib.sha256()
     for mix, series in sorted(dataset, key=lambda p: p[0].id):
-        h.update(mix.id.encode())
-        for name in MIXTURE_FIELDS:
-            h.update(repr(getattr(mix, name)).encode())
-        for t, e in series.samples:
-            h.update(repr(t).encode())
-            h.update(repr(e).encode())
+        parts = [mix.id]
+        parts.extend([repr(getattr(mix, name)) for name in MIXTURE_FIELDS])
+        # (t0, e0, t1, e1, ...): the transposed rows, flattened
+        interleaved = np.array((series.times, series.values)).T.ravel()
+        parts.extend(map(repr, interleaved.tolist()))
+        h.update("".join(parts).encode())
     return h.hexdigest()[:16]
 
 

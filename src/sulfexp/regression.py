@@ -70,17 +70,6 @@ def role_fields(roles: tuple[str, ...]) -> list[str]:
     return out
 
 
-def role_value(role: str, mixture: Mixture, t: float) -> float:
-    if role == CONST_ROLE:
-        return 1.0
-    if role not in _T_ROLES:
-        raise ValidationError(f"unknown regressor role {role!r}")
-    f = _T_ROLES[role]
-    if f is None:
-        return t
-    return mixture.require(f)[0] * t
-
-
 @dataclass(frozen=True)
 class OLSFit:
     """Least-squares estimate with the usual fit statistics.
@@ -224,25 +213,36 @@ def design_rows(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Pool every (mixture, sample) into regressor rows and responses.
 
+    Rows follow the pairs in order, each series' samples in time order.
     For a log response, rows whose expansion is not strictly positive are
-    dropped and counted; the logarithm is undefined there.
+    dropped and counted; the logarithm is undefined there. Each
+    time-scaled column is the mixture's field value repeated once per kept
+    sample times the pooled sample times, so a mixture's fields are read
+    (and a missing one raises :class:`MissingField`) only if it keeps rows.
     """
-    rows: list[list[float]] = []
-    ys: list[float] = []
-    dropped = 0
-    for mixture, series in pairs:
-        for t, exp_value in series.samples:
-            if log_response:
-                if exp_value <= 0:
-                    dropped += 1
-                    continue
-                ys.append(math.log(exp_value))
-            else:
-                ys.append(exp_value)
-            rows.append([role_value(role, mixture, t) for role in roles])
-    if not rows:
+    kept = np.array([len(series) for _, series in pairs], dtype=int)
+    times = np.concatenate([series.times for _, series in pairs]) if pairs else np.empty(0)
+    values = np.concatenate([series.values for _, series in pairs]) if pairs else np.empty(0)
+    n_samples = times.size
+    if log_response:
+        keep = values > 0
+        kept = np.bincount(np.repeat(np.arange(kept.size), kept)[keep], minlength=kept.size)
+        times, values = times[keep], values[keep]
+        y = np.fromiter(map(math.log, values.tolist()), dtype=float, count=values.size)
+    else:
+        y = values
+    if not times.size:
         raise TooFewRows("no usable observations after filtering")
-    return np.array(rows), np.array(ys), dropped
+    role_fields(roles)  # rejects an unknown role
+    scaled = [j for j, role in enumerate(roles) if role != CONST_ROLE]
+    fields = [_T_ROLES[roles[j]] for j in scaled]
+    scales = np.array([
+        [1.0 if f is None else mixture.require(f)[0] for f in fields]
+        for (mixture, _), n in zip(pairs, kept.tolist()) if n
+    ])
+    X = np.ones((times.size, len(roles)))
+    X[:, scaled] = np.repeat(scales, kept[kept > 0], axis=0) * times[:, None]
+    return X, y, n_samples - times.size
 
 
 def fit_group_model(

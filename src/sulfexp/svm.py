@@ -132,6 +132,10 @@ def _line_minimize(X, y, C, z, d):
         tau = -offsets[k] / dd
         if k < breaks.size:
             tau = min(tau, float(breaks[k]))
+    elif k + 1 < breaks.size and offsets[k + 1] == 0.0:
+        # a bias-only ray whose objective is flat between two breakpoints:
+        # at either edge rounding leaves a hinge of about C*eps switched on
+        tau = 0.5 * (float(breaks[k]) + float(breaks[k + 1]))
     else:
         tau = float(breaks[min(k, breaks.size - 1)]) if breaks.size else 0.0
     zz = z + tau * d

@@ -157,11 +157,11 @@ class TestMalformedBundle:
         save_bundle(default_bundle(), path)
         return path, json.loads(path.read_text())
 
-    def _exit_code(self, tmp_path, path, doc):
+    def _exit_code(self, tmp_path, path, doc, command="classify"):
         path.write_text(json.dumps(doc))
         p = tmp_path / "mix.csv"
         p.write_text(MIX_HEADER + "m,0.53,6.0,40,,,,\n")
-        return main(["classify", str(p), "--bundle", str(path)])
+        return main([command, str(p), "--bundle", str(path)])
 
     def test_unknown_group_key_exits_2(self, tmp_path, capsys, bundle_doc):
         path, doc = bundle_doc
@@ -180,6 +180,19 @@ class TestMalformedBundle:
         doc["boundary_second"]["feature_names"][0] = "zzz"
         assert self._exit_code(tmp_path, path, doc) == 2
         assert "unknown mixture field 'zzz'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["abc", -1.0])
+    def test_bad_failure_threshold_exits_2(self, tmp_path, capsys, bundle_doc, threshold):
+        path, doc = bundle_doc
+        doc["failure_threshold"] = threshold
+        assert self._exit_code(tmp_path, path, doc, "predict") == 2
+        assert "failure_threshold must be a finite positive number" in capsys.readouterr().err
+
+    def test_model_group_differing_from_its_key_exits_2(self, tmp_path, capsys, bundle_doc):
+        path, doc = bundle_doc
+        doc["models"]["ML"]["group"] = "LL"
+        assert self._exit_code(tmp_path, path, doc, "predict") == 2
+        assert "the model stored under ML is for group LL" in capsys.readouterr().err
 
 
 class TestFit:

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sulfexp.curves import (
@@ -12,6 +14,7 @@ from sulfexp.curves import (
 )
 from sulfexp.errors import (
     InvalidAlpha,
+    NonFiniteValue,
     NonPositiveTrend,
     TooFewSamples,
     ValidationError,
@@ -26,6 +29,17 @@ def linear_ramp(slope, ts, mid="ramp"):
     return series(ts, [slope * t for t in ts], mid=mid)
 
 
+def smooth_oracle(s, alpha):
+    """Point-by-point delta form of the convolution, one interior point at a time."""
+    t = s.times.tolist()
+    v = s.values.tolist()
+    out = list(v)
+    for n in range(1, len(v) - 1):
+        w_prev, _, w_next = smoothing_weights(alpha, t[n] - t[n - 1], t[n + 1] - t[n])
+        out[n] = v[n] + w_prev * (v[n - 1] - v[n]) + w_next * (v[n + 1] - v[n])
+    return out
+
+
 class TestSeriesValidation:
     def test_times_must_increase(self):
         with pytest.raises(ValidationError):
@@ -35,6 +49,74 @@ class TestSeriesValidation:
         s = series([0.0, 1.0, 2.0], [0.0, -0.01, 0.02])
         assert s.has_negative_values
         assert s.values[1] == -0.01
+        assert not series([0.0, 1.0], [0.0, 0.0]).has_negative_values
+
+    @pytest.mark.parametrize("ts, es, error, message", [
+        ([0.0, np.nan], [0.1, 0.2], NonFiniteValue, "has non-finite samples"),
+        ([0.0, 1.0], [0.1, np.inf], NonFiniteValue, "has non-finite samples"),
+        ([-np.inf, 1.0], [0.1, 0.2], NonFiniteValue, "has non-finite samples"),
+        ([-1.0, 1.0], [0.1, 0.2], ValidationError, "has negative times"),
+        ([1.0, -1.0], [0.1, 0.2], ValidationError, "has negative times"),
+        ([0.0, 2.0, 1.0], [0.1, 0.2, 0.3], ValidationError, "times not strictly increasing"),
+        ([0.0, 1.0, 1.0], [0.1, 0.2, 0.3], ValidationError, "times not strictly increasing"),
+    ])
+    def test_each_validation_error(self, ts, es, error, message):
+        with pytest.raises(error, match=f"series 'bad' {message}"):
+            series(ts, es, mid="bad")
+
+    @pytest.mark.parametrize("samples", [[0.0, 1.0, 2.0], [(0.0, 1.0, 2.0)], [[[0.0, 1.0]]]])
+    def test_samples_must_be_pairs(self, samples):
+        with pytest.raises(ValidationError, match="must be \\(time, value\\) pairs"):
+            ExpansionSeries(mixture_id="bad", samples=samples)
+
+    def test_empty_series(self):
+        s = ExpansionSeries(mixture_id="e", samples=())
+        assert len(s) == 0 and s.samples == ()
+
+
+class TestSeriesArrays:
+    def test_arrays_are_read_only_float64(self):
+        s = series([0.0, 1.0, 2.0], [0.1, 0.2, 0.3])
+        for array in (s.times, s.values):
+            assert array.dtype == np.float64 and not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 5.0
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+
+    def test_input_array_is_copied(self):
+        raw = np.array([[0.0, 0.1], [1.0, 0.2]])
+        s = ExpansionSeries(mixture_id="c", samples=raw)
+        raw[:] = 9.0
+        assert s.times.tolist() == [0.0, 1.0] and s.values.tolist() == [0.1, 0.2]
+
+    def test_samples_round_trip(self):
+        ts, es = [0.0, 0.5, 2.25], [-0.0, 0.125, 1e-300]
+        s = series(ts, es)
+        assert s.samples == tuple(zip(ts, es))
+        assert all(type(x) is float for pair in s.samples for x in pair)
+        again = ExpansionSeries(mixture_id=s.mixture_id, samples=s.samples)
+        assert again == s
+        assert again.values.tobytes() == s.values.tobytes()
+        assert len(s) == 3
+
+    def test_equality_on_id_and_arrays_not_group(self):
+        s = series([0.0, 1.0], [0.1, 0.2], mid="a")
+        assert s == ExpansionSeries(mixture_id="a", samples=[[0, 0.1], [1, 0.2]], group="HN")
+        assert s != series([0.0, 1.0], [0.1, 0.2], mid="b")
+        assert s != series([0.0, 1.5], [0.1, 0.2], mid="a")
+        assert s != series([0.0, 1.0], [0.1, 0.25], mid="a")
+        assert s != series([0.0, 1.0, 2.0], [0.1, 0.2, 0.3], mid="a")
+        assert s != s.samples
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(series([0.0], [0.1]))
+
+    def test_replace_takes_new_samples(self):
+        s = ExpansionSeries(mixture_id="r", samples=[[0.0, 0.1], [1.0, 0.2]], group="LL")
+        r = dataclasses.replace(s, samples=s.samples[:-1])
+        assert (r.mixture_id, r.group, r.samples) == ("r", "LL", ((0.0, 0.1),))
 
 
 class TestSmooth:
@@ -102,6 +184,23 @@ class TestSmooth:
     )
     def test_weights_sum_to_one(self, alpha, dt_prev, dt_next):
         assert sum(smoothing_weights(alpha, dt_prev, dt_next)) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=300)
+    @given(
+        alpha=st.floats(min_value=0.0, max_value=1.0),
+        steps=st.lists(st.floats(min_value=1e-6, max_value=1e4), min_size=2, max_size=40),
+        start=st.floats(min_value=0.0, max_value=100.0),
+        data=st.data(),
+    )
+    def test_matches_point_by_point_loop_bit_for_bit(self, alpha, steps, start, data):
+        ts = np.cumsum([start] + steps)
+        assume(np.all(np.diff(ts) > 0))  # no step lost to rounding
+        es = data.draw(st.lists(st.floats(min_value=-1e3, max_value=1e3),
+                                min_size=ts.size, max_size=ts.size))
+        s = series(ts, es, mid="p")
+        out = smooth(s, alpha)
+        assert out.values.tobytes() == np.array(smooth_oracle(s, alpha)).tobytes()
+        assert out.times.tobytes() == s.times.tobytes()
 
 
 class TestFailurePoint:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -19,11 +20,12 @@ from sulfexp.errors import (
     PredictionOverflow,
     ValidationError,
 )
-from sulfexp.mixtures import GroupLabel, Mixture
+from sulfexp.mixtures import MIXTURE_FIELDS, GroupLabel, Mixture
 from sulfexp.model import (
     MAX_CURVE_POINTS,
     PipelineConfig,
     classify_mixture,
+    dataset_hash,
     fit_pipeline,
     default_bundle,
     predict_curve,
@@ -71,6 +73,20 @@ class TestDefaultBundle:
             b.models[LL] = b.models[ML]
         assert b.models[LL].coefficients.tolist() == [0.0157, 0.0305]
         assert b.boundary_second.weights.tolist() == [1.0, 387.3]
+
+    @pytest.mark.parametrize("threshold", ["abc", None, True, 0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_bad_failure_threshold(self, threshold):
+        with pytest.raises(ValidationError, match="failure_threshold"):
+            dataclasses.replace(default_bundle(), failure_threshold=threshold)
+
+    def test_accepts_a_positive_integer_threshold(self):
+        assert dataclasses.replace(default_bundle(), failure_threshold=1).failure_threshold == 1
+
+    def test_rejects_a_model_under_another_groups_key(self):
+        models = dict(default_bundle().models)
+        models[ML] = models[LL]
+        with pytest.raises(ValidationError, match="stored under ML is for group LL"):
+            dataclasses.replace(default_bundle(), models=models)
 
 
 class TestClassifyMixture:
@@ -316,6 +332,46 @@ class TestPredictedFailureTime:
             t_fail = predicted_failure_time(mix, bundle, group=group)
             back = predict_expansion(mix, group, bundle, t_fail)
             assert back == pytest.approx(0.5, abs=1e-9)
+
+
+def dataset_hash_oracle(dataset):
+    """The fingerprint fed to sha256 one field and one float at a time."""
+    h = hashlib.sha256()
+    for mix, series in sorted(dataset, key=lambda p: p[0].id):
+        h.update(mix.id.encode())
+        for name in MIXTURE_FIELDS:
+            h.update(repr(getattr(mix, name)).encode())
+        for t, e in series.samples:
+            h.update(repr(t).encode())
+            h.update(repr(e).encode())
+    return h.hexdigest()[:16]
+
+
+class TestDatasetHash:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_streaming_updates(self, seed):
+        pairs = generate_synthetic((5, 7, 5), noise=0.03, seed=seed).pairs
+        assert dataset_hash(pairs) == dataset_hash_oracle(pairs)
+        assert dataset_hash(pairs[::-1]) == dataset_hash(pairs)
+
+    def test_matches_streaming_updates_at_the_edges(self):
+        pairs = [
+            (Mixture(id="z", wc=0.5), ExpansionSeries(mixture_id="z", samples=[[-0.0, -0.0]])),
+            (Mixture(id="a\u00e9"), ExpansionSeries(mixture_id="a\u00e9", samples=())),
+            (Mixture(id="m", c3a=1e-300), ExpansionSeries(
+                mixture_id="m", samples=[[0.1, 1e300], [1e16, -5e-324]])),
+        ]
+        assert dataset_hash(pairs) == dataset_hash_oracle(pairs)
+        assert dataset_hash([]) == dataset_hash_oracle([])
+
+    def test_sees_one_ulp(self):
+        pairs = generate_synthetic((2, 2, 2), seed=4).pairs
+        mix, series = pairs[3]
+        values = series.values.copy()
+        values[-1] = np.nextafter(values[-1], np.inf)
+        moved = pairs[:3] + [(mix, ExpansionSeries(mixture_id=mix.id,
+                                                   samples=np.array((series.times, values)).T))]
+        assert dataset_hash(moved + pairs[4:]) != dataset_hash(pairs)
 
 
 class TestFitPipeline:

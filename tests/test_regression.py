@@ -1,14 +1,29 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sulfexp.curves import ExpansionSeries
+from sulfexp.dataio import generate_synthetic
 from sulfexp.errors import (
     ConstantResponse,
+    MissingField,
     RankDeficient,
     TooFewRows,
+    ValidationError,
 )
-from sulfexp.mixtures import GroupLabel, Mixture
-from sulfexp.regression import GroupModel, fit_group_model, ols_fit
+from sulfexp.mixtures import MIXTURE_FIELDS, GroupLabel, Mixture
+from sulfexp.regression import (
+    CONST_ROLE,
+    FIELD_TO_ROLE,
+    GROUP_ROLES,
+    GroupModel,
+    design_rows,
+    fit_group_model,
+    ols_fit,
+)
 
 
 def grid_refine_two_coefficients(X, y, lo=-10.0, hi=10.0, rounds=12, grid=41):
@@ -185,6 +200,106 @@ class TestFitGroupModel:
         pairs = panel(mixtures, self.times, lambda m, t: 0.0157 * m.wc * t + 0.0305)
         with pytest.raises(TooFewRows):
             fit_group_model(pairs, GroupLabel.LL)
+
+
+def role_value_oracle(role, mixture, t):
+    """One regressor cell, computed on its own from Python floats."""
+    if role == CONST_ROLE:
+        return 1.0
+    if role == "T":
+        return t
+    field = {r: f for f, r in FIELD_TO_ROLE.items()}[role]
+    return mixture.require(field)[0] * t
+
+
+def design_rows_oracle(pairs, roles, log_response):
+    """Row-by-row pooling of every (mixture, sample)."""
+    rows, ys, dropped = [], [], 0
+    for mixture, series in pairs:
+        for t, exp_value in series.samples:
+            if log_response:
+                if exp_value <= 0:
+                    dropped += 1
+                    continue
+                ys.append(math.log(exp_value))
+            else:
+                ys.append(exp_value)
+            rows.append([role_value_oracle(role, mixture, t) for role in roles])
+    if not rows:
+        raise TooFewRows("no usable observations after filtering")
+    return np.array(rows), np.array(ys), dropped
+
+
+ALL_ROLES = tuple(FIELD_TO_ROLE.values()) + ("T", CONST_ROLE)
+
+
+class TestDesignRows:
+    @staticmethod
+    def assert_same(pairs, roles, log_response):
+        X, y, dropped = design_rows(pairs, roles, log_response)
+        X0, y0, dropped0 = design_rows_oracle(pairs, roles, log_response)
+        assert X.shape == X0.shape and X.tobytes() == X0.tobytes()
+        assert y.tobytes() == y0.tobytes()
+        assert dropped == dropped0
+
+    @pytest.mark.parametrize("roles", list(GROUP_ROLES.values()) + [ALL_ROLES, (CONST_ROLE,), ("T",)])
+    @pytest.mark.parametrize("log_response", [False, True])
+    def test_matches_row_by_row_build_on_generated_data(self, roles, log_response):
+        pairs = generate_synthetic((4, 5, 4), noise=0.05, seed=3).pairs
+        self.assert_same(pairs, roles, log_response)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), log_response=st.booleans(),
+           roles=st.lists(st.sampled_from(ALL_ROLES), min_size=1, max_size=4).map(tuple))
+    def test_matches_row_by_row_build_with_nonpositive_rows(self, seed, n, log_response, roles):
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for i in range(n):
+            mixture = Mixture(id=f"m{i}", **dict(zip(MIXTURE_FIELDS, [
+                rng.uniform(0.3, 0.7), *rng.uniform(0.0, 60.0, size=4), rng.uniform(0.4, 0.7),
+                rng.uniform(1.0, 6.0),
+            ])))
+            k = int(rng.integers(0, 8))
+            times = np.cumsum(rng.uniform(0.1, 5.0, size=k))
+            # about a third of the values are <= 0, zeros included
+            values = rng.choice([0.0, -1.0, 1.0], size=k) * rng.uniform(0.0, 3.0, size=k)
+            pairs.append((mixture, ExpansionSeries(mixture_id=mixture.id,
+                                                   samples=np.array((times, values)).T)))
+        try:
+            design_rows_oracle(pairs, roles, log_response)
+        except TooFewRows:
+            with pytest.raises(TooFewRows):
+                design_rows(pairs, roles, log_response)
+            return
+        self.assert_same(pairs, roles, log_response)
+
+    def test_log_response_is_math_log(self):
+        # numpy's vectorized log can differ from math.log in the last bit
+        values = np.random.default_rng(0).uniform(0.01, 5.0, 4000)
+        series = ExpansionSeries(mixture_id="m", samples=np.array((np.arange(4000.0), values)).T)
+        _, y, _ = design_rows([(Mixture(id="m"), series)], ("T", CONST_ROLE), log_response=True)
+        assert y.tolist() == [math.log(v) for v in values.tolist()]
+
+    def test_missing_field_only_for_a_mixture_with_rows(self):
+        full = Mixture(id="full", cement_content=0.6)
+        bare = Mixture(id="bare")
+        pairs = [
+            (full, ExpansionSeries(mixture_id="full", samples=[[0.0, 0.1], [1.0, 0.2]])),
+            (bare, ExpansionSeries(mixture_id="bare", samples=[[0.0, -0.1], [1.0, 0.0]])),
+        ]
+        X, y, dropped = design_rows(pairs, GROUP_ROLES[GroupLabel.HN], log_response=True)
+        assert X.shape == (2, 3) and dropped == 2
+        with pytest.raises(MissingField, match="'bare' is missing field 'cement_content'"):
+            design_rows(pairs, GROUP_ROLES[GroupLabel.HN], log_response=False)
+
+    def test_unknown_role(self):
+        pairs = generate_synthetic((1, 1, 1), seed=0).pairs
+        with pytest.raises(ValidationError, match="unknown regressor role 'FOO'"):
+            design_rows(pairs, ("FOO", CONST_ROLE), log_response=False)
+
+    def test_no_rows(self):
+        with pytest.raises(TooFewRows):
+            design_rows([], GROUP_ROLES[GroupLabel.LL], log_response=False)
 
 
 class TestGroupModelEvaluation:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sulfexp import fit_pipeline, generate_synthetic
@@ -168,6 +168,8 @@ class TestExactLineSearch:
         log_c=st.floats(-2.0, 4.0),
         bias_only=st.booleans(),
     )
+    # a flat stretch between two breakpoints on a bias-only ray
+    @example(seed=328, n=3, log_c=4.0, bias_only=True)
     def test_never_above_any_candidate(self, seed, n, log_c, bias_only):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, 2)) * rng.uniform(0.1, 50.0, size=2)
