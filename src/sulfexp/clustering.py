@@ -9,6 +9,7 @@ identical output.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,21 @@ def _as_points(points: np.ndarray) -> np.ndarray:
     return pts
 
 
+def _nearest(pts: np.ndarray, cts: np.ndarray) -> np.ndarray:
+    diff = pts[:, None, :] - cts[None, :, :]
+    d2 = np.einsum("nkd,nkd->nk", diff, diff)
+    return np.argmin(d2, axis=1)
+
+
+def _means(pts: np.ndarray, assignments: np.ndarray, cts: np.ndarray) -> np.ndarray:
+    cts = cts.copy()
+    for k in range(cts.shape[0]):
+        members = pts[assignments == k]
+        if members.shape[0]:
+            cts[k] = members.mean(axis=0)
+    return cts
+
+
 def assign_step(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Assign each point to its nearest centroid (squared Euclidean).
 
@@ -58,25 +74,19 @@ def assign_step(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"points have dimension {pts.shape[1]} but centroids have {cts.shape[1]}"
         )
-    diff = pts[:, None, :] - cts[None, :, :]
-    d2 = np.einsum("nkd,nkd->nk", diff, diff)
-    return np.argmin(d2, axis=1)
+    return _nearest(pts, cts)
 
 
 def update_step(points: np.ndarray, assignments: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Move each centroid to the mean of its points; empty clusters stay put."""
     pts = _as_points(points)
-    cts = _as_points(centroids).copy()
+    cts = _as_points(centroids)
     assignments = np.asarray(assignments, dtype=int)
     if assignments.shape[0] != pts.shape[0]:
         raise DimensionMismatch("one assignment per point required")
     if assignments.size and (assignments.min() < 0 or assignments.max() >= cts.shape[0]):
         raise ValidationError("assignment index out of range")
-    for k in range(cts.shape[0]):
-        members = pts[assignments == k]
-        if members.shape[0]:
-            cts[k] = members.mean(axis=0)
-    return cts
+    return _means(pts, assignments, cts)
 
 
 def _objective(points: np.ndarray, assignments: np.ndarray, centroids: np.ndarray) -> float:
@@ -85,15 +95,16 @@ def _objective(points: np.ndarray, assignments: np.ndarray, centroids: np.ndarra
 
 
 def _lloyd(points, centroids, max_iter):
+    """Lloyd iterations on points and centroids that ``kmeans`` has checked."""
     trace = []
-    assignments = assign_step(points, centroids)
+    assignments = _nearest(points, centroids)
     trace.append(_objective(points, assignments, centroids))
     converged = False
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        centroids = update_step(points, assignments, centroids)
-        new_assignments = assign_step(points, centroids)
+        centroids = _means(points, assignments, centroids)
+        new_assignments = _nearest(points, centroids)
         trace.append(_objective(points, new_assignments, centroids))
         if np.array_equal(new_assignments, assignments):
             converged = True
@@ -121,6 +132,8 @@ def kmeans(
     n = pts.shape[0]
     if k < 1 or max_iter < 1 or restarts < 1:
         raise ValidationError("k, max_iter and restarts must all be >= 1")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if n < k:
         raise TooFewPoints(f"{n} points cannot fill {k} clusters")
 

@@ -1,9 +1,9 @@
 """Minimal dense linear-algebra kernels.
 
 Matrices and vectors are plain ``numpy.ndarray`` objects (row-major, all
-entries finite). Two kernels back the statistical modules: a symmetric
-linear solve used by the least-squares estimator, and dominant-eigenvector
-extraction used by the sequential variance-maximization in the PCA module.
+entries finite). The symmetric linear solve backs the least-squares
+estimator and the SVM's KKT systems; eigenvectors come from
+``numpy.linalg.eigh``, oriented by one shared sign rule.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ import numpy as np
 from .errors import (
     AsymmetricMatrix,
     DimensionMismatch,
-    NoConvergence,
     NonFiniteValue,
     SingularMatrix,
-    ValidationError,
 )
 
 SYMMETRY_TOL = 1e-10
@@ -92,73 +90,22 @@ def solve_symmetric(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _sign_convention(v: np.ndarray) -> np.ndarray:
-    """Flip sign so the entry of largest magnitude is positive."""
-    idx = int(np.argmax(np.abs(v)))
-    return -v if v[idx] < 0 else v
+def sign_convention(vectors: np.ndarray) -> np.ndarray:
+    """Flip each vector (a 1-D array, or each row of a 2-D one) so its entry
+    of largest magnitude is positive; exact magnitude ties go to the first."""
+    idx = np.argmax(np.abs(vectors), axis=-1)
+    lead = np.take_along_axis(vectors, np.expand_dims(idx, -1), axis=-1)
+    return np.where(lead < 0, -vectors, vectors)
 
 
-def dominant_eigenpair(
-    S: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    seed: int = 0,
-) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and unit eigenvector of a symmetric PSD matrix.
+def dominant_eigenpair(S: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue and unit eigenvector of a symmetric matrix.
 
-    Power iteration from a seeded random start vector. When plain iteration
-    stalls (near-degenerate leading eigenvalues) the working matrix is
-    repeatedly squared, which amplifies the dominant direction without
-    changing the eigenvectors; the returned eigenvalue is always the
-    Rayleigh quotient with respect to the original ``S`` and the residual
-    ``max|S v - lambda v| <= tol`` is checked against ``S`` itself.
+    The top pair of one LAPACK symmetric eigendecomposition, with the
+    eigenvector oriented by :func:`sign_convention`.
     """
     S = _check_square_symmetric(S, "S")
-    if max_iter < 1:
-        raise ValidationError("max_iter must be >= 1")
-    n = S.shape[0]
-    if n == 0:
+    if S.shape[0] == 0:
         raise DimensionMismatch("empty matrix has no eigenpairs")
-
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-
-    work = S.copy()
-    squarings = 0
-    best_res = np.inf
-    best: tuple[float, np.ndarray] | None = None
-    check_every = 50
-
-    for it in range(1, max_iter + 1):
-        y = work @ v
-        norm_y = np.linalg.norm(y)
-        if norm_y == 0.0:
-            # v lies in the null space of the working matrix; for PSD S this
-            # means eigenvalue 0 with v itself as an eigenvector.
-            lam = float(v @ (S @ v))
-            v = _sign_convention(v)
-            return 0.0 if abs(lam) <= tol else lam, v
-        v = y / norm_y
-        lam = float(v @ (S @ v))
-        res = float(np.abs(S @ v - lam * v).max())
-        if res <= tol:
-            return lam, _sign_convention(v)
-        if res < best_res:
-            best_res, best = res, (lam, v.copy())
-        if it % check_every == 0 and squarings < 60:
-            # Slow contraction: square the (rescaled) working matrix so the
-            # next matvecs act like 2^k plain power steps.
-            m = float(np.abs(work).max())
-            if m > 0:
-                work = (work / m) @ (work / m)
-                squarings += 1
-
-    lam, v = best if best is not None else (float(v @ (S @ v)), v)
-    raise NoConvergence(
-        "power iteration did not reach tolerance",
-        eigenvalue=lam,
-        residual=best_res,
-        iterations=max_iter,
-        last_vector=_sign_convention(v),
-    )
+    eigenvalues, eigenvectors = np.linalg.eigh(S)
+    return float(eigenvalues[-1]), sign_convention(eigenvectors[:, -1])

@@ -450,8 +450,7 @@ def fit_pipeline(
                 roles_by_group[label] = None
                 continue
             centered, means, scales = pca.center_and_scale(matrix, standardize=config.pca_standardize)
-            result = pca.principal_components(centered, m, means=means, scales=scales,
-                                              seed=config.seed)
+            result = pca.principal_components(centered, m, means=means, scales=scales)
             picks = pca.select_dominant_variables(result, m)
             pca_selected[label] = picks
             if config.data_driven_variables:

@@ -1,11 +1,12 @@
 """Principal component analysis by sequential variance maximization.
 
-Each loading vector maximizes the variance of the data projected onto it;
-after a component is extracted its contribution is subtracted (deflation)
-and the next loading is the dominant eigenvector of the deflated Gram
-matrix. Also provides the dominant-variable selection rule used for
-regression screening: from each retained component, take the variable with
-the largest absolute loading entry.
+Each loading vector maximizes the variance of the data projected onto it,
+orthogonal to the loadings before it. Those are the top eigenvectors of the
+Gram matrix, which one symmetric eigendecomposition yields at once: exactly
+the loadings that extracting one dominant eigenvector at a time, with
+deflation, would give. Also provides the dominant-variable selection rule
+used for regression screening: from each retained component, take the
+variable with the largest absolute loading entry.
 """
 
 from __future__ import annotations
@@ -65,34 +66,19 @@ def center_and_scale(X: np.ndarray, standardize: bool = True) -> tuple[np.ndarra
     return centered, means, scales
 
 
-def _orthonormal_complement(v: np.ndarray, basis: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
-    """Project v off the spanned basis; fall back to random directions if it vanishes."""
-    for _ in range(50):
-        w = v.copy()
-        for u in basis:
-            w -= (u @ w) * u
-        norm = np.linalg.norm(w)
-        if norm > 1e-8:
-            return w / norm
-        v = rng.standard_normal(v.shape[0])
-    raise ValidationError("no orthonormal complement found; too many components requested")
-
-
 def principal_components(
     X: np.ndarray,
     m: int,
     means: np.ndarray | None = None,
     scales: np.ndarray | None = None,
-    tol_scale: float = 1e-11,
-    max_iter: int = 10_000,
-    seed: int = 0,
 ) -> PCAResult:
     """First ``m`` principal components of a centered matrix ``X``.
 
-    Component k is the dominant eigenvector of the deflated Gram matrix;
-    deflation subtracts X w w^T after each extraction. ``means``/``scales``
-    are carried through for bookkeeping when the caller centered the data
-    with :func:`center_and_scale`.
+    The loadings are the eigenvectors of the Gram matrix ``X^T X`` with the
+    ``m`` largest eigenvalues, in descending order, each oriented so its
+    entry of largest magnitude is positive. ``means``/``scales`` are carried
+    through for bookkeeping when the caller centered the data with
+    :func:`center_and_scale`.
     """
     X = linalg.check_finite(X, "X")
     n, p = X.shape
@@ -102,30 +88,14 @@ def principal_components(
     if float(np.abs(col_means).max(initial=0.0)) > 1e-8 * (1.0 + float(np.abs(X).max(initial=0.0))):
         raise ValidationError("X must be centered (column means zero); use center_and_scale first")
 
+    _, eigenvectors = np.linalg.eigh(X.T @ X)
+    loadings = linalg.sign_convention(eigenvectors[:, ::-1][:, :m].T)
+    scores = X @ loadings.T
+    explained_variance = np.einsum("ij,ij->j", scores, scores) / (n - 1)
     total_variance = float((X * X).sum()) / (n - 1)
-    deflated = X.copy()
-    rng = np.random.default_rng(seed)
-    loadings: list[np.ndarray] = []
-    variances: list[float] = []
-    for k in range(m):
-        gram = deflated.T @ deflated
-        tol = tol_scale * max(1.0, float(np.abs(gram).max(initial=0.0)))
-        lam, w = linalg.dominant_eigenpair(gram, tol=tol, max_iter=max_iter, seed=seed + k)
-        if lam <= tol:
-            # Deflated matrix is numerically zero in every remaining direction;
-            # any unit vector orthogonal to earlier loadings is a valid loading.
-            w = _orthonormal_complement(w, loadings, rng)
-            idx = int(np.argmax(np.abs(w)))
-            if w[idx] < 0:
-                w = -w
-        loadings.append(w)
-        variances.append(float(np.linalg.norm(X @ w) ** 2) / (n - 1))
-        deflated = deflated - np.outer(X @ w, w)
-
-    explained_variance = np.array(variances)
     ratio = explained_variance / total_variance if total_variance > 0 else np.zeros(m)
     return PCAResult(
-        loadings=np.array(loadings),
+        loadings=loadings,
         explained_variance=explained_variance,
         explained_ratio=ratio,
         means=np.zeros(p) if means is None else np.asarray(means, dtype=float),

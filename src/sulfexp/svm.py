@@ -338,8 +338,8 @@ def svm_train(
         raise ValidationError("labels must be +1 or -1")
     if np.all(y == y[0]):
         raise SingleClass("training data contains a single class")
-    if not C > 0:
-        raise ValidationError(f"box constraint must be positive, got {C}")
+    if not (np.isfinite(C) and C > 0):
+        raise ValidationError(f"box constraint must be a finite positive number, got {C}")
 
     z, clean = _polish(X, y, C, np.zeros(3))
     beta, b = z[:2], float(z[2])
@@ -376,6 +376,8 @@ def simplify_axis_parallel(boundary: LinearBoundary, points, labels) -> LinearBo
     y = np.asarray(labels, dtype=float).reshape(-1)
     if y.shape[0] != X.shape[0]:
         raise DimensionMismatch("one label per point required")
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValidationError("labels must be +1 or -1")
 
     if boundary.weights[0] == 0.0 or boundary.weights[1] == 0.0:
         return boundary
@@ -386,29 +388,29 @@ def simplify_axis_parallel(boundary: LinearBoundary, points, labels) -> LinearBo
     orient = 1.0 if boundary.weights[axis] > 0 else -1.0
 
     v = X[:, axis]
-    u = np.unique(v)
-    candidates = [float(u[0]) - 1.0]
-    candidates += [float(u[i] + u[i + 1]) / 2.0 for i in range(u.size - 1)]
-    candidates.append(float(u[-1]) + 1.0)
+    u, inverse = np.unique(v, return_inverse=True)
+    thetas = np.concatenate(([u[0] - 1.0], (u[:-1] + u[1:]) / 2.0, [u[-1] + 1.0]))
 
-    def errors(theta: float) -> int:
-        pred = np.where(orient * (v - theta) >= 0, 1.0, -1.0)
-        return int((pred != y).sum())
+    # errors at every candidate from the sorted values of each class
+    positive = y > 0
+    pos_sorted, neg_sorted = np.sort(v[positive]), np.sort(v[~positive])
+    side = "left" if orient > 0 else "right"
+    pos_below = np.searchsorted(pos_sorted, thetas, side)
+    neg_below = np.searchsorted(neg_sorted, thetas, side)
+    if orient > 0:   # predict +1 where v >= theta
+        err = pos_below + (neg_sorted.size - neg_below)
+    else:            # predict +1 where v <= theta
+        err = (pos_sorted.size - pos_below) + neg_below
 
-    scored = []
-    for j, theta in enumerate(candidates):
-        err = errors(theta)
-        interior = 0 < j < len(candidates) - 1
-        if interior:
-            left, right = u[j - 1], u[j]
-            # a pair of opposite-class points faces each other across this gap
-            opposing = len(set(y[v == left]) | set(y[v == right])) == 2
-            gap = float(right - left)
-        else:
-            opposing = False
-            gap = np.inf
-        scored.append((err, 0 if opposing else 1, gap, theta))
-    _, _, _, theta = min(scored)
+    # a pair of opposite-class points faces each other across an interior gap
+    has_pos = np.bincount(inverse[positive], minlength=u.size) > 0
+    has_neg = np.bincount(inverse[~positive], minlength=u.size) > 0
+    opposing = np.zeros(thetas.size, dtype=bool)
+    opposing[1:-1] = (has_pos[:-1] | has_pos[1:]) & (has_neg[:-1] | has_neg[1:])
+    gaps = np.full(thetas.size, np.inf)
+    gaps[1:-1] = u[1:] - u[:-1]
+    # lexicographic minimum of (errors, not opposing, gap, threshold)
+    theta = float(thetas[np.lexsort((thetas, gaps, ~opposing, err))[0]])
 
     weights = np.zeros(2)
     weights[axis] = orient

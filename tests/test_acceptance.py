@@ -226,7 +226,7 @@ def test_criterion_07_pca_properties():
             p = int(rng.integers(2, 8))
             X, _, _ = center_and_scale(rng.normal(size=(n, p)), standardize=False)
             m = min(n - 1, p)
-            result = principal_components(X, m=m, seed=3)
+            result = principal_components(X, m=m)
             gram = result.loadings @ result.loadings.T
             assert np.abs(gram - np.eye(m)).max() <= 1e-8
             assert np.all(np.diff(result.explained_variance) <= 1e-12)

@@ -312,6 +312,44 @@ class TestSeedEnvOverride:
         assert "SULFEXP_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
 
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+class TestNegativeSeed:
+    def test_fit_seed_flag_exits_2(self, dataset_dir, capsys):
+        tmp_path, _ = dataset_dir
+        assert main(["fit", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "b.json"),
+                     "--seed", "-1"]) == 2
+        assert_one_error_line(capsys, "seed must be a non-negative integer, got -1")
+        assert not (tmp_path / "b.json").exists()
+
+    def test_fit_seed_env_var_exits_2(self, dataset_dir, monkeypatch, capsys):
+        tmp_path, _ = dataset_dir
+        monkeypatch.setenv("SULFEXP_SEED", "-2")
+        assert main(["fit", str(tmp_path / "manifest.json"),
+                     "--out", str(tmp_path / "b.json")]) == 2
+        assert_one_error_line(capsys, "seed must be a non-negative integer, got -2")
+
+    def test_cluster_seed_flag_exits_2(self, dataset_dir, capsys):
+        tmp_path, _ = dataset_dir
+        assert main(["cluster", str(tmp_path / "series.csv"), "--seed", "-3"]) == 2
+        assert_one_error_line(capsys, "seed must be a non-negative integer, got -3")
+
+
+class TestNonFiniteBoxConstraint:
+    def test_fit_box_constraint_inf_exits_2_naming_it(self, dataset_dir, capsys):
+        tmp_path, _ = dataset_dir
+        assert main(["fit", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "b.json"),
+                     "--box-constraint", "inf"]) == 2
+        assert_one_error_line(capsys, "box constraint must be a finite positive number, got inf")
+
+
 class TestHelp:
     def test_help_documents_defaults(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

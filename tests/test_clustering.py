@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sulfexp.errors import DimensionMismatch, TooFewPoints, ValidationError
+from sulfexp import curves
 from sulfexp.clustering import assign_step, kmeans, standardize_features, update_step
+from sulfexp.dataio import generate_synthetic
 
 
 def brute_force_objective(points: np.ndarray, k: int) -> float:
@@ -95,6 +97,11 @@ class TestKMeans:
         with pytest.raises(ValidationError):
             kmeans(np.zeros((3, 1)), k=1, max_iter=0)
 
+    @pytest.mark.parametrize("seed", [-1, -3, 1.5, "7"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            kmeans(np.zeros((3, 1)), k=1, seed=seed)
+
     def test_determinism(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(20, 2))
@@ -147,6 +154,48 @@ class TestKMeans:
             pts = rng.normal(size=(n, 2))
             result = kmeans(pts, k=k, seed=11, restarts=32)
             assert result.objective == pytest.approx(brute_force_objective(pts, k), abs=1e-9)
+
+
+def objective(points, assignments, centroids):
+    diff = points - centroids[assignments]
+    return float(np.einsum("nd,nd->", diff, diff))
+
+
+def kmeans_by_public_steps(points, k, seed, max_iter=300, restarts=16):
+    """Multi-restart Lloyd's loop over the public, checked step functions."""
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        centroids = points[rng.choice(points.shape[0], size=k, replace=False)]
+        assignments = assign_step(points, centroids)
+        trace = [objective(points, assignments, centroids)]
+        converged, iterations = False, 0
+        for _ in range(max_iter):
+            iterations += 1
+            centroids = update_step(points, assignments, centroids)
+            new_assignments = assign_step(points, centroids)
+            trace.append(objective(points, new_assignments, centroids))
+            if np.array_equal(new_assignments, assignments):
+                converged = True
+                break
+            assignments = new_assignments
+        if best is None or trace[-1] < best[3][-1] - 1e-15:
+            best = (centroids, assignments, iterations, trace, converged)
+    return best
+
+
+class TestKernelsMatchPublicSteps:
+    @pytest.mark.parametrize("counts,seed", [((12, 16, 12), 0), ((12, 16, 12), 5), ((40, 50, 40), 2)])
+    def test_kmeans_equals_public_step_loop_bit_for_bit(self, counts, seed):
+        pairs = generate_synthetic(counts, noise=0.03, seed=seed).pairs
+        features = np.array([curves.cluster_features(curves.smooth(s, 0.3), 0.5) for _, s in pairs])
+        points, _, _ = standardize_features(features)
+        result = kmeans(points, k=3, seed=42)
+        centroids, assignments, iterations, trace, converged = kmeans_by_public_steps(points, 3, 42)
+        assert result.centroids.tobytes() == centroids.tobytes()
+        assert np.array_equal(result.assignments, assignments)
+        assert np.array(result.objective_trace).tobytes() == np.array(trace).tobytes()
+        assert (result.iterations, result.converged) == (iterations, converged)
 
 
 class TestStandardizeFeatures:

@@ -7,7 +7,7 @@ from sulfexp.errors import (
     NonFiniteValue,
     SingularMatrix,
 )
-from sulfexp.linalg import dominant_eigenpair, solve_symmetric
+from sulfexp.linalg import dominant_eigenpair, sign_convention, solve_symmetric
 
 
 class TestSolveSymmetric:
@@ -103,7 +103,7 @@ class TestDominantEigenpair:
             m = rng.standard_normal((n, n))
             s = m @ m.T
             tol = 1e-9 * max(1.0, np.abs(s).max())
-            lam, v = dominant_eigenpair(s, tol=tol, max_iter=20_000, seed=5)
+            lam, v = dominant_eigenpair(s)
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
             assert np.abs(s @ v - lam * v).max() <= tol
             assert lam >= -tol
@@ -115,7 +115,7 @@ class TestDominantEigenpair:
             m = rng.standard_normal((n, n))
             s = m @ m.T
             tol = 1e-9 * max(1.0, np.abs(s).max())
-            lam, _ = dominant_eigenpair(s, tol=tol, seed=trial)
+            lam, _ = dominant_eigenpair(s)
             probes = rng.standard_normal((1000, n))
             probes /= np.linalg.norm(probes, axis=1, keepdims=True)
             quotients = np.einsum("ij,jk,ik->i", probes, s, probes)
@@ -127,19 +127,35 @@ class TestDominantEigenpair:
         s = q @ np.diag([1.0, 1.0 - 1e-8, 0.5, 0.2, 0.1]) @ q.T
         s = (s + s.T) / 2
         tol = 1e-11
-        lam, v = dominant_eigenpair(s, tol=tol, max_iter=50_000)
+        lam, v = dominant_eigenpair(s)
         assert np.abs(s @ v - lam * v).max() <= tol
 
     def test_asymmetric_rejected(self):
         with pytest.raises(AsymmetricMatrix):
             dominant_eigenpair(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_no_convergence_carries_diagnostics(self):
-        from sulfexp.errors import NoConvergence
+    def test_exact_small_cases(self):
+        lam, v = dominant_eigenpair(np.zeros((3, 3)))
+        assert lam == 0.0
+        assert np.abs(v).max() == 1.0 and v[np.argmax(np.abs(v))] == 1.0
+        lam, v = dominant_eigenpair(np.eye(3))
+        assert lam == 1.0
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+        assert v[np.argmax(np.abs(v))] > 0
+        lam, v = dominant_eigenpair(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert lam == pytest.approx(3.0, abs=1e-14)
+        assert np.abs(v - np.sqrt(0.5)).max() <= 1e-15
 
-        s = np.array([[2.0, 1.0], [1.0, 2.0]])
-        with pytest.raises(NoConvergence) as excinfo:
-            dominant_eigenpair(s, tol=1e-18, max_iter=1)
-        diag = excinfo.value.diagnostics
-        assert diag["iterations"] == 1
-        assert "eigenvalue" in diag and "last_vector" in diag
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            dominant_eigenpair(np.zeros((0, 0)))
+
+
+class TestSignConvention:
+    def test_vector(self):
+        assert sign_convention(np.array([0.2, -0.9, 0.1])).tolist() == [-0.2, 0.9, -0.1]
+        assert sign_convention(np.array([0.2, 0.9])).tolist() == [0.2, 0.9]
+
+    def test_rows_and_first_of_tied_magnitudes(self):
+        rows = np.array([[-0.5, 0.5], [0.5, -0.5], [0.0, -1.0]])
+        assert sign_convention(rows).tolist() == [[0.5, -0.5], [0.5, -0.5], [0.0, 1.0]]

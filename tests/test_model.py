@@ -423,6 +423,30 @@ class TestFitPipeline:
             assert len(model.variable_roles) >= 2
 
 
+#: data-driven variable roles of the golden datasets (3 % noise), HN/ML/LL,
+#: as the power-iteration PCA chose them; one eigendecomposition must agree
+DATA_DRIVEN_ROLES = {
+    ((12, 16, 12), 0): (("C4AF*T", "C3S*T", "WC*T"), ("C3S*T", "CC*T", "C3A*T"),
+                        ("WC*T", "AIR*T", "C4AF*T")),
+    ((12, 16, 12), 1): (("AIR*T", "C2S*T", "C4AF*T"), ("C3S*T", "C3A*T", "C2S*T"),
+                        ("C3S*T", "AIR*T", "C2S*T")),
+    ((12, 16, 12), 2): (("C3A*T", "C2S*T", "WC*T"), ("C3S*T", "C4AF*T", "CC*T"),
+                        ("WC*T", "AIR*T", "C3A*T")),
+    ((12, 16, 12), 3): (("C3S*T", "C2S*T", "WC*T"), ("C3S*T", "C4AF*T", "CC*T"),
+                        ("WC*T", "CC*T", "C3A*T")),
+    ((120, 160, 120), 0): (("WC*T", "CC*T", "C3S*T"), ("C3S*T", "AIR*T", "CC*T"),
+                           ("C3S*T", "C4AF*T", "CC*T")),
+}
+
+
+@pytest.mark.parametrize("counts,seed", list(DATA_DRIVEN_ROLES))
+def test_data_driven_roles_of_golden_datasets(counts, seed):
+    pairs = generate_synthetic(counts, noise=0.03, seed=seed).pairs
+    bundle = fit_pipeline(pairs, PipelineConfig(data_driven_variables=True))
+    roles = tuple(bundle.models[label].variable_roles for label in (HN, ML, LL))
+    assert roles == tuple(r + ("const",) for r in DATA_DRIVEN_ROLES[(counts, seed)])
+
+
 class TestValidateHoldout:
     def holdout(self, n_hn=4, n_ml=4, n_ll=7, seed=21):
         ds = generate_synthetic((n_hn, n_ml, n_ll), noise=0.0, seed=seed)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sulfexp.errors import TooFewRows, ValidationError
 from sulfexp.pca import (
@@ -95,8 +96,8 @@ class TestPrincipalComponents:
     def test_reproducible(self):
         rng = np.random.default_rng(4)
         x, _, _ = center_and_scale(rng.normal(size=(10, 4)), standardize=False)
-        r1 = principal_components(x, m=3, seed=9)
-        r2 = principal_components(x, m=3, seed=9)
+        r1 = principal_components(x, m=3)
+        r2 = principal_components(x, m=3)
         assert np.array_equal(r1.loadings, r2.loadings)
 
     def test_sign_convention(self):
@@ -114,6 +115,61 @@ class TestPrincipalComponents:
         x = np.array([[-1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValidationError):
             principal_components(x, m=2)  # min(n-1, p) = 1
+
+
+def oriented_descending_eigenvectors(eigh, gram):
+    """Eigenvalues and eigenvector rows, largest first, sign as in the package."""
+    values, vectors = eigh(gram)
+    rows = vectors[:, ::-1].T
+    lead = rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)]
+    return values[::-1], rows * np.sign(lead)[:, None]
+
+
+class TestEighOracle:
+    @pytest.mark.parametrize("eigh", [np.linalg.eigh, scipy.linalg.eigh], ids=["numpy", "scipy"])
+    def test_loadings_are_the_top_gram_eigenvectors(self, eigh):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            n = int(rng.integers(3, 15))
+            p = int(rng.integers(2, 8))
+            x, _, _ = center_and_scale(rng.normal(size=(n, p)) * rng.uniform(0.1, 10, p),
+                                       standardize=False)
+            m = int(rng.integers(1, min(n - 1, p) + 1))
+            result = principal_components(x, m=m)
+            values, rows = oriented_descending_eigenvectors(eigh, x.T @ x)
+            assert np.abs(result.loadings - rows[:m]).max() <= 1e-12
+            assert np.all(np.diff(values[:m]) <= 0)
+            assert np.allclose(result.explained_variance, values[:m] / (n - 1),
+                               rtol=1e-12, atol=1e-12 * values[0])
+
+
+class TestDegenerateSpectra:
+    def assert_orthonormal_oriented(self, loadings):
+        m = loadings.shape[0]
+        assert np.abs(loadings @ loadings.T - np.eye(m)).max() <= 1e-12
+        lead = loadings[np.arange(m), np.argmax(np.abs(loadings), axis=1)]
+        assert np.all(lead > 0)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_isotropic_cloud(self, p):
+        x = np.vstack([np.eye(p), -np.eye(p)])   # Gram matrix 2 I: one repeated eigenvalue
+        for m in range(1, min(x.shape[0] - 1, p) + 1):
+            result = principal_components(x, m=m)
+            self.assert_orthonormal_oriented(result.loadings)
+            assert np.allclose(result.explained_ratio, 1.0 / p, atol=1e-12)
+            again = principal_components(x, m=m)
+            assert again.loadings.tobytes() == result.loadings.tobytes()
+
+    @pytest.mark.parametrize("n,p", [(3, 2), (4, 7), (8, 5), (10, 7)])
+    def test_rank_one(self, n, p):
+        rng = np.random.default_rng(n * p)
+        t = rng.normal(size=n)
+        x = np.outer(t - t.mean(), rng.normal(size=p))   # zero variance beyond one direction
+        for m in range(1, min(n - 1, p) + 1):
+            result = principal_components(x, m=m)
+            self.assert_orthonormal_oriented(result.loadings)
+            assert result.explained_ratio[0] == pytest.approx(1.0, abs=1e-12)
+            assert np.all(np.abs(result.explained_ratio[1:]) <= 1e-12)
 
 
 def make_result(loadings):

@@ -284,3 +284,87 @@ class TestSimplifyAxisParallel:
         theta = -simplified.bias / simplified.weights[0]
         pred = np.where(X[:, 0] > theta, 1.0, -1.0)
         assert (pred != y).sum() == 0
+
+
+def simplify_by_scoring_each_candidate(boundary, points, labels):
+    """The O(n·u) scorer that the sorted sweep replaced, kept as the oracle."""
+    X = np.asarray(points, dtype=float)
+    y = np.asarray(labels, dtype=float).reshape(-1)
+    if boundary.weights[0] == 0.0 or boundary.weights[1] == 0.0:
+        return boundary
+    spreads = X.std(axis=0)
+    spreads = np.where(spreads > 0, spreads, 1.0)
+    axis = int(np.argmax(np.abs(boundary.weights) * spreads))
+    orient = 1.0 if boundary.weights[axis] > 0 else -1.0
+
+    v = X[:, axis]
+    u = np.unique(v)
+    candidates = [float(u[0]) - 1.0]
+    candidates += [float(u[i] + u[i + 1]) / 2.0 for i in range(u.size - 1)]
+    candidates.append(float(u[-1]) + 1.0)
+
+    def errors(theta):
+        pred = np.where(orient * (v - theta) >= 0, 1.0, -1.0)
+        return int((pred != y).sum())
+
+    scored = []
+    for j, theta in enumerate(candidates):
+        err = errors(theta)
+        if 0 < j < len(candidates) - 1:
+            left, right = u[j - 1], u[j]
+            opposing = len(set(y[v == left]) | set(y[v == right])) == 2
+            gap = float(right - left)
+        else:
+            opposing = False
+            gap = np.inf
+        scored.append((err, 0 if opposing else 1, gap, theta))
+    _, _, _, theta = min(scored)
+    weights = np.zeros(2)
+    weights[axis] = orient
+    return LinearBoundary(boundary.feature_names, weights, -orient * theta,
+                          box_constraint=boundary.box_constraint)
+
+
+def assert_same_bits(a, b):
+    assert a.weights.tobytes() == b.weights.tobytes()
+    assert np.float64(a.bias).tobytes() == np.float64(b.bias).tobytes()
+
+
+#: coordinates that tie, sit one ulp apart, or straddle zero
+TIE_POOL = [-3.0, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, float(np.nextafter(1.0, 0.0)),
+            float(np.nextafter(1.0, 2.0)), 2.0, 7.95, 8.0, 8.05, 1e6]
+coordinate = st.one_of(st.sampled_from(TIE_POOL),
+                       st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+class TestSimplifySortedSweep:
+    @settings(max_examples=400, deadline=None)
+    @given(rows=st.lists(st.tuples(coordinate, coordinate, st.sampled_from([-1.0, 1.0])),
+                         min_size=1, max_size=40),
+           weights=st.tuples(st.sampled_from([-2.0, -0.5, 0.0, 1e-9, 1.0, 3.0]),
+                             st.floats(-10, 10).filter(lambda w: w != 0.0)))
+    def test_matches_scoring_each_candidate(self, rows, weights):
+        X = np.array([r[:2] for r in rows])
+        y = np.array([r[2] for r in rows])
+        b = LinearBoundary(("x0", "x1"), np.array(weights), 0.25, box_constraint=10.0)
+        assert_same_bits(simplify_axis_parallel(b, X, y),
+                         simplify_by_scoring_each_candidate(b, X, y))
+
+    def test_matches_scoring_each_candidate_at_paper_scale(self):
+        for X, y in paper_scale_boundary_problems():
+            b = svm_train(X, y, C=100.0)
+            assert_same_bits(simplify_axis_parallel(b, X, y),
+                             simplify_by_scoring_each_candidate(b, X, y))
+
+    def test_labels_must_be_signs(self):
+        b = LinearBoundary(("x0", "x1"), np.array([1.0, 0.5]), 0.0)
+        with pytest.raises(ValidationError, match=r"\+1 or -1"):
+            simplify_axis_parallel(b, np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.0, 1.0]))
+
+
+class TestBoxConstraint:
+    @pytest.mark.parametrize("C", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    def test_non_finite_or_non_positive_rejected_by_name(self, C):
+        X = np.array([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValidationError, match="box constraint must be a finite positive"):
+            svm_train(X, np.array([-1.0, 1.0]), C=C)
