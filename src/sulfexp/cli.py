@@ -110,8 +110,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    manifest = dataio.load_manifest(args.manifest)
-    dataset = dataio.load_dataset(manifest)
     config = model.PipelineConfig(
         alpha=args.alpha,
         k=args.k,
@@ -122,6 +120,7 @@ def cmd_fit(args) -> int:
         smooth_for_clustering=not args.cluster_raw,
         data_driven_variables=args.data_driven_variables,
     )
+    dataset = dataio.load_dataset(dataio.load_manifest(args.manifest))
     bundle = model.fit_pipeline(dataset, config)
     dataio.save_bundle(bundle, args.out)
 

@@ -113,6 +113,14 @@ def _lloyd(points, centroids, max_iter):
     return centroids, assignments, trace, iterations, converged
 
 
+def check_settings(k: int, seed: int, max_iter: int, restarts: int) -> None:
+    """Reject k-means settings no run can use, before any data is read."""
+    if k < 1 or max_iter < 1 or restarts < 1:
+        raise ValidationError("k, max_iter and restarts must all be >= 1")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def kmeans(
     points: np.ndarray,
     k: int,
@@ -130,10 +138,7 @@ def kmeans(
     """
     pts = _as_points(points)
     n = pts.shape[0]
-    if k < 1 or max_iter < 1 or restarts < 1:
-        raise ValidationError("k, max_iter and restarts must all be >= 1")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    check_settings(k, seed, max_iter, restarts)
     if n < k:
         raise TooFewPoints(f"{n} points cannot fill {k} clusters")
 

@@ -120,6 +120,12 @@ def smoothing_weights(alpha: float, dt_prev: float, dt_next: float) -> tuple[flo
     return w_prev, alpha, w_next
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a smoothing weight outside [0, 1] (NaN included)."""
+    if not 0.0 <= alpha <= 1.0:
+        raise InvalidAlpha(f"alpha must be in [0, 1], got {alpha}")
+
+
 def smooth(series: ExpansionSeries, alpha: float = DEFAULT_ALPHA) -> ExpansionSeries:
     """Smooth interior samples with the three-point convolution.
 
@@ -130,8 +136,7 @@ def smooth(series: ExpansionSeries, alpha: float = DEFAULT_ALPHA) -> ExpansionSe
     arrays, in the same per-element operation order as a point-by-point
     loop, so the result is bit-identical to it.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidAlpha(f"alpha must be in [0, 1], got {alpha}")
+    check_alpha(alpha)
     if len(series) < 3:
         raise TooFewSamples(
             f"series {series.mixture_id!r} has {len(series)} samples; smoothing needs >= 3"

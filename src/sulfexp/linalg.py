@@ -2,11 +2,16 @@
 
 Matrices and vectors are plain ``numpy.ndarray`` objects (row-major, all
 entries finite). The symmetric linear solve backs the least-squares
-estimator and the SVM's KKT systems; eigenvectors come from
-``numpy.linalg.eigh``, oriented by one shared sign rule.
+estimator and the SVM's KKT systems. It factors the matrix once with
+LAPACK (``numpy.linalg.eigh``), tests the rank explicitly on the
+eigenvalues, solves every right-hand side and refines the solution once
+with the same factors. Eigenvectors come from ``numpy.linalg.eigh`` too,
+oriented by one shared sign rule.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -18,7 +23,7 @@ from .errors import (
 )
 
 SYMMETRY_TOL = 1e-10
-PIVOT_REL_TOL = 1e-12
+RANK_REL_TOL = 1e-12
 RESIDUAL_REL_TOL = 1e-8
 
 
@@ -30,62 +35,56 @@ def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
     return out
 
 
-def _check_square_symmetric(A: np.ndarray, name: str = "A") -> np.ndarray:
-    A = check_finite(A, name)
+def _check_square_symmetric(A: np.ndarray, name: str = "A") -> tuple[np.ndarray, float]:
+    """Validate a finite, square, symmetric matrix; return it with max|A|.
+
+    One ``abs(A)`` pass yields both the scale and the finiteness test: its
+    maximum is NaN or Inf exactly when an entry is.
+    """
+    A = np.asarray(A, dtype=float)
+    scale = float(np.abs(A).max(initial=0.0))
+    if not math.isfinite(scale):
+        raise NonFiniteValue(f"{name} contains NaN or Inf entries")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {A.shape}")
-    scale = max(1.0, float(np.abs(A).max())) if A.size else 1.0
-    if float(np.abs(A - A.T).max(initial=0.0)) > SYMMETRY_TOL * scale:
+    # A - A^T is antisymmetric, so its largest entry is its largest magnitude
+    if float((A - A.T).max(initial=0.0)) > SYMMETRY_TOL * max(1.0, scale):
         raise AsymmetricMatrix(f"{name} is not symmetric within tolerance {SYMMETRY_TOL}")
-    return A
-
-
-def _gauss_solve(A: np.ndarray, b: np.ndarray, pivot_floor: float) -> np.ndarray:
-    """Gaussian elimination with partial pivoting on a copy of [A | b]."""
-    n = A.shape[0]
-    aug = np.hstack([A.astype(float), b.reshape(n, 1).astype(float)])
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[piv, col]) < pivot_floor:
-            raise SingularMatrix(
-                f"pivot magnitude {abs(aug[piv, col]):.3e} below threshold {pivot_floor:.3e}"
-            )
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        factors = aug[col + 1:, col] / aug[col, col]
-        aug[col + 1:, col:] -= np.outer(factors, aug[col, col:])
-    x = np.empty(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (aug[row, -1] - aug[row, row + 1:n] @ x[row + 1:]) / aug[row, row]
-    return x
+    return A, scale
 
 
 def solve_symmetric(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric A.
+    """Solve A x = b for symmetric A and a vector or (n, k) matrix b.
 
-    Uses Gaussian elimination with partial pivoting plus one round of
-    iterative refinement. Raises :class:`SingularMatrix` when a pivot falls
-    below ``1e-12 * max|A|`` or the refined residual still violates
-    ``max|Ax - b| <= 1e-8 * (1 + max|b|)``.
+    One LAPACK symmetric eigendecomposition A = Q diag(w) Q^T serves the
+    rank test, the solve and one pass of iterative refinement. Raises
+    :class:`SingularMatrix` for the zero matrix, when an eigenvalue's
+    magnitude falls below ``1e-12 * max|A|``, or when a refined column
+    still violates ``max|Ax - b| <= 1e-8 * (1 + max|b|)``.
     """
-    A = _check_square_symmetric(A)
-    b = check_finite(b, "b").reshape(-1)
-    if b.shape[0] != A.shape[0]:
-        raise DimensionMismatch(
-            f"dimension mismatch: A is {A.shape[0]}x{A.shape[1]}, b has {b.shape[0]} entries"
-        )
-    if A.size == 0:
-        return np.empty(0)
-    scale = float(np.abs(A).max())
+    A, scale = _check_square_symmetric(A)
+    b = np.asarray(b, dtype=float)
+    n = A.shape[0]
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise DimensionMismatch(f"dimension mismatch: A is {n}x{n}, b has shape {b.shape}")
+    bound = RESIDUAL_REL_TOL * (1.0 + np.abs(b).max(axis=0, initial=0.0))
+    if not np.isfinite(bound).all():
+        raise NonFiniteValue("b contains NaN or Inf entries")
+    if n == 0:
+        return np.empty(b.shape)
     if scale == 0.0:
         raise SingularMatrix("zero matrix")
-    pivot_floor = PIVOT_REL_TOL * scale
-    x = _gauss_solve(A, b, pivot_floor)
+    w, Q = np.linalg.eigh(A)
+    smallest = float(np.abs(w).min())
+    if smallest < RANK_REL_TOL * scale:
+        raise SingularMatrix(
+            f"eigenvalue magnitude {smallest:.3e} below threshold {RANK_REL_TOL * scale:.3e}"
+        )
+    scaled = Q / w  # A^-1 = scaled @ Q^T
+    x = scaled @ (Q.T @ b)
     # One refinement pass tightens the residual for mildly ill-conditioned systems.
-    residual = b - A @ x
-    x = x + _gauss_solve(A, residual, pivot_floor)
-    bound = RESIDUAL_REL_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
-    if float(np.abs(A @ x - b).max()) > bound:
+    x += scaled @ (Q.T @ (b - A @ x))
+    if not (np.abs(A @ x - b).max(axis=0) <= bound).all():
         raise SingularMatrix("solution residual exceeds tolerance; matrix numerically singular")
     return x
 
@@ -104,7 +103,7 @@ def dominant_eigenpair(S: np.ndarray) -> tuple[float, np.ndarray]:
     The top pair of one LAPACK symmetric eigendecomposition, with the
     eigenvector oriented by :func:`sign_convention`.
     """
-    S = _check_square_symmetric(S, "S")
+    S, _ = _check_square_symmetric(S, "S")
     if S.shape[0] == 0:
         raise DimensionMismatch("empty matrix has no eigenpairs")
     eigenvalues, eigenvectors = np.linalg.eigh(S)

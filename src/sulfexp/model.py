@@ -48,9 +48,23 @@ MAX_CURVE_POINTS = 100_000
 LABELS_BY_FAILURE_TIME = (GroupLabel.HN, GroupLabel.ML, GroupLabel.LL)
 
 
+def check_threshold(threshold: float) -> None:
+    """Reject a failure threshold that is not a finite positive real number
+    (a bool included)."""
+    if (isinstance(threshold, bool) or not isinstance(threshold, numbers.Real)
+            or not math.isfinite(threshold) or threshold <= 0):
+        raise ValidationError(
+            f"failure_threshold must be a finite positive number, got {threshold!r}"
+        )
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Tunable knobs for :func:`fit_pipeline`; defaults match the shipped model."""
+    """Tunable knobs for :func:`fit_pipeline`; defaults match the shipped model.
+
+    Construction rejects a setting that a stage would reject, with that
+    stage's message, so a fit fails before it smooths anything.
+    """
 
     alpha: float = DEFAULT_ALPHA
     k: int = 3
@@ -66,6 +80,14 @@ class PipelineConfig:
     data_driven_variables: bool = False
     first_axes: tuple[str, str] = ("c3a", "wc")
     second_axes: tuple[str, str] = ("c3s", "wc")
+
+    def __post_init__(self):
+        if not 1 <= self.k <= len(LABELS_BY_FAILURE_TIME):
+            raise ValidationError(f"k must be between 1 and {len(LABELS_BY_FAILURE_TIME)}")
+        clustering.check_settings(self.k, self.seed, self.max_iter, self.restarts)
+        curves.check_alpha(self.alpha)
+        check_threshold(self.threshold)
+        svm.check_box_constraint(self.box_constraint)
 
 
 @dataclass(frozen=True)
@@ -103,12 +125,7 @@ class ModelBundle:
     diagnostics: PipelineDiagnostics | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        threshold = self.failure_threshold
-        if (isinstance(threshold, bool) or not isinstance(threshold, numbers.Real)
-                or not math.isfinite(threshold) or threshold <= 0):
-            raise ValidationError(
-                f"failure_threshold must be a finite positive number, got {threshold!r}"
-            )
+        check_threshold(self.failure_threshold)
         for label, model in self.models.items():
             if model.group is not label:
                 raise ValidationError(f"the model stored under {label} is for group {model.group}")
@@ -398,8 +415,6 @@ def fit_pipeline(
     exponential shape a three-point average would distort.
     """
     config = config or PipelineConfig()
-    if not 1 <= config.k <= len(LABELS_BY_FAILURE_TIME):
-        raise ValidationError(f"k must be between 1 and {len(LABELS_BY_FAILURE_TIME)}")
 
     with _stage("smoothing"):
         smoothed = [(mix, curves.smooth(series, config.alpha)) for mix, series in dataset]

@@ -81,6 +81,8 @@ def principal_components(
     :func:`center_and_scale`.
     """
     X = linalg.check_finite(X, "X")
+    if X.ndim != 2:
+        raise ValidationError(f"X must be 2-D, got ndim={X.ndim}")
     n, p = X.shape
     if not 1 <= m <= min(n - 1, p):
         raise ValidationError(f"m must be in [1, min(rows-1, cols)] = [1, {min(n - 1, p)}], got {m}")

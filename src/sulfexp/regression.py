@@ -104,12 +104,13 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> OLSFit:
     if n <= p:
         raise TooFewRows(f"need more observations than coefficients ({n} rows, {p} columns)")
 
-    gram = X.T @ X
-    xty = X.T @ y
+    # one solve gives beta and (X^T X)^-1, whose diagonal scales the t-statistics
     try:
-        beta = linalg.solve_symmetric(gram, xty)
+        solution = linalg.solve_symmetric(X.T @ X, np.column_stack([X.T @ y, np.eye(p)]))
     except SingularMatrix as exc:
         raise RankDeficient(f"regressor matrix is numerically rank deficient: {exc}") from exc
+    beta = solution[:, 0].copy()
+    inv_diag = np.diagonal(solution[:, 1:])
 
     fitted = X @ beta
     residuals = y - fitted
@@ -126,12 +127,6 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> OLSFit:
         r_squared = float(((fitted - y_bar) ** 2).sum()) / tss
 
     sigma2 = rss / (n - p)
-    # diagonal of (X^T X)^-1, one symmetric solve per column
-    inv_diag = np.empty(p)
-    for j in range(p):
-        e = np.zeros(p)
-        e[j] = 1.0
-        inv_diag[j] = linalg.solve_symmetric(gram, e)[j]
     with np.errstate(divide="ignore", invalid="ignore"):
         se = np.sqrt(sigma2 * np.abs(inv_diag))
         t_stats = np.where(se > 0, beta / np.where(se > 0, se, 1.0), np.sign(beta) * np.inf)

@@ -315,6 +315,12 @@ def _polish(X, y, C, z, max_rounds=300):
     return z, False
 
 
+def check_box_constraint(C: float) -> None:
+    """Reject a box constraint that is not a finite positive number."""
+    if not (np.isfinite(C) and C > 0):
+        raise ValidationError(f"box constraint must be a finite positive number, got {C}")
+
+
 def svm_train(
     points,
     labels,
@@ -338,8 +344,7 @@ def svm_train(
         raise ValidationError("labels must be +1 or -1")
     if np.all(y == y[0]):
         raise SingleClass("training data contains a single class")
-    if not (np.isfinite(C) and C > 0):
-        raise ValidationError(f"box constraint must be a finite positive number, got {C}")
+    check_box_constraint(C)
 
     z, clean = _polish(X, y, C, np.zeros(3))
     beta, b = z[:2], float(z[2])

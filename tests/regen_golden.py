@@ -3,10 +3,12 @@
 Run from the repository root with ``PYTHONPATH=src python tests/regen_golden.py``.
 Each golden dataset is generated, fitted with the default configuration and
 reduced to its input hash, the sha256 of the saved bundle and the ``repr``
-of every coefficient, boundary weight and bias, plus the cluster
-assignments. Before overwriting an existing file the script prints, per
-field, the largest relative drift from the stored values, so a deliberate
-numerical change can be documented.
+of every coefficient, boundary weight and bias and of each raw boundary's
+training objective, plus the cluster assignments. Before overwriting an
+existing file the script prints, per field, the largest relative drift
+from the stored values, so a deliberate numerical change can be
+documented; the objectives tell a move along a flat optimum (equal
+objectives) from a worse fit.
 
 Regenerate only when a change is meant to move fitted values.
 """
@@ -33,6 +35,8 @@ DATASETS = (
     ((120, 160, 120), 0),
 )
 BOUNDARIES = ("boundary_first", "boundary_first_simplified", "boundary_second")
+#: boundaries trained by the SVM, which carry their primal objective
+RAW_BOUNDARIES = ("boundary_first", "boundary_second")
 
 
 def dataset_key(counts, seed) -> str:
@@ -57,6 +61,8 @@ def snapshot(counts, seed) -> dict:
             "weights": [repr(float(w)) for w in boundary.weights],
             "bias": repr(boundary.bias),
         }
+        if name in RAW_BOUNDARIES:
+            boundaries[name]["objective"] = repr(boundary.objective)
     assignments = bundle.diagnostics.assignments
     return {
         "dataset_hash": dataset_hash(pairs),
@@ -100,6 +106,9 @@ def drift_table(old: dict, new: dict) -> list[tuple[str, str]]:
                  after["boundaries"][name]["weights"])
             note(f"{name}.bias", [before["boundaries"][name]["bias"]],
                  [after["boundaries"][name]["bias"]])
+            if name in RAW_BOUNDARIES and "objective" in before["boundaries"][name]:
+                note(f"{name}.objective", [before["boundaries"][name]["objective"]],
+                     [after["boundaries"][name]["objective"]])
         changed_assignments += sum(
             a != b for a, b in zip(before["assignments"].split(), after["assignments"].split())
         )

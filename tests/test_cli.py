@@ -350,6 +350,26 @@ class TestNonFiniteBoxConstraint:
         assert_one_error_line(capsys, "box constraint must be a finite positive number, got inf")
 
 
+class TestConfigCheckedBeforeFitting:
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--box-constraint", "inf", "box constraint must be a finite positive number, got inf"),
+        ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+    ])
+    def test_fit_exits_2_before_smoothing(self, dataset_dir, monkeypatch, capsys,
+                                          flag, value, message):
+        from sulfexp import curves
+
+        def never(*args, **kwargs):
+            raise AssertionError("smoothing ran before the configuration was checked")
+
+        monkeypatch.setattr(curves, "smooth", never)
+        tmp_path, _ = dataset_dir
+        assert main(["fit", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "b.json"),
+                     flag, value]) == 2
+        assert_one_error_line(capsys, message)
+        assert not (tmp_path / "b.json").exists()
+
+
 class TestHelp:
     def test_help_documents_defaults(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

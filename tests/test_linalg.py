@@ -1,6 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sulfexp import fit_pipeline, generate_synthetic, linalg
 from sulfexp.errors import (
     AsymmetricMatrix,
     DimensionMismatch,
@@ -8,6 +13,102 @@ from sulfexp.errors import (
     SingularMatrix,
 )
 from sulfexp.linalg import dominant_eigenpair, sign_convention, solve_symmetric
+
+
+def _gauss_solve(A, b, pivot_floor):
+    """Gaussian elimination with partial pivoting on a copy of [A | b]."""
+    n = A.shape[0]
+    aug = np.hstack([A.astype(float), b.reshape(n, 1).astype(float)])
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(aug[col:, col])))
+        if abs(aug[piv, col]) < pivot_floor:
+            raise SingularMatrix(
+                f"pivot magnitude {abs(aug[piv, col]):.3e} below threshold {pivot_floor:.3e}"
+            )
+        if piv != col:
+            aug[[col, piv]] = aug[[piv, col]]
+        factors = aug[col + 1:, col] / aug[col, col]
+        aug[col + 1:, col:] -= np.outer(factors, aug[col, col:])
+    x = np.empty(n)
+    for row in range(n - 1, -1, -1):
+        x[row] = (aug[row, -1] - aug[row, row + 1:n] @ x[row + 1:]) / aug[row, row]
+    return x
+
+
+def gauss_reference(A, b):
+    """The Gaussian solver ``solve_symmetric`` replaced: a solve plus one
+    refinement pass, with the pivot floor at 1e-12 * max|A|."""
+    pivot_floor = 1e-12 * float(np.abs(A).max())
+    x = _gauss_solve(A, b, pivot_floor)
+    return x + _gauss_solve(A, b - A @ x, pivot_floor)
+
+
+def exact_solve(A, b):
+    """Exact solution, in rationals, of the system the floats represent."""
+    n = A.shape[0]
+    rows = [[Fraction(v) for v in A[i].tolist()] + [Fraction(float(b[i]))] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            raise SingularMatrix("exactly singular")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def distance_to_exact(x, exact):
+    """max |x - x*| / max |x*|, evaluated in exact arithmetic."""
+    scale = max(abs(v) for v in exact)
+    return float(max(abs(Fraction(float(a)) - e) for a, e in zip(x, exact)) / scale)
+
+
+def assert_no_farther_than_gauss(systems):
+    """Over a set of systems, the solver's worst and mean distance from the
+    exact solution are no larger than the Gaussian reference's."""
+    ours, gauss = [], []
+    for A, b in systems:
+        exact = exact_solve(A, b)
+        ours.append(distance_to_exact(solve_symmetric(A, b), exact))
+        gauss.append(distance_to_exact(gauss_reference(A, b), exact))
+    assert max(ours) <= max(gauss)
+    assert sum(ours) <= sum(gauss)
+
+
+def kkt_systems(counts=(12, 16, 12), seeds=range(4)):
+    """Every KKT system the SVM solves in default fits of generated data,
+    keeping those that both solvers accept."""
+    captured = []
+    real = linalg.solve_symmetric
+
+    def record(A, b):
+        if np.ndim(b) == 1:  # the regressions pass a matrix right-hand side
+            captured.append((np.array(A), np.array(b)))
+        return real(A, b)
+
+    linalg.solve_symmetric = record
+    try:
+        for seed in seeds:
+            fit_pipeline(generate_synthetic(counts, noise=0.03, seed=seed).pairs)
+    finally:
+        linalg.solve_symmetric = real
+    kept = []
+    for A, b in captured:
+        try:
+            gauss_reference(A, b)
+            solve_symmetric(A, b)
+        except SingularMatrix:
+            continue
+        kept.append((A, b))
+    return kept
+
+
+def symmetric_with_spectrum(rng, eigenvalues):
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues), len(eigenvalues))))
+    a = q @ np.diag(eigenvalues) @ q.T
+    return (a + a.T) / 2
 
 
 class TestSolveSymmetric:
@@ -70,6 +171,76 @@ class TestSolveSymmetric:
             a = (m + m.T) / 2 + np.eye(n) * n
             b = rng.standard_normal(n)
             assert np.allclose(solve_symmetric(a, b), np.linalg.solve(a, b), atol=1e-9)
+
+    def test_matrix_rhs_equals_column_by_column(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            n = int(rng.integers(1, 8))
+            a = symmetric_with_spectrum(rng, rng.uniform(0.1, 10.0, n) * rng.choice([-1, 1], n))
+            b = rng.standard_normal((n, int(rng.integers(1, 6))))
+            x = solve_symmetric(a, b)
+            assert x.shape == b.shape
+            for j in range(b.shape[1]):
+                col = solve_symmetric(a, b[:, j])
+                assert np.abs(x[:, j] - col).max() <= 1e-12 * (1.0 + np.abs(col).max())
+
+    def test_vector_in_vector_out(self):
+        assert solve_symmetric(np.eye(2), np.array([1.0, 2.0])).shape == (2,)
+        assert solve_symmetric(np.eye(2), np.ones((2, 1))).shape == (2, 1)
+        assert solve_symmetric(np.zeros((0, 0)), np.zeros((0, 3))).shape == (0, 3)
+
+    def test_matrix_rhs_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            solve_symmetric(np.eye(3), np.ones((2, 2)))
+        with pytest.raises(DimensionMismatch):
+            solve_symmetric(np.eye(2), np.ones((2, 2, 2)))
+
+    def test_nan_in_matrix_rhs_rejected(self):
+        b = np.ones((2, 3))
+        b[1, 2] = np.inf
+        with pytest.raises(NonFiniteValue):
+            solve_symmetric(np.eye(2), b)
+
+    def test_consistent_singular_raises(self):
+        # b lies in the range of A, so a solution exists but is not unique
+        with pytest.raises(SingularMatrix):
+            solve_symmetric(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
+
+    def test_duplicated_margin_point_raises(self):
+        # the KKT matrix of a margin set holding one point twice has two
+        # equal rows, and its right-hand side repeats the entry too
+        X = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 1.0]])
+        y = np.array([1.0, 1.0, -1.0])
+        G = (y[:, None] * X) @ (y[:, None] * X).T
+        M = np.block([[G, y[:, None]], [y[None, :], np.zeros((1, 1))]])
+        rhs = np.array([1.0, 1.0, 1.0, 0.0])
+        with pytest.raises(SingularMatrix):
+            solve_symmetric(M, rhs)
+
+    def test_no_farther_from_exact_than_gauss_on_kkt_systems(self):
+        systems = kkt_systems()
+        assert len(systems) >= 50
+        assert_no_farther_than_gauss(systems)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 7),
+        gap=st.sampled_from([0.0, 1e-16, 1e-13, 1e-11, 1e-8, 1e-4, 1.0]),
+        k=st.integers(1, 3),
+    )
+    def test_singular_or_within_residual_bound(self, seed, n, gap, k):
+        rng = np.random.default_rng(seed)
+        eigenvalues = rng.uniform(0.5, 100.0, n) * rng.choice([-1.0, 1.0], n)
+        eigenvalues[0] = gap * np.abs(eigenvalues).max() * rng.choice([-1.0, 1.0])
+        a = symmetric_with_spectrum(rng, eigenvalues)
+        b = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-3, 4)
+        try:
+            x = solve_symmetric(a, b)
+        except SingularMatrix:
+            return
+        bound = linalg.RESIDUAL_REL_TOL * (1.0 + np.abs(b).max(axis=0))
+        assert np.all(np.abs(a @ x - b).max(axis=0) <= bound)
 
 
 class TestDominantEigenpair:

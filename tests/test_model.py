@@ -423,6 +423,37 @@ class TestFitPipeline:
             assert len(model.variable_roles) >= 2
 
 
+class TestPipelineConfig:
+    @pytest.mark.parametrize("field,value,message", [
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
+        ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+        ("box_constraint", math.inf, "box constraint must be a finite positive number, got inf"),
+        ("box_constraint", math.nan, "box constraint must be a finite positive number, got nan"),
+        ("box_constraint", 0.0, "box constraint must be a finite positive number, got 0.0"),
+        ("k", 0, "k must be between 1 and 3"),
+        ("k", 4, "k must be between 1 and 3"),
+        ("restarts", 0, "k, max_iter and restarts must all be >= 1"),
+        ("max_iter", 0, "k, max_iter and restarts must all be >= 1"),
+        ("alpha", 1.5, "alpha must be in [0, 1], got 1.5"),
+        ("alpha", math.nan, "alpha must be in [0, 1], got nan"),
+        ("threshold", 0.0, "failure_threshold must be a finite positive number, got 0.0"),
+        ("threshold", math.inf, "failure_threshold must be a finite positive number, got inf"),
+    ])
+    def test_rejects_what_a_stage_would(self, field, value, message):
+        with pytest.raises(ValidationError) as excinfo:
+            PipelineConfig(**{field: value})
+        assert str(excinfo.value) == message
+
+    def test_replace_validates_too(self):
+        with pytest.raises(ValidationError):
+            dataclasses.replace(PipelineConfig(), seed=-3)
+
+    def test_defaults_and_edges_accepted(self):
+        PipelineConfig()
+        PipelineConfig(seed=0, alpha=0.0, k=1, restarts=1, max_iter=1, box_constraint=1e-9)
+        PipelineConfig(alpha=1.0, k=3, threshold=1e-6)
+
+
 #: data-driven variable roles of the golden datasets (3 % noise), HN/ML/LL,
 #: as the power-iteration PCA chose them; one eigendecomposition must agree
 DATA_DRIVEN_ROLES = {

@@ -116,6 +116,11 @@ class TestPrincipalComponents:
         with pytest.raises(ValidationError):
             principal_components(x, m=2)  # min(n-1, p) = 1
 
+    @pytest.mark.parametrize("shape", [(3,), (4, 3, 2)])
+    def test_non_2d_rejected(self, shape):
+        with pytest.raises(ValidationError, match="2-D"):
+            principal_components(np.zeros(shape), m=1)
+
 
 def oriented_descending_eigenvectors(eigh, gram):
     """Eigenvalues and eigenvector rows, largest first, sign as in the package."""

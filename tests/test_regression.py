@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regen_golden
+from test_linalg import assert_no_farther_than_gauss
+
+from sulfexp import fit_pipeline, linalg, regression
 from sulfexp.curves import ExpansionSeries
 from sulfexp.dataio import generate_synthetic
 from sulfexp.errors import (
@@ -125,6 +129,42 @@ class TestOlsFit:
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             ols_fit(np.ones((2, 2)), np.array([1.0, 2.0]))
+
+    def test_collinear_columns_rank_deficient(self):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(0, 1, size=30)
+        X = np.stack([x, 3.0 * x, np.ones(30)], axis=1)
+        with pytest.raises(RankDeficient):
+            ols_fit(X, x + rng.normal(size=30))
+
+    def test_one_solve_gives_beta_and_inverse_diagonal(self, monkeypatch):
+        calls = []
+        real = linalg.solve_symmetric
+        monkeypatch.setattr(linalg, "solve_symmetric", lambda A, b: calls.append(b) or real(A, b))
+        rng = np.random.default_rng(8)
+        X = np.hstack([rng.uniform(0, 5, size=(40, 3)), np.ones((40, 1))])
+        y = X @ np.array([0.5, -1.0, 2.0, 0.3]) + 0.1 * rng.normal(size=40)
+        fit = ols_fit(X, y)
+        assert len(calls) == 1
+        inverse = np.linalg.inv(X.T @ X)
+        assert np.allclose(fit.coefficients, inverse @ (X.T @ y), rtol=1e-10, atol=0.0)
+        residuals = y - X @ fit.coefficients
+        se = np.sqrt(float(residuals @ residuals) / (40 - 4) * np.diag(inverse))
+        assert np.allclose(fit.t_statistics, fit.coefficients / se, rtol=1e-10, atol=0.0)
+
+    def test_no_farther_from_exact_than_gauss_on_golden_normal_equations(self, monkeypatch):
+        systems = []
+        real = ols_fit
+
+        def record(X, y):
+            systems.append((X.T @ X, X.T @ y))
+            return real(X, y)
+
+        monkeypatch.setattr(regression, "ols_fit", record)
+        for counts, seed in regen_golden.DATASETS:
+            fit_pipeline(generate_synthetic(counts, noise=regen_golden.NOISE, seed=seed).pairs)
+        assert len(systems) == 3 * len(regen_golden.DATASETS)
+        assert_no_farther_than_gauss(systems)
 
     def test_t_statistics_magnitude(self):
         rng = np.random.default_rng(5)
