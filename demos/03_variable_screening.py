@@ -20,8 +20,8 @@ for mix, _ in dataset.pairs:
 
 for group, rows in by_group.items():
     matrix = np.array(rows)
-    centered, means, scales = center_and_scale(matrix, standardize=True)
-    result = principal_components(centered, m=3, means=means, scales=scales)
+    centered, _, _ = center_and_scale(matrix, standardize=True)
+    result = principal_components(centered, m=3)
     picks = select_dominant_variables(result, m=3)
     print(f"group {group.value}: explained ratios "
           + ", ".join(f"{r:.1%}" for r in result.explained_ratio)

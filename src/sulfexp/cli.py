@@ -123,48 +123,61 @@ def cmd_fit(args) -> int:
     dataset = dataio.load_dataset(dataio.load_manifest(args.manifest))
     bundle = model.fit_pipeline(dataset, config)
     dataio.save_bundle(bundle, args.out)
+    payload = _fit_payload(bundle, args.out)
+    if args.format == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        _print_fit_report(payload)
+    return 0
 
-    diag = bundle.diagnostics
-    payload = {"bundle": args.out, "provenance": bundle.provenance,
-               "cluster_sizes": {g.value: n for g, n in diag.cluster_sizes.items()},
-               "groups": {}}
-    print(f"bundle written to {args.out}")
-    print(f"provenance: {bundle.provenance}")
-    print("cluster sizes: " + ", ".join(
-        f"{g.value}={diag.cluster_sizes[g]}" for g in sorted(diag.cluster_sizes, key=lambda g: g.value)
-    ))
+
+def _fit_payload(bundle: model.ModelBundle, out: str) -> dict:
+    """Everything ``sulfexp fit`` reports about a fitted bundle, as plain JSON values."""
+    payload = {
+        "bundle": out,
+        "provenance": bundle.provenance,
+        "cluster_sizes": {g.value: n for g, n in bundle.diagnostics.cluster_sizes.items()},
+        "groups": {},
+    }
     for label in (GroupLabel.LL, GroupLabel.ML, GroupLabel.HN):
         if label not in bundle.models:
             continue
         gm = bundle.models[label]
-        fit = gm.fit
-        print(f"\ngroup {label.value} ({gm.form}; response "
-              f"{'ln(expansion)' if gm.form == 'log-linear' else 'expansion'}): "
-              f"R^2 = {fit.r_squared:.4f}, residual std = {fit.residual_std:.4g}, "
-              f"n = {fit.n_observations}")
-        _print_table(
-            ["variable", "coefficient", "t_statistic"],
-            [[role, f"{coef:.6g}", f"{t:.3f}"] for role, coef, t in
-             zip(gm.variable_roles, gm.coefficients, fit.t_statistics)],
-        )
         payload["groups"][label.value] = {
             "form": gm.form,
             "variable_roles": list(gm.variable_roles),
             "coefficients": [float(c) for c in gm.coefficients],
-            "r_squared": fit.r_squared,
-            "residual_std": fit.residual_std,
-            "t_statistics": [float(t) for t in fit.t_statistics],
-            "n_observations": fit.n_observations,
+            "r_squared": gm.fit.r_squared,
+            "residual_std": gm.fit.residual_std,
+            "t_statistics": [float(t) for t in gm.fit.t_statistics],
+            "n_observations": gm.fit.n_observations,
         }
     if bundle.boundary_first is not None:
-        print(f"\nfirst boundary (HN vs rest):  {bundle.boundary_first.equation()}")
-        print(f"  simplified:                 {bundle.boundary_first_simplified.equation()}")
-        print(f"second boundary (ML vs LL):   {bundle.boundary_second.equation()}")
         payload["first_boundary"] = bundle.boundary_first.equation()
+        payload["first_boundary_simplified"] = bundle.boundary_first_simplified.equation()
         payload["second_boundary"] = bundle.boundary_second.equation()
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+    return payload
+
+
+def _print_fit_report(payload: dict) -> None:
+    print(f"bundle written to {payload['bundle']}")
+    print(f"provenance: {payload['provenance']}")
+    sizes = payload["cluster_sizes"]
+    print("cluster sizes: " + ", ".join(f"{g}={sizes[g]}" for g in sorted(sizes)))
+    for label, group in payload["groups"].items():
+        response = "ln(expansion)" if group["form"] == "log-linear" else "expansion"
+        print(f"\ngroup {label} ({group['form']}; response {response}): "
+              f"R^2 = {group['r_squared']:.4f}, residual std = {group['residual_std']:.4g}, "
+              f"n = {group['n_observations']}")
+        _print_table(
+            ["variable", "coefficient", "t_statistic"],
+            [[role, f"{coef:.6g}", f"{t:.3f}"] for role, coef, t in
+             zip(group["variable_roles"], group["coefficients"], group["t_statistics"])],
+        )
+    if "first_boundary" in payload:
+        print(f"\nfirst boundary (HN vs rest):  {payload['first_boundary']}")
+        print(f"  simplified:                 {payload['first_boundary_simplified']}")
+        print(f"second boundary (ML vs LL):   {payload['second_boundary']}")
 
 
 def cmd_smooth(args) -> int:

@@ -113,8 +113,18 @@ def _lloyd(points, centroids, max_iter):
     return centroids, assignments, trace, iterations, converged
 
 
-def check_settings(k: int, seed: int, max_iter: int, restarts: int) -> None:
+def check_integer(name: str, value) -> None:
+    """Reject a count that is not an integer (a bool included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def check_settings(
+    k: int, seed: int, max_iter: int = DEFAULT_MAX_ITER, restarts: int = DEFAULT_RESTARTS,
+) -> None:
     """Reject k-means settings no run can use, before any data is read."""
+    for name, value in (("k", k), ("max_iter", max_iter), ("restarts", restarts)):
+        check_integer(name, value)
     if k < 1 or max_iter < 1 or restarts < 1:
         raise ValidationError("k, max_iter and restarts must all be >= 1")
     if not isinstance(seed, numbers.Integral) or seed < 0:

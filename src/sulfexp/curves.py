@@ -8,6 +8,7 @@ derives the two clustering features: failure time and the slope there.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,9 +122,10 @@ def smoothing_weights(alpha: float, dt_prev: float, dt_next: float) -> tuple[flo
 
 
 def check_alpha(alpha: float) -> None:
-    """Reject a smoothing weight outside [0, 1] (NaN included)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidAlpha(f"alpha must be in [0, 1], got {alpha}")
+    """Reject a smoothing weight that is not a real number in [0, 1] (NaN
+    and bools included)."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= 1.0:
+        raise InvalidAlpha(f"alpha must be in [0, 1], got {alpha!r}")
 
 
 def smooth(series: ExpansionSeries, alpha: float = DEFAULT_ALPHA) -> ExpansionSeries:

@@ -298,15 +298,33 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} in a bundle")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} overflows a float")
+    return value
+
+
 def load_bundle(path: str | Path) -> ModelBundle:
-    """Reload a saved bundle; unknown top-level fields warn, not fail."""
+    """Reload a saved bundle; unknown top-level fields warn, not fail.
+
+    ``NaN``, ``Infinity`` and number literals that overflow a float are
+    rejected with :class:`ParseError`, as is any malformed document.
+    """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"),
+                         parse_constant=_reject_constant, parse_float=_finite_float)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}", path=str(path)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path=str(path)) from exc
+    except ValueError as exc:  # a rejected number, or bytes that are not UTF-8
+        raise ParseError(str(exc), path=str(path)) from exc
     if not isinstance(doc, dict):
         raise ParseError("bundle document must be a JSON object", path=str(path))
     version = str(doc.get("schema_version", ""))
@@ -336,7 +354,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
             partial=doc.get("partial", False),
             schema_version=version,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed bundle document: {exc!r}", path=str(path)) from exc
 
 

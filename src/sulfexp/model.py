@@ -58,33 +58,37 @@ def check_threshold(threshold: float) -> None:
         )
 
 
+#: the planes the paper draws its boundaries in: HN vs. the rest, then ML vs. LL
+FIRST_AXES = ("c3a", "wc")
+SECOND_AXES = ("c3s", "wc")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Tunable knobs for :func:`fit_pipeline`; defaults match the shipped model.
+    """The settings of :func:`fit_pipeline`, one per ``sulfexp fit`` flag.
 
-    Construction rejects a setting that a stage would reject, with that
-    stage's message, so a fit fails before it smooths anything.
+    Defaults match the shipped model. The boundary planes
+    (:data:`FIRST_AXES`, :data:`SECOND_AXES`) and the screening rule (the
+    top :data:`pca.DEFAULT_COMPONENTS` components of the standardized
+    proportions) are fixed by the method, not settings. Construction
+    rejects a setting that a stage would reject, with that stage's
+    message, so a fit fails before it smooths anything.
     """
 
     alpha: float = DEFAULT_ALPHA
     k: int = 3
-    box_constraint: float = 100.0
+    box_constraint: float = svm.DEFAULT_BOX_CONSTRAINT
     seed: int = DEFAULT_SEED
     threshold: float = DEFAULT_THRESHOLD
-    restarts: int = clustering.DEFAULT_RESTARTS
-    max_iter: int = clustering.DEFAULT_MAX_ITER
     standardize_features: bool = True
     smooth_for_clustering: bool = True
-    pca_components: int = pca.DEFAULT_COMPONENTS
-    pca_standardize: bool = True
     data_driven_variables: bool = False
-    first_axes: tuple[str, str] = ("c3a", "wc")
-    second_axes: tuple[str, str] = ("c3s", "wc")
 
     def __post_init__(self):
+        clustering.check_integer("k", self.k)
         if not 1 <= self.k <= len(LABELS_BY_FAILURE_TIME):
             raise ValidationError(f"k must be between 1 and {len(LABELS_BY_FAILURE_TIME)}")
-        clustering.check_settings(self.k, self.seed, self.max_iter, self.restarts)
+        clustering.check_settings(self.k, self.seed)
         curves.check_alpha(self.alpha)
         check_threshold(self.threshold)
         svm.check_box_constraint(self.box_constraint)
@@ -135,20 +139,6 @@ class ModelBundle:
             raise ValidationError(f"bundle has no model for group {group}")
         return self.models[group]
 
-    def __eq__(self, other):
-        if not isinstance(other, ModelBundle):
-            return NotImplemented
-        return (
-            self.models == other.models
-            and self.boundary_first == other.boundary_first
-            and self.boundary_first_simplified == other.boundary_first_simplified
-            and self.boundary_second == other.boundary_second
-            and self.provenance == other.provenance
-            and self.failure_threshold == other.failure_threshold
-            and self.partial == other.partial
-            and self.schema_version == other.schema_version
-        )
-
 
 def _read_only(values) -> np.ndarray:
     array = np.array(values, dtype=float)
@@ -180,15 +170,15 @@ def _build_default_bundle() -> ModelBundle:
     return ModelBundle(
         models=MappingProxyType(models),
         boundary_first=LinearBoundary(
-            feature_names=("c3a", "wc"), weights=_read_only([1.0, 1.241]), bias=-8.697,
+            feature_names=FIRST_AXES, weights=_read_only([1.0, 1.241]), bias=-8.697,
             box_constraint=100.0,
         ),
         boundary_first_simplified=LinearBoundary(
-            feature_names=("c3a", "wc"), weights=_read_only([1.0, 0.0]), bias=-8.00,
+            feature_names=FIRST_AXES, weights=_read_only([1.0, 0.0]), bias=-8.00,
             box_constraint=100.0,
         ),
         boundary_second=LinearBoundary(
-            feature_names=("c3s", "wc"), weights=_read_only([1.0, 387.3]), bias=-233.6,
+            feature_names=SECOND_AXES, weights=_read_only([1.0, 387.3]), bias=-233.6,
             box_constraint=100.0,
         ),
         provenance=PROVENANCE_DEFAULT,
@@ -401,6 +391,22 @@ def dataset_hash(dataset: list[tuple[Mixture, ExpansionSeries]]) -> str:
     return h.hexdigest()[:16]
 
 
+def _fit_group(
+    label: GroupLabel,
+    members: list[int],
+    dataset: list[tuple[Mixture, ExpansionSeries]],
+    smoothed: list[tuple[Mixture, ExpansionSeries]],
+    roles: tuple[str, ...] | None,
+) -> GroupModel:
+    """Fit one group's regression on the dataset rows ``members``.
+
+    HN is fitted on its raw curves, whose exponential shape a three-point
+    average would distort; the linear groups on their smoothed curves.
+    """
+    source = dataset if label in regression.LOG_RESPONSE_GROUPS else smoothed
+    return regression.fit_group_model([source[i] for i in members], label, roles)
+
+
 def fit_pipeline(
     dataset: list[tuple[Mixture, ExpansionSeries]],
     config: PipelineConfig | None = None,
@@ -410,11 +416,15 @@ def fit_pipeline(
     Smooth each series, extract (failure time, slope) features, k-means
     them into expansion-pattern clusters, name the clusters by ascending
     mean failure time, screen variables per group, fit each group's
-    regression and train the two boundaries. Regressions use the smoothed
-    curves for the linear groups and the raw curves for HN, whose
-    exponential shape a three-point average would distort.
+    regression and train the two boundaries. Raises
+    :class:`ValidationError` when two records share a mixture id.
     """
     config = config or PipelineConfig()
+    seen: set[str] = set()
+    for mix, _ in dataset:
+        if mix.id in seen:
+            raise ValidationError(f"mixture id {mix.id!r} appears more than once in the dataset")
+        seen.add(mix.id)
 
     with _stage("smoothing"):
         smoothed = [(mix, curves.smooth(series, config.alpha)) for mix, series in dataset]
@@ -430,21 +440,16 @@ def fit_pipeline(
             scaled, f_means, f_scales = clustering.standardize_features(features)
         else:
             scaled, f_means, f_scales = features, None, None
-        km = clustering.kmeans(
-            scaled, k=config.k, seed=config.seed,
-            max_iter=config.max_iter, restarts=config.restarts,
-        )
+        km = clustering.kmeans(scaled, k=config.k, seed=config.seed)
         cluster_labels = _label_clusters(km, features)
-        assignments = {
-            mix.id: cluster_labels[int(c)]
-            for (mix, _), c in zip(dataset, km.assignments)
-        }
+        # the group of each dataset row
+        row_labels = [cluster_labels[int(c)] for c in km.assignments]
 
     groups: dict[GroupLabel, list[int]] = {
         cluster_labels[c]: [] for c in range(config.k)
     }
-    for i, (mix, _) in enumerate(dataset):
-        groups[assignments[mix.id]].append(i)
+    for i, label in enumerate(row_labels):
+        groups[label].append(i)
     for label, members in groups.items():
         if len(members) < 2:
             raise EmptyGroup(f"cluster {label} received {len(members)} mixture(s); need >= 2")
@@ -453,63 +458,46 @@ def fit_pipeline(
     roles_by_group: dict[GroupLabel, tuple[str, ...] | None] = {}
     with _stage("variable selection"):
         for label, members in groups.items():
+            pca_selected[label] = []
+            roles_by_group[label] = None
             try:
                 matrix = np.array([dataset[i][0].feature_row() for i in members])
             except MissingField:
-                pca_selected[label] = []
-                roles_by_group[label] = None
                 continue
-            m = min(config.pca_components, matrix.shape[0] - 1, matrix.shape[1])
+            m = min(pca.DEFAULT_COMPONENTS, matrix.shape[0] - 1, matrix.shape[1])
             if m < 1:
-                pca_selected[label] = []
-                roles_by_group[label] = None
                 continue
-            centered, means, scales = pca.center_and_scale(matrix, standardize=config.pca_standardize)
-            result = pca.principal_components(centered, m, means=means, scales=scales)
-            picks = pca.select_dominant_variables(result, m)
+            centered, _, _ = pca.center_and_scale(matrix)
+            picks = pca.select_dominant_variables(pca.principal_components(centered, m), m)
             pca_selected[label] = picks
             if config.data_driven_variables:
-                seen: list[str] = []
-                for p in picks:
-                    role = regression.FIELD_TO_ROLE[MIXTURE_FIELDS[p.column]]
-                    if role not in seen:
-                        seen.append(role)
-                roles_by_group[label] = tuple(seen) + (regression.CONST_ROLE,)
-            else:
-                roles_by_group[label] = None
+                roles = dict.fromkeys(
+                    regression.FIELD_TO_ROLE[MIXTURE_FIELDS[p.column]] for p in picks
+                )
+                roles_by_group[label] = tuple(roles) + (regression.CONST_ROLE,)
 
-    models: dict[GroupLabel, GroupModel] = {}
     with _stage("regression"):
-        for label, members in groups.items():
-            source = dataset if label in regression.LOG_RESPONSE_GROUPS else smoothed
-            pairs = [source[i] for i in members]
-            models[label] = regression.fit_group_model(pairs, label, roles_by_group[label])
+        models = {
+            label: _fit_group(label, members, dataset, smoothed, roles_by_group[label])
+            for label, members in groups.items()
+        }
 
     boundary_first = boundary_first_simplified = boundary_second = None
     partial = len(groups) < 3
     if not partial:
         with _stage("boundaries"):
-            pts_first = np.array([dataset[i][0].require(*config.first_axes)
-                                  for i in range(len(dataset))])
-            y_first = np.array([
-                1.0 if assignments[dataset[i][0].id] is GroupLabel.HN else -1.0
-                for i in range(len(dataset))
-            ])
+            pts_first = np.array([mix.require(*FIRST_AXES) for mix, _ in dataset])
+            y_first = np.array([1.0 if label is GroupLabel.HN else -1.0 for label in row_labels])
             boundary_first = svm.svm_train(
-                pts_first, y_first, C=config.box_constraint,
-                feature_names=config.first_axes,
+                pts_first, y_first, C=config.box_constraint, feature_names=FIRST_AXES,
             )
             boundary_first_simplified = svm.simplify_axis_parallel(boundary_first, pts_first, y_first)
 
-            rest = [i for i in range(len(dataset))
-                    if assignments[dataset[i][0].id] is not GroupLabel.HN]
-            pts_second = np.array([dataset[i][0].require(*config.second_axes) for i in rest])
-            y_second = np.array([
-                1.0 if assignments[dataset[i][0].id] is GroupLabel.ML else -1.0 for i in rest
-            ])
+            rest = [i for i, label in enumerate(row_labels) if label is not GroupLabel.HN]
+            pts_second = np.array([dataset[i][0].require(*SECOND_AXES) for i in rest])
+            y_second = np.array([1.0 if row_labels[i] is GroupLabel.ML else -1.0 for i in rest])
             boundary_second = svm.svm_train(
-                pts_second, y_second, C=config.box_constraint,
-                feature_names=config.second_axes,
+                pts_second, y_second, C=config.box_constraint, feature_names=SECOND_AXES,
             )
 
     mean_tfail = {
@@ -517,7 +505,7 @@ def fit_pipeline(
         for label, members in groups.items()
     }
     diagnostics = PipelineDiagnostics(
-        assignments=assignments,
+        assignments={mix.id: label for (mix, _), label in zip(dataset, row_labels)},
         cluster_sizes={label: len(members) for label, members in groups.items()},
         feature_means=f_means,
         feature_scales=f_scales,
@@ -620,9 +608,7 @@ def refit_r2_report(
     for label, members in regrouped.items():
         if len(members) < 2:
             raise EmptyGroup(f"boundary reassignment left group {label} with {len(members)} mixture(s)")
-        source = dataset if label in regression.LOG_RESPONSE_GROUPS else smoothed
-        pairs = [source[i] for i in members]
-        refit = regression.fit_group_model(pairs, label, bundle.models[label].variable_roles)
+        refit = _fit_group(label, members, dataset, smoothed, bundle.models[label].variable_roles)
         report[label] = GroupRefit(
             group=label,
             r2_original=bundle.models[label].fit.r_squared,

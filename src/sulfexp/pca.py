@@ -26,8 +26,6 @@ class PCAResult:
     loadings: np.ndarray            # (m, p), unit rows, pairwise orthogonal
     explained_variance: np.ndarray  # (m,), non-increasing
     explained_ratio: np.ndarray     # (m,), sums to <= 1
-    means: np.ndarray               # per-column means removed during centering
-    scales: np.ndarray              # per-column std devs, 1.0 when not standardized
 
     @property
     def n_components(self) -> int:
@@ -66,18 +64,12 @@ def center_and_scale(X: np.ndarray, standardize: bool = True) -> tuple[np.ndarra
     return centered, means, scales
 
 
-def principal_components(
-    X: np.ndarray,
-    m: int,
-    means: np.ndarray | None = None,
-    scales: np.ndarray | None = None,
-) -> PCAResult:
+def principal_components(X: np.ndarray, m: int) -> PCAResult:
     """First ``m`` principal components of a centered matrix ``X``.
 
     The loadings are the eigenvectors of the Gram matrix ``X^T X`` with the
     ``m`` largest eigenvalues, in descending order, each oriented so its
-    entry of largest magnitude is positive. ``means``/``scales`` are carried
-    through for bookkeeping when the caller centered the data with
+    entry of largest magnitude is positive. Center ``X`` with
     :func:`center_and_scale`.
     """
     X = linalg.check_finite(X, "X")
@@ -100,8 +92,6 @@ def principal_components(
         loadings=loadings,
         explained_variance=explained_variance,
         explained_ratio=ratio,
-        means=np.zeros(p) if means is None else np.asarray(means, dtype=float),
-        scales=np.ones(p) if scales is None else np.asarray(scales, dtype=float),
     )
 
 

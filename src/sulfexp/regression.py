@@ -181,9 +181,6 @@ class GroupModel:
             and np.array_equal(self.coefficients, other.coefficients)
         )
 
-    def required_fields(self) -> list[str]:
-        return role_fields(self.variable_roles)
-
     def time_line(self, mixture: Mixture) -> tuple[float, float]:
         """Decompose the linear predictor as slope*t + intercept for one mixture.
 

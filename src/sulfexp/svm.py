@@ -14,6 +14,8 @@ formulation is never used.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,7 +156,8 @@ def _kkt_solve(X, y, C, on_margin, violating):
 
     Points in ``violating`` contribute full weight C; points in
     ``on_margin`` sit exactly at unit margin with multipliers to be
-    determined. Returns (beta, b, multipliers).
+    determined. Returns the solution point (beta0, beta1, b), the
+    multipliers and the indices of the margin points they belong to.
     """
     v_c = C * (y[violating, None] * X[violating]).sum(axis=0)
     rhs_balance = -C * float(y[violating].sum())
@@ -176,13 +179,7 @@ def _kkt_solve(X, y, C, on_margin, violating):
     mu = sol[:e]
     b = float(sol[e])
     beta = v_c + ((mu * ye)[:, None] * Xe).sum(axis=0)
-    return beta, b, mu, idx
-
-
-def _kkt_point(X, y, C, on_margin, violating):
-    """KKT solution of one partition as a (point, multipliers) pair."""
-    beta_c, b_c, mu, idx = _kkt_solve(X, y, C, on_margin, violating)
-    return np.array([beta_c[0], beta_c[1], b_c]), mu, idx
+    return np.array([beta[0], beta[1], b]), mu, idx
 
 
 def _independent_margin_subset(X, y, on_margin, max_rank=3):
@@ -256,7 +253,7 @@ def _polish(X, y, C, z, max_rounds=300):
         moved = False
         if on_margin.any():
             try:
-                z_c, mu, idx = _kkt_point(X, y, C, on_margin, violating)
+                z_c, mu, idx = _kkt_solve(X, y, C, on_margin, violating)
                 moved = try_direction(z_c - z)
                 if not moved:
                     # the current point is (numerically) this partition's own
@@ -275,7 +272,7 @@ def _polish(X, y, C, z, max_rounds=300):
                         viol[j] = True
                     if released.any():
                         try:
-                            z_c2, _, _ = _kkt_point(X, y, C, released, viol)
+                            z_c2, _, _ = _kkt_solve(X, y, C, released, viol)
                             moved = try_direction(z_c2 - z)
                         except SingularMatrix:
                             pass
@@ -286,7 +283,7 @@ def _polish(X, y, C, z, max_rounds=300):
                 subset = _independent_margin_subset(X, y, on_margin)
                 if subset is not None and subset.any():
                     try:
-                        z_c, _, _ = _kkt_point(X, y, C, subset, violating)
+                        z_c, _, _ = _kkt_solve(X, y, C, subset, violating)
                         moved = try_direction(z_c - z)
                     except SingularMatrix:
                         pass
@@ -297,7 +294,7 @@ def _polish(X, y, C, z, max_rounds=300):
                         if not reduced.any():
                             continue
                         try:
-                            z_c, _, _ = _kkt_point(X, y, C, reduced, violating)
+                            z_c, _, _ = _kkt_solve(X, y, C, reduced, violating)
                         except SingularMatrix:
                             continue
                         moved = try_direction(z_c - z)
@@ -316,9 +313,23 @@ def _polish(X, y, C, z, max_rounds=300):
 
 
 def check_box_constraint(C: float) -> None:
-    """Reject a box constraint that is not a finite positive number."""
-    if not (np.isfinite(C) and C > 0):
-        raise ValidationError(f"box constraint must be a finite positive number, got {C}")
+    """Reject a box constraint that is not a finite positive real number
+    (a bool included)."""
+    if isinstance(C, bool) or not isinstance(C, numbers.Real) or not (math.isfinite(C) and C > 0):
+        raise ValidationError(f"box constraint must be a finite positive number, got {C!r}")
+
+
+def _labeled_points(points, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Check finite (n, 2) points with one +1/-1 label each; return both as arrays."""
+    X = linalg.check_finite(points, "points")
+    if X.ndim != 2 or X.shape[1] != 2:
+        raise DimensionMismatch("points must be an (n, 2) array")
+    y = np.asarray(labels, dtype=float).reshape(-1)
+    if y.shape[0] != X.shape[0]:
+        raise DimensionMismatch("one label per point required")
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValidationError("labels must be +1 or -1")
+    return X, y
 
 
 def svm_train(
@@ -334,14 +345,7 @@ def svm_train(
     primal objective and per-point slack values. Raises
     :class:`NoConvergence` when the descent certified no optimum.
     """
-    X = linalg.check_finite(points, "points")
-    if X.ndim != 2 or X.shape[1] != 2:
-        raise DimensionMismatch("points must be an (n, 2) array")
-    y = np.asarray(labels, dtype=float).reshape(-1)
-    if y.shape[0] != X.shape[0]:
-        raise DimensionMismatch("one label per point required")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValidationError("labels must be +1 or -1")
+    X, y = _labeled_points(points, labels)
     if np.all(y == y[0]):
         raise SingleClass("training data contains a single class")
     check_box_constraint(C)
@@ -375,14 +379,7 @@ def simplify_axis_parallel(boundary: LinearBoundary, points, labels) -> LinearBo
     opposing-class points, then the smallest threshold. A boundary that is
     already axis-parallel is returned unchanged.
     """
-    X = linalg.check_finite(points, "points")
-    if X.ndim != 2 or X.shape[1] != 2:
-        raise DimensionMismatch("points must be an (n, 2) array")
-    y = np.asarray(labels, dtype=float).reshape(-1)
-    if y.shape[0] != X.shape[0]:
-        raise DimensionMismatch("one label per point required")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValidationError("labels must be +1 or -1")
+    X, y = _labeled_points(points, labels)
 
     if boundary.weights[0] == 0.0 or boundary.weights[1] == 0.0:
         return boundary

@@ -194,6 +194,28 @@ class TestMalformedBundle:
         assert self._exit_code(tmp_path, path, doc, "predict") == 2
         assert "the model stored under ML is for group LL" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal,fragment", [
+        ("NaN", "non-finite number NaN"),
+        ("Infinity", "non-finite number Infinity"),
+        ("-Infinity", "non-finite number -Infinity"),
+        ("1e999", "number 1e999 overflows a float"),
+        pytest.param("1" + "0" * 400, "int too large to convert to float", id="1e400-int"),
+    ])
+    @pytest.mark.parametrize("place", ["second_bias", "ml_coefficient"])
+    @pytest.mark.parametrize("command", ["classify", "predict"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, bundle_doc, command, place,
+                                       literal, fragment):
+        path, doc = bundle_doc
+        if place == "second_bias":
+            doc["boundary_second"]["bias"] = "@"
+        else:
+            doc["models"]["ML"]["coefficients"][0] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        p = tmp_path / "mix.csv"
+        p.write_text(MIX_HEADER + "m,0.53,6.0,40,,,0.6,\n")
+        assert main([command, str(p), "--bundle", str(path)]) == 2
+        assert_one_error_line(capsys, fragment)
+
 
 class TestFit:
     def test_fit_writes_bundle_and_report(self, dataset_dir, capsys):
@@ -206,6 +228,15 @@ class TestFit:
         assert "WC*T" in report
         bundle = load_bundle(out)
         assert bundle.provenance.startswith("fitted")
+
+    def test_json_format_prints_only_the_json_document(self, dataset_dir, capsys):
+        tmp_path, _ = dataset_dir
+        out = tmp_path / "bundle.json"
+        assert main(["--format", "json", "fit", str(tmp_path / "manifest.json"),
+                     "--out", str(out)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["provenance"] == load_bundle(out).provenance
+        assert sorted(doc["groups"]) == ["HN", "LL", "ML"]
 
     def test_same_seed_byte_identical(self, dataset_dir, capsys):
         tmp_path, _ = dataset_dir

@@ -97,6 +97,19 @@ class TestKMeans:
         with pytest.raises(ValidationError):
             kmeans(np.zeros((3, 1)), k=1, max_iter=0)
 
+    @pytest.mark.parametrize("setting,value,message", [
+        ("k", 2.5, "k must be an integer, got 2.5"),
+        ("k", True, "k must be an integer, got True"),
+        ("max_iter", 1.5, "max_iter must be an integer, got 1.5"),
+        ("restarts", "2", "restarts must be an integer, got '2'"),
+        ("restarts", 0, "k, max_iter and restarts must all be >= 1"),
+    ])
+    def test_counts_must_be_positive_integers(self, setting, value, message):
+        settings = {"k": 1, "seed": 0, setting: value}
+        with pytest.raises(ValidationError) as excinfo:
+            kmeans(np.zeros((3, 1)), **settings)
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("seed", [-1, -3, 1.5, "7"])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):

@@ -409,6 +409,17 @@ class TestFitPipeline:
         with pytest.raises(EmptyGroup):
             fit_pipeline(ds.pairs, PipelineConfig())
 
+    def test_duplicate_mixture_id_is_rejected(self):
+        # an LL record renamed after the first HN mixture must not be
+        # regressed together with it under one id
+        pairs = generate_synthetic((12, 16, 12), noise=0.03, seed=0).pairs
+        mix, series = pairs[-1]
+        renamed = (dataclasses.replace(mix, id="syn0001"),
+                   ExpansionSeries(mixture_id="syn0001",
+                                   samples=np.array((series.times, series.values)).T))
+        with pytest.raises(ValidationError, match="'syn0001' appears more than once"):
+            fit_pipeline(pairs[:-1] + [renamed])
+
     def test_deterministic(self):
         ds = generate_synthetic((6, 8, 6), noise=0.02, seed=9)
         b1 = fit_pipeline(ds.pairs, PipelineConfig(seed=5))
@@ -430,12 +441,14 @@ class TestPipelineConfig:
         ("box_constraint", math.inf, "box constraint must be a finite positive number, got inf"),
         ("box_constraint", math.nan, "box constraint must be a finite positive number, got nan"),
         ("box_constraint", 0.0, "box constraint must be a finite positive number, got 0.0"),
+        ("box_constraint", "5", "box constraint must be a finite positive number, got '5'"),
         ("k", 0, "k must be between 1 and 3"),
         ("k", 4, "k must be between 1 and 3"),
-        ("restarts", 0, "k, max_iter and restarts must all be >= 1"),
-        ("max_iter", 0, "k, max_iter and restarts must all be >= 1"),
+        ("k", 2.5, "k must be an integer, got 2.5"),
+        ("k", True, "k must be an integer, got True"),
         ("alpha", 1.5, "alpha must be in [0, 1], got 1.5"),
         ("alpha", math.nan, "alpha must be in [0, 1], got nan"),
+        ("alpha", "0.3", "alpha must be in [0, 1], got '0.3'"),
         ("threshold", 0.0, "failure_threshold must be a finite positive number, got 0.0"),
         ("threshold", math.inf, "failure_threshold must be a finite positive number, got inf"),
     ])
@@ -450,7 +463,7 @@ class TestPipelineConfig:
 
     def test_defaults_and_edges_accepted(self):
         PipelineConfig()
-        PipelineConfig(seed=0, alpha=0.0, k=1, restarts=1, max_iter=1, box_constraint=1e-9)
+        PipelineConfig(seed=0, alpha=0.0, k=1, box_constraint=1e-9)
         PipelineConfig(alpha=1.0, k=3, threshold=1e-6)
 
 

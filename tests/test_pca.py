@@ -179,13 +179,11 @@ class TestDegenerateSpectra:
 
 def make_result(loadings):
     loadings = np.asarray(loadings, dtype=float)
-    m, p = loadings.shape
+    m = loadings.shape[0]
     return PCAResult(
         loadings=loadings,
         explained_variance=np.linspace(1.0, 0.5, m),
         explained_ratio=np.full(m, 1.0 / m),
-        means=np.zeros(p),
-        scales=np.ones(p),
     )
 
 
