@@ -40,13 +40,20 @@ SERIES_HEADER = ("mixture_id", "t_years", "expansion_percent")
 # --- delimited-table ingestion -------------------------------------------
 
 
-def _read_rows(path: str | Path, expected_header: tuple[str, ...]) -> list[tuple[int, dict]]:
-    path = Path(path)
+def _read_text(path: Path) -> str:
+    """A file's UTF-8 text; an unreadable file or bytes that are not UTF-8
+    raise :class:`ParseError` naming the path."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}", path=str(path)) from exc
-    reader = csv.reader(text.splitlines())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}", path=str(path)) from exc
+
+
+def _read_rows(path: str | Path, expected_header: tuple[str, ...]) -> list[tuple[int, dict]]:
+    path = Path(path)
+    reader = csv.reader(_read_text(path).splitlines())
     rows = list(reader)
     if not rows:
         raise ParseError("file is empty", path=str(path), line=1)
@@ -170,14 +177,17 @@ class DatasetManifest:
 def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}", path=str(path)) from exc
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path=str(path)) from exc
+    if not isinstance(doc, dict):
+        raise ParseError("manifest document must be a JSON object", path=str(path))
     for key in ("mixtures_path", "series_path"):
         if key not in doc:
             raise ParseError(f"manifest missing {key!r}", path=str(path), field=key)
+        if not isinstance(doc[key], str):
+            raise ParseError(f"{key} must be a string, got {doc[key]!r}",
+                             path=str(path), field=key)
     unit = doc.get("expansion_unit", "percent")
     if unit not in ("percent", "fraction"):
         raise ParseError(f"expansion_unit must be percent or fraction, got {unit!r}",
@@ -317,13 +327,11 @@ def load_bundle(path: str | Path) -> ModelBundle:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"),
+        doc = json.loads(_read_text(path),
                          parse_constant=_reject_constant, parse_float=_finite_float)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}", path=str(path)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path=str(path)) from exc
-    except ValueError as exc:  # a rejected number, or bytes that are not UTF-8
+    except ValueError as exc:  # a rejected number
         raise ParseError(str(exc), path=str(path)) from exc
     if not isinstance(doc, dict):
         raise ParseError("bundle document must be a JSON object", path=str(path))

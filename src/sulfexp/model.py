@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import math
 import numbers
+import operator
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -40,6 +41,11 @@ from .svm import LinearBoundary
 DEFAULT_SEED = 42
 PROVENANCE_DEFAULT = "default"
 PROVENANCE_FITTED = "fitted"
+
+#: scheme of :func:`dataset_hash`, named in every fingerprint it returns
+DATASET_HASH_SCHEME = "b2"
+_DATASET_HASH_TAG = f"sulfexp-dataset-{DATASET_HASH_SCHEME}".encode()
+_mixture_fields = operator.attrgetter(*MIXTURE_FIELDS)
 
 #: most points a predicted curve's time grid may hold
 MAX_CURVE_POINTS = 100_000
@@ -374,21 +380,44 @@ def _stage(name: str):
 
 
 def dataset_hash(dataset: list[tuple[Mixture, ExpansionSeries]]) -> str:
-    """Stable fingerprint of a dataset, for bundle provenance.
+    """Stable fingerprint of a dataset, for bundle provenance: ``b2:<16 hex>``.
 
-    sha256 of, per mixture in id order: the id, the ``repr`` of each
-    field, then the ``repr`` of each sample's time and value in turn. Each
-    mixture's text is joined and fed to the hash in one update.
+    The hex digits open the sha256 of these sections, over the N records
+    sorted by id:
+
+    1. the scheme tag ``sulfexp-dataset-b2``;
+    2. N as ``<u8``;
+    3. the N UTF-8 id byte lengths as ``<u8``, then the id bytes;
+    4. one presence byte per record, bit i set when ``MIXTURE_FIELDS[i]``
+       is present;
+    5. the N×7 fields as ``<f8``, 0.0 where a field is absent;
+    6. the N sample counts as ``<u8``;
+    7. every record's ``times`` as ``<f8``, then every record's ``values``.
+
+    Each variable-length section follows its lengths, so the bytes split
+    into records one way only. The fingerprint names the set of records:
+    row order does not change it.
     """
-    h = hashlib.sha256()
-    for mix, series in sorted(dataset, key=lambda p: p[0].id):
-        parts = [mix.id]
-        parts.extend([repr(getattr(mix, name)) for name in MIXTURE_FIELDS])
-        # (t0, e0, t1, e1, ...): the transposed rows, flattened
-        interleaved = np.array((series.times, series.values)).T.ravel()
-        parts.extend(map(repr, interleaved.tolist()))
-        h.update("".join(parts).encode())
-    return h.hexdigest()[:16]
+    records = sorted(dataset, key=lambda p: p[0].id)
+    ids = [mix.id.encode() for mix, _ in records]
+    # None becomes NaN, which marks an absent field: a Mixture holds finite values only
+    rows = np.array([_mixture_fields(mix) for mix, _ in records], dtype=float)
+    rows = rows.reshape(-1, len(MIXTURE_FIELDS))
+    present = ~np.isnan(rows)
+    mask = np.packbits(present, axis=1, bitorder="little")
+    matrix = np.where(present, rows, 0.0).astype("<f8", copy=False)
+    series = [s for _, s in records]
+    h = hashlib.sha256(_DATASET_HASH_TAG)
+    h.update(np.array([len(records)], dtype="<u8").tobytes())
+    h.update(np.array([len(i) for i in ids], dtype="<u8").tobytes())
+    h.update(b"".join(ids))
+    h.update(mask.tobytes())
+    h.update(matrix.tobytes())
+    h.update(np.array([len(s.times) for s in series], dtype="<u8").tobytes())
+    for column in ("times", "values"):
+        arrays = [getattr(s, column) for s in series]
+        h.update(np.concatenate(arrays or [np.empty(0)]).astype("<f8", copy=False).tobytes())
+    return f"{DATASET_HASH_SCHEME}:{h.hexdigest()[:16]}"
 
 
 def _fit_group(

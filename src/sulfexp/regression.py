@@ -24,6 +24,7 @@ from .curves import ExpansionSeries
 from .errors import (
     ConstantResponse,
     DimensionMismatch,
+    NonFiniteValue,
     RankDeficient,
     SingularMatrix,
     TooFewRows,
@@ -169,6 +170,9 @@ class GroupModel:
             raise DimensionMismatch(
                 f"{len(self.variable_roles)} roles but {coeffs.shape[0]} coefficients"
             )
+        if not np.isfinite(coeffs).all():
+            raise NonFiniteValue(
+                f"{self.group} model coefficients must be finite, got {coeffs.tolist()}")
         role_fields(self.variable_roles)
 
     def __eq__(self, other):

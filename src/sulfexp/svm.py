@@ -24,6 +24,7 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     NoConvergence,
+    NonFiniteValue,
     SingleClass,
     SingularMatrix,
     ValidationError,
@@ -54,9 +55,13 @@ class LinearBoundary:
             raise DimensionMismatch(f"boundary weights must have 2 entries, got {w.shape[0]}")
         if w[0] == 0.0 and w[1] == 0.0:
             raise ValidationError("boundary weights must not both be zero")
+        bias = float(self.bias)
+        if not (np.isfinite(w).all() and math.isfinite(bias)):
+            raise NonFiniteValue(
+                f"boundary weights and bias must be finite, got {w.tolist()} and {bias!r}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "bias", float(self.bias))
+        object.__setattr__(self, "bias", bias)
 
     def __eq__(self, other):
         if not isinstance(other, LinearBoundary):

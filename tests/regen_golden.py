@@ -8,7 +8,10 @@ training objective, plus the cluster assignments. Before overwriting an
 existing file the script prints, per field, the largest relative drift
 from the stored values, so a deliberate numerical change can be
 documented; the objectives tell a move along a flat optimum (equal
-objectives) from a worse fit.
+objectives) from a worse fit. The table ends with the number of datasets
+whose input hash and whose bundle sha256 changed. A change of the input
+hash's scheme tag is reported as a fingerprint scheme change, not as a
+generator move.
 
 Regenerate only when a change is meant to move fitted values.
 """
@@ -114,15 +117,34 @@ def drift_table(old: dict, new: dict) -> list[tuple[str, str]]:
         )
     rows = [(field, f"{value:.2g}") for field, value in sorted(worst.items())]
     rows.append(("assignments changed", str(changed_assignments)))
+    for name in ("dataset_hash", "bundle_sha256"):
+        changed = sum(old[key][name] != new[key][name] for key in set(old) & set(new))
+        rows.append((f"datasets whose {name} changed", str(changed)))
     return rows
+
+
+def hash_scheme(fingerprint: str) -> str:
+    """The scheme tag a dataset fingerprint opens with; "untagged" if none."""
+    scheme, tagged, _ = fingerprint.rpartition(":")
+    return scheme if tagged else "untagged"
 
 
 def main() -> int:
     new = snapshot_all()
     if GOLDEN_PATH.exists():
         old = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-        moved = [key for key in sorted(set(old) & set(new))
-                 if old[key]["dataset_hash"] != new[key]["dataset_hash"]]
+        moved, rehashed = [], []
+        for key in sorted(set(old) & set(new)):
+            before, after = old[key]["dataset_hash"], new[key]["dataset_hash"]
+            if hash_scheme(before) != hash_scheme(after):
+                rehashed.append(key)
+            elif before != after:
+                moved.append(key)
+        if rehashed:
+            schemes = sorted({f"{hash_scheme(old[key]['dataset_hash'])} -> "
+                              f"{hash_scheme(new[key]['dataset_hash'])}" for key in rehashed})
+            print(f"note: fingerprint scheme changed ({', '.join(schemes)}) for {rehashed}; "
+                  "their inputs cannot be compared by hash", file=sys.stderr)
         if moved:
             print(f"warning: the generator moved for {moved}; drift below mixes input "
                   "and fit changes", file=sys.stderr)

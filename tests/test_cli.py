@@ -59,6 +59,12 @@ class TestClassify:
         assert main(["classify", str(p)]) == 2
         assert "no rows" in capsys.readouterr().err
 
+    def test_non_utf8_table_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "mix.csv"
+        p.write_bytes(MIX_HEADER.encode() + b"caf\xe9,0.45,5.0,55,,,,\n")
+        assert main(["classify", str(p)]) == 2
+        assert_one_error_line(capsys, "not UTF-8", str(p))
+
 
 class TestPredict:
     def test_summary_and_plot_data(self, tmp_path, capsys):
@@ -267,6 +273,19 @@ class TestFit:
         (tmp_path / "manifest.json").write_text("{}")
         assert main(["fit", str(tmp_path / "manifest.json"),
                      "--out", str(tmp_path / "b.json")]) == 2
+
+    @pytest.mark.parametrize("content,fragment", [
+        (b"5", "must be a JSON object"),
+        (b"[]", "must be a JSON object"),
+        (b'{"mixtures_path": "m\xff.csv", "series_path": "s.csv"}', "not UTF-8"),
+        (b'{"mixtures_path": NaN, "series_path": "s.csv"}', "mixtures_path must be a string"),
+        (b'{"mixtures_path": "m.csv", "series_path": 5}', "series_path must be a string"),
+    ], ids=["number", "array", "not-utf8", "nan-path", "int-path"])
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, content, fragment):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(content)
+        assert main(["fit", str(path), "--out", str(tmp_path / "b.json")]) == 2
+        assert_one_error_line(capsys, fragment, str(path))
 
     def test_noiseless_report_shows_perfect_fit(self, tmp_path, capsys):
         ds = generate_synthetic((4, 4, 4), noise=0.0, seed=29)

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import re
+import struct
 import warnings
 
 import numpy as np
@@ -335,34 +337,84 @@ class TestPredictedFailureTime:
 
 
 def dataset_hash_oracle(dataset):
-    """The fingerprint fed to sha256 one field and one float at a time."""
-    h = hashlib.sha256()
-    for mix, series in sorted(dataset, key=lambda p: p[0].id):
-        h.update(mix.id.encode())
-        for name in MIXTURE_FIELDS:
-            h.update(repr(getattr(mix, name)).encode())
+    """The b2 fingerprint built with ``struct.pack``, one mixture at a time."""
+    records = sorted(dataset, key=lambda p: p[0].id)
+    lengths, ids, masks, fields, counts, times, values = (bytearray() for _ in range(7))
+    for mix, series in records:
+        raw = mix.id.encode("utf-8")
+        lengths += struct.pack("<Q", len(raw))
+        ids += raw
+        bits = 0
+        for i, name in enumerate(MIXTURE_FIELDS):
+            value = getattr(mix, name)
+            if value is not None:
+                bits |= 1 << i
+            fields += struct.pack("<d", 0.0 if value is None else value)
+        masks += struct.pack("<B", bits)
+        counts += struct.pack("<Q", len(series.samples))
         for t, e in series.samples:
-            h.update(repr(t).encode())
-            h.update(repr(e).encode())
-    return h.hexdigest()[:16]
+            times += struct.pack("<d", t)
+            values += struct.pack("<d", e)
+    h = hashlib.sha256(b"sulfexp-dataset-b2")
+    for section in (struct.pack("<Q", len(records)), lengths, ids, masks, fields, counts,
+                    times, values):
+        h.update(section)
+    return "b2:" + h.hexdigest()[:16]
+
+
+def record(mid, samples=((0.0, 0.1), (1.0, 0.5)), **fields):
+    return Mixture(id=mid, **fields), ExpansionSeries(mixture_id=mid, samples=samples)
 
 
 class TestDatasetHash:
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_streaming_updates(self, seed):
+    def test_matches_framed_oracle(self, seed):
         pairs = generate_synthetic((5, 7, 5), noise=0.03, seed=seed).pairs
         assert dataset_hash(pairs) == dataset_hash_oracle(pairs)
         assert dataset_hash(pairs[::-1]) == dataset_hash(pairs)
 
-    def test_matches_streaming_updates_at_the_edges(self):
+    def test_matches_framed_oracle_at_the_edges(self):
         pairs = [
             (Mixture(id="z", wc=0.5), ExpansionSeries(mixture_id="z", samples=[[-0.0, -0.0]])),
             (Mixture(id="a\u00e9"), ExpansionSeries(mixture_id="a\u00e9", samples=())),
-            (Mixture(id="m", c3a=1e-300), ExpansionSeries(
+            (Mixture(id="m", c3a=1e-300, air=0.0), ExpansionSeries(
                 mixture_id="m", samples=[[0.1, 1e300], [1e16, -5e-324]])),
         ]
         assert dataset_hash(pairs) == dataset_hash_oracle(pairs)
-        assert dataset_hash([]) == dataset_hash_oracle([])
+
+    def test_empty_dataset_is_stable(self):
+        # the tag and N = 0; every other section is empty
+        assert dataset_hash([]) == dataset_hash_oracle([]) == "b2:aa9805e7a8a286b6"
+
+    def test_unframed_collision_pair_differs(self):
+        # joined without framing, both read "0a...0.55x..."
+        first = [record("0a", ((0.0, 0.1), (1.0, 0.5)), wc=0.5), record("5x", wc=0.5)]
+        second = [record("0a", ((0.0, 0.1), (1.0, 0.55)), wc=0.5), record("x", wc=0.5)]
+        assert dataset_hash(first) != dataset_hash(second)
+
+    @settings(max_examples=30, deadline=None)
+    @given(order=st.permutations(range(9)))
+    def test_row_order_does_not_matter(self, order):
+        pairs = generate_synthetic((3, 3, 3), noise=0.03, seed=5).pairs
+        assert dataset_hash([pairs[i] for i in order]) == dataset_hash(pairs)
+
+    def test_negative_zero_differs(self):
+        assert dataset_hash([record("a", wc=0.5, air=0.0)]) != dataset_hash(
+            [record("a", wc=0.5, air=-0.0)])
+        assert dataset_hash([record("a", ((0.0, 0.0), (1.0, 0.5)))]) != dataset_hash(
+            [record("a", ((0.0, -0.0), (1.0, 0.5)))])
+
+    def test_absent_field_differs_from_present_zero(self):
+        assert dataset_hash([record("a", wc=0.5)]) != dataset_hash(
+            [record("a", wc=0.5, air=0.0)])
+
+    @pytest.mark.parametrize("splits", [
+        (("a1", "2"), ("a", "12"), ("a12",), ("a", "1", "2")),
+        (("\u00e9", "\u00e9x"), ("\u00e9\u00e9", "x"), ("\u00e9\u00e9x",), ("e\u0301", "\u00e9x")),
+    ])
+    def test_ids_are_framed(self, splits):
+        hashes = {dataset_hash([record(mid) for mid in ids]) for ids in splits}
+        assert len(hashes) == len(splits)
 
     def test_sees_one_ulp(self):
         pairs = generate_synthetic((2, 2, 2), seed=4).pairs
@@ -372,6 +424,12 @@ class TestDatasetHash:
         moved = pairs[:3] + [(mix, ExpansionSeries(mixture_id=mix.id,
                                                    samples=np.array((series.times, values)).T))]
         assert dataset_hash(moved + pairs[4:]) != dataset_hash(pairs)
+
+    def test_provenance_names_the_scheme(self):
+        pairs = generate_synthetic((6, 8, 6), noise=0.0, seed=11).pairs
+        bundle = fit_pipeline(pairs, PipelineConfig(seed=7))
+        assert re.fullmatch(r"fitted data=b2:[0-9a-f]{16} seed=7", bundle.provenance)
+        assert bundle.provenance.split()[1] == f"data={dataset_hash(pairs)}"
 
 
 class TestFitPipeline:

@@ -14,6 +14,7 @@ from sulfexp.dataio import generate_synthetic
 from sulfexp.errors import (
     ConstantResponse,
     MissingField,
+    NonFiniteValue,
     RankDeficient,
     TooFewRows,
     ValidationError,
@@ -340,6 +341,17 @@ class TestDesignRows:
     def test_no_rows(self):
         with pytest.raises(TooFewRows):
             design_rows([], GROUP_ROLES[GroupLabel.LL], log_response=False)
+
+
+class TestGroupModelConstruction:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_non_finite_coefficient_rejected(self, index, bad):
+        coefficients = [0.0293, 0.000975, 0.0216]
+        coefficients[index] = bad
+        with pytest.raises(NonFiniteValue, match="must be finite"):
+            GroupModel(group=GroupLabel.ML, form="linear",
+                       variable_roles=("WC*T", "C3A*T", "const"), coefficients=coefficients)
 
 
 class TestGroupModelEvaluation:

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sulfexp import fit_pipeline, generate_synthetic
-from sulfexp.errors import SingleClass, ValidationError
+from sulfexp.errors import NonFiniteValue, SingleClass, ValidationError
 from sulfexp.mixtures import GroupLabel
 from sulfexp.svm import (
     LinearBoundary,
@@ -245,6 +247,19 @@ class TestClassify:
         w, bias = b.normalized
         assert np.linalg.norm(w) == pytest.approx(1.0)
         assert bias == pytest.approx(2.0)
+
+
+class TestLinearBoundaryConstruction:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["weight 0", "weight 1", "bias"])
+    def test_non_finite_rejected(self, where, bad):
+        weights, bias = [1.0, 387.3], -233.6
+        if where == "bias":
+            bias = bad
+        else:
+            weights[int(where[-1])] = bad
+        with pytest.raises(NonFiniteValue, match="must be finite"):
+            LinearBoundary(("c3s", "wc"), weights, bias=bias)
 
 
 class TestSimplifyAxisParallel:
