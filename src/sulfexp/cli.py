@@ -9,13 +9,14 @@ variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import clustering, curves, dataio, model
+from . import clustering, curves, dataio, linalg, model
 from .errors import NumericalError, SulfexpError, ValidationError
 from .mixtures import GroupLabel
 
@@ -33,10 +34,14 @@ def _default_seed() -> int:
         raise ValidationError(f"SULFEXP_SEED must be an integer, got {env!r}") from None
 
 
-def _load_bundle_or_default(path: str | None) -> model.ModelBundle:
-    if path is None:
-        return model.default_bundle()
-    return dataio.load_bundle(path)
+def _load_bundle(args) -> model.ModelBundle:
+    """The ``--bundle`` file, or the built-in model; with
+    ``--raw-first-boundary``, without its simplified first boundary, so
+    that HN is routed by the raw one."""
+    bundle = model.default_bundle() if args.bundle is None else dataio.load_bundle(args.bundle)
+    if args.raw_first_boundary:
+        bundle = dataclasses.replace(bundle, boundary_first_simplified=None)
+    return bundle
 
 
 def _print_table(header: list[str], rows: list[list[str]]) -> None:
@@ -57,14 +62,14 @@ def _emit(args, payload: dict, header: list[str], rows: list[list[str]]) -> None
 
 
 def cmd_classify(args) -> int:
-    bundle = _load_bundle_or_default(args.bundle)
+    bundle = _load_bundle(args)
     mixtures = dataio.load_mixtures(args.mixtures)
     if not mixtures:
         raise ValidationError(f"no rows in {args.mixtures}")
     rows = []
     payload = []
     for mix in mixtures:
-        group = model.classify_mixture(mix, bundle, use_simplified_first=not args.raw_first_boundary)
+        group = model.classify_mixture(mix, bundle)
         first = bundle.boundary_first.decision_value(
             mix.require(*bundle.boundary_first.feature_names)
         ) if bundle.boundary_first else float("nan")
@@ -80,7 +85,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    bundle = _load_bundle_or_default(args.bundle)
+    bundle = _load_bundle(args)
     mixtures = dataio.load_mixtures(args.mixtures)
     if not mixtures:
         raise ValidationError(f"no rows in {args.mixtures}")
@@ -88,12 +93,10 @@ def cmd_predict(args) -> int:
     rows = []
     payload = []
     for mix in mixtures:
-        series = model.predict_curve(mix, bundle, horizon=args.horizon, step=args.step,
-                                     use_simplified_first=not args.raw_first_boundary)
+        series = model.predict_curve(mix, bundle, horizon=args.horizon, step=args.step)
         series_out.append(series)
         try:
-            t_fail = model.predicted_failure_time(mix, bundle,
-                                                  use_simplified_first=not args.raw_first_boundary)
+            t_fail = model.predicted_failure_time(mix, bundle, GroupLabel(series.group))
             t_fail_text = f"{t_fail:.4g}"
         except NumericalError as exc:
             t_fail = None
@@ -196,6 +199,9 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    # the checks and messages of ``fit``; k may exceed 3 in this diagnostic
+    curves.check_alpha(args.alpha)
+    linalg.check_positive("failure_threshold", args.threshold)
     series_list = dataio.load_series(args.series)
     if not series_list:
         raise ValidationError(f"no rows in {args.series}")
@@ -228,71 +234,63 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("table", "json"), default="table",
                         help="output format (default: table)")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = model.PipelineConfig()
 
-    def add_seed(p):
-        p.add_argument("--seed", type=int, default=_default_seed(),
-                       help="random seed (default: %(default)s; env SULFEXP_SEED overrides)")
+    # flags shared by several subcommands, each declared once
+    routing = argparse.ArgumentParser(add_help=False)
+    routing.add_argument("mixtures", help="mixture table (csv)")
+    routing.add_argument("--bundle", help="model bundle file (default: built-in model)")
+    routing.add_argument("--raw-first-boundary", action="store_true",
+                         help="use the oblique first boundary instead of the simplified threshold")
 
-    p = sub.add_parser("classify", help="assign mixtures to expansion-pattern groups")
-    p.add_argument("mixtures", help="mixture table (csv)")
-    p.add_argument("--bundle", help="model bundle file (default: built-in model)")
-    p.add_argument("--raw-first-boundary", action="store_true",
-                   help="use the oblique first boundary instead of the simplified threshold")
+    smoothing = argparse.ArgumentParser(add_help=False)
+    smoothing.add_argument("--alpha", type=float, default=defaults.alpha,
+                           help="smoothing weight on the point itself, 0..1 (default: %(default)s)")
+
+    grouping = argparse.ArgumentParser(add_help=False)
+    grouping.add_argument("--threshold", type=float, default=defaults.threshold,
+                          help="failure threshold in expansion percent (default: %(default)s)")
+    grouping.add_argument("--k", type=int, default=defaults.k,
+                          help="number of expansion-pattern clusters (default: %(default)s)")
+    grouping.add_argument("--no-standardize", action="store_true",
+                          help="cluster on raw (t_fail, slope) features without z-scoring")
+    grouping.add_argument("--cluster-raw", action="store_true",
+                          help="cluster on raw curves instead of smoothed ones")
+    grouping.add_argument("--seed", type=int, default=_default_seed(),
+                          help="random seed (default: %(default)s; env SULFEXP_SEED overrides)")
+
+    p = sub.add_parser("classify", parents=[routing],
+                       help="assign mixtures to expansion-pattern groups")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("predict", help="predict expansion curves and failure times")
-    p.add_argument("mixtures", help="mixture table (csv)")
-    p.add_argument("--bundle", help="model bundle file (default: built-in model)")
+    p = sub.add_parser("predict", parents=[routing],
+                       help="predict expansion curves and failure times")
     p.add_argument("--horizon", type=float, default=40.0,
                    help="prediction horizon in years (default: %(default)s)")
     p.add_argument("--step", type=float, default=1.0,
                    help="time grid step in years (default: %(default)s)")
     p.add_argument("--out", help="write the predicted curves as plot data to this path")
-    p.add_argument("--raw-first-boundary", action="store_true",
-                   help="use the oblique first boundary instead of the simplified threshold")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("fit", help="refit the whole model from a dataset manifest")
+    p = sub.add_parser("fit", parents=[smoothing, grouping],
+                       help="refit the whole model from a dataset manifest")
     p.add_argument("manifest", help="dataset manifest (json with mixtures_path, series_path)")
     p.add_argument("--out", required=True, help="where to write the fitted bundle")
-    p.add_argument("--alpha", type=float, default=curves.DEFAULT_ALPHA,
-                   help="smoothing weight on the point itself, 0..1 (default: %(default)s)")
-    p.add_argument("--k", type=int, default=3,
-                   help="number of expansion-pattern clusters (default: %(default)s)")
-    p.add_argument("--box-constraint", type=float, default=100.0,
+    p.add_argument("--box-constraint", type=float, default=defaults.box_constraint,
                    help="penalty weight on boundary margin violations (default: %(default)s)")
-    p.add_argument("--threshold", type=float, default=curves.DEFAULT_THRESHOLD,
-                   help="failure threshold in expansion percent (default: %(default)s)")
-    p.add_argument("--no-standardize", action="store_true",
-                   help="cluster on raw (t_fail, slope) features without z-scoring")
-    p.add_argument("--cluster-raw", action="store_true",
-                   help="cluster on raw curves instead of smoothed ones")
     p.add_argument("--data-driven-variables", action="store_true",
                    help="build regressors from the per-group variable screening "
                         "instead of the canonical model forms")
-    add_seed(p)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("smooth", help="smooth expansion records (diagnostic)")
+    p = sub.add_parser("smooth", parents=[smoothing], help="smooth expansion records (diagnostic)")
     p.add_argument("series", help="expansion record table (csv)")
-    p.add_argument("--alpha", type=float, default=curves.DEFAULT_ALPHA,
-                   help="smoothing weight on the point itself, 0..1 (default: %(default)s)")
     p.add_argument("--out", required=True, help="plot-data output path")
     p.set_defaults(func=cmd_smooth)
 
-    p = sub.add_parser("cluster", help="cluster series by failure-point features (diagnostic)")
+    p = sub.add_parser("cluster", parents=[smoothing, grouping],
+                       help="cluster series by failure-point features (diagnostic)")
     p.add_argument("series", help="expansion record table (csv)")
-    p.add_argument("--alpha", type=float, default=curves.DEFAULT_ALPHA,
-                   help="smoothing weight applied before feature extraction (default: %(default)s)")
-    p.add_argument("--threshold", type=float, default=curves.DEFAULT_THRESHOLD,
-                   help="failure threshold in expansion percent (default: %(default)s)")
-    p.add_argument("--k", type=int, default=3,
-                   help="number of clusters (default: %(default)s)")
-    p.add_argument("--no-standardize", action="store_true",
-                   help="cluster on raw features without z-scoring")
-    p.add_argument("--cluster-raw", action="store_true",
-                   help="skip smoothing before feature extraction")
-    add_seed(p)
     p.set_defaults(func=cmd_cluster)
 
     return parser

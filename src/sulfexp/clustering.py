@@ -31,11 +31,6 @@ class KMeansResult:
     objective_trace: tuple[float, ...] = ()
     empty_clusters: tuple[int, ...] = ()
 
-    @property
-    def cluster_sizes(self) -> np.ndarray:
-        k = self.centroids.shape[0]
-        return np.bincount(self.assignments, minlength=k)
-
 
 def _as_points(points: np.ndarray) -> np.ndarray:
     pts = check_finite(points, "points")

@@ -81,11 +81,6 @@ class ExpansionSeries:
     def samples(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.times.tolist(), self.values.tolist()))
 
-    @property
-    def has_negative_values(self) -> bool:
-        """Flags measurement-noise dips below zero."""
-        return bool((self.values < 0).any())
-
     def __len__(self) -> int:
         return self.times.shape[0]
 

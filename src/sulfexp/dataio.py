@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .mixtures import MIXTURE_FIELDS, GroupLabel, Mixture
-from .model import ModelBundle, PROVENANCE_DEFAULT, default_bundle, predict_expansion
+from .model import ModelBundle, PROVENANCE_DEFAULT, _evaluate, default_bundle
 from .regression import GroupModel, OLSFit
 from .svm import LinearBoundary
 
@@ -381,25 +381,27 @@ class SyntheticDataset:
 DEFAULT_SCHEDULE = tuple(
     [i * 0.5 for i in range(11)] + [float(t) for t in range(6, 31)] + [40.0]
 )
+_SCHEDULE = np.array(DEFAULT_SCHEDULE)
+
+#: expansion percent past which a failed specimen leaves the test
+STOP_EXPANSION = 2.0
 
 
 def generate_synthetic(
     counts: tuple[int, int, int],
     noise: float = 0.0,
     seed: int = 0,
-    times: tuple[float, ...] = DEFAULT_SCHEDULE,
-    stop_expansion: float = 2.0,
 ) -> SyntheticDataset:
     """Build a dataset of the three expansion archetypes.
 
     ``counts`` orders the groups (HN, ML, LL). Mixture proportions are
     sampled inside each group's consistent region: HN above the c3a
     threshold, ML and LL on their respective sides of the second boundary
-    with a safety margin. Series follow the group's reference model with
-    multiplicative Gaussian noise of the given relative level; each record
-    stops after the first sample whose noise-free value exceeds
-    ``stop_expansion`` (failed specimens leave the test), never with fewer
-    than three samples.
+    with a safety margin. Series follow the group's reference model over
+    :data:`DEFAULT_SCHEDULE` with multiplicative Gaussian noise of the
+    given relative level; each record stops after the first sample whose
+    noise-free value exceeds :data:`STOP_EXPANSION`, never with fewer than
+    three samples.
     """
     if any(c < 0 for c in counts):
         raise ValidationError("archetype counts must be >= 0")
@@ -445,16 +447,13 @@ def generate_synthetic(
                 cement_content=cc,
                 air=rng.uniform(1.0, 6.0),
             )
-            sample_times: list[float] = []
-            sample_values: list[float] = []
-            for t in times:
-                clean = predict_expansion(mix, group, bundle, float(t))
-                value = clean * (1.0 + noise * rng.standard_normal()) if noise > 0 else clean
-                sample_times.append(float(t))
-                sample_values.append(value)
-                if clean > stop_expansion and len(sample_times) >= 3:
-                    break
-            samples = np.array((sample_times, sample_values)).T
+            clean = _evaluate(bundle.model_for(group), mix, _SCHEDULE)
+            above = np.flatnonzero(clean[2:] > STOP_EXPANSION)
+            n = int(above[0]) + 3 if above.size else clean.size
+            values = clean[:n]
+            if noise > 0:
+                values = values * (1.0 + noise * rng.standard_normal(n))
+            samples = np.column_stack((_SCHEDULE[:n], values))
             pairs.append((mix, ExpansionSeries(mixture_id=mid, samples=samples)))
             labels[mid] = group
     return SyntheticDataset(pairs=pairs, labels=labels)

@@ -12,6 +12,7 @@ oriented by one shared sign rule.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     NonFiniteValue,
     SingularMatrix,
+    ValidationError,
 )
 
 SYMMETRY_TOL = 1e-10
@@ -33,6 +35,13 @@ def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NonFiniteValue(f"{name} contains NaN or Inf entries")
     return out
+
+
+def check_positive(name: str, value) -> None:
+    """Reject a setting that is not a finite positive real number (a bool included)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0)):
+        raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def _check_square_symmetric(A: np.ndarray, name: str = "A") -> tuple[np.ndarray, float]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
-import numbers
 import operator
 import sys
 from collections.abc import Mapping
@@ -22,7 +21,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import clustering, curves, pca, regression, svm
+from . import clustering, curves, linalg, pca, regression, svm
 from .curves import DEFAULT_ALPHA, DEFAULT_THRESHOLD, ExpansionSeries
 from .errors import (
     AlreadyFailed,
@@ -52,16 +51,6 @@ MAX_CURVE_POINTS = 100_000
 
 #: order in which ascending mean failure time maps onto group labels
 LABELS_BY_FAILURE_TIME = (GroupLabel.HN, GroupLabel.ML, GroupLabel.LL)
-
-
-def check_threshold(threshold: float) -> None:
-    """Reject a failure threshold that is not a finite positive real number
-    (a bool included)."""
-    if (isinstance(threshold, bool) or not isinstance(threshold, numbers.Real)
-            or not math.isfinite(threshold) or threshold <= 0):
-        raise ValidationError(
-            f"failure_threshold must be a finite positive number, got {threshold!r}"
-        )
 
 
 #: the planes the paper draws its boundaries in: HN vs. the rest, then ML vs. LL
@@ -96,8 +85,8 @@ class PipelineConfig:
             raise ValidationError(f"k must be between 1 and {len(LABELS_BY_FAILURE_TIME)}")
         clustering.check_settings(self.k, self.seed)
         curves.check_alpha(self.alpha)
-        check_threshold(self.threshold)
-        svm.check_box_constraint(self.box_constraint)
+        linalg.check_positive("failure_threshold", self.threshold)
+        linalg.check_positive("box constraint", self.box_constraint)
 
 
 @dataclass(frozen=True)
@@ -135,7 +124,7 @@ class ModelBundle:
     diagnostics: PipelineDiagnostics | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        check_threshold(self.failure_threshold)
+        linalg.check_positive("failure_threshold", self.failure_threshold)
         for label, model in self.models.items():
             if model.group is not label:
                 raise ValidationError(f"the model stored under {label} is for group {model.group}")
@@ -210,21 +199,16 @@ def default_bundle() -> ModelBundle:
     return _DEFAULT_BUNDLE
 
 
-def _boundary_point(mix: Mixture, boundary: LinearBoundary) -> np.ndarray:
-    return np.array(mix.require(*boundary.feature_names))
-
-
-def classify_mixture(
-    mix: Mixture,
-    bundle: ModelBundle | None = None,
-    use_simplified_first: bool = True,
-) -> GroupLabel:
+def classify_mixture(mix: Mixture, bundle: ModelBundle | None = None) -> GroupLabel:
     """Route a mixture to its expansion-pattern group from its proportions.
 
-    With the simplified first boundary the HN rule is the strict threshold
-    (c3a > 8 for the shipped bundle); with the raw boundary a decision
-    value of exactly zero counts as HN. Non-HN mixtures go to ML when the
-    second boundary's decision value is >= 0, else LL.
+    HN is decided by the bundle's simplified first boundary when it has
+    one, as the strict threshold (c3a > 8 for the shipped bundle), and
+    otherwise by the raw first boundary, where a decision value of exactly
+    zero counts as HN. To route by the raw boundary, pass
+    ``dataclasses.replace(bundle, boundary_first_simplified=None)``.
+    Non-HN mixtures go to ML when the second boundary's decision value is
+    >= 0, else LL.
     """
     if bundle is None:
         bundle = _DEFAULT_BUNDLE
@@ -233,18 +217,20 @@ def classify_mixture(
     ):
         raise ValidationError("bundle has no classification boundaries (partial bundle)")
 
-    if use_simplified_first and bundle.boundary_first_simplified is not None:
-        simplified = bundle.boundary_first_simplified
+    simplified = bundle.boundary_first_simplified
+    if simplified is not None:
         axis = int(np.argmax(np.abs(simplified.weights)))
         value = mix.require(simplified.feature_names[axis])[0]
         threshold = -simplified.bias / simplified.weights[axis]
         is_hn = (value > threshold) if simplified.weights[axis] > 0 else (value < threshold)
     else:
-        is_hn = svm.classify(bundle.boundary_first, _boundary_point(mix, bundle.boundary_first)) > 0
+        first = bundle.boundary_first
+        is_hn = svm.classify(first, mix.require(*first.feature_names)) > 0
     if is_hn:
         return GroupLabel.HN
-    second = svm.classify(bundle.boundary_second, _boundary_point(mix, bundle.boundary_second))
-    return GroupLabel.ML if second > 0 else GroupLabel.LL
+    second = bundle.boundary_second
+    is_ml = svm.classify(second, mix.require(*second.feature_names)) > 0
+    return GroupLabel.ML if is_ml else GroupLabel.LL
 
 
 #: largest log-linear predictor whose exponential is a finite float
@@ -293,7 +279,6 @@ def predict_curve(
     bundle: ModelBundle | None = None,
     horizon: float = 40.0,
     step: float = 1.0,
-    use_simplified_first: bool = True,
 ) -> ExpansionSeries:
     """Classify, then sample the predicted curve on the grid 0, step, ... <= horizon.
 
@@ -313,7 +298,7 @@ def predict_curve(
         )
     if bundle is None:
         bundle = _DEFAULT_BUNDLE
-    group = classify_mixture(mix, bundle, use_simplified_first)
+    group = classify_mixture(mix, bundle)
     n_steps = int(math.floor(horizon / step + 1e-9))
     times = np.arange(n_steps + 1) * step
     values = _evaluate(bundle.model_for(group), mix, times)
@@ -325,7 +310,6 @@ def predicted_failure_time(
     mix: Mixture,
     bundle: ModelBundle | None = None,
     group: GroupLabel | None = None,
-    use_simplified_first: bool = True,
 ) -> float:
     """Invert the group model at the failure threshold.
 
@@ -338,7 +322,7 @@ def predicted_failure_time(
     if bundle is None:
         bundle = _DEFAULT_BUNDLE
     if group is None:
-        group = classify_mixture(mix, bundle, use_simplified_first)
+        group = classify_mixture(mix, bundle)
     model = bundle.model_for(group)
     slope, intercept = model.time_line(mix)
     target = bundle.failure_threshold
@@ -576,7 +560,6 @@ def validate_holdout(
     bundle: ModelBundle,
     holdout: list[tuple[Mixture, ExpansionSeries]],
     reference_assignments: dict[str, GroupLabel],
-    use_simplified_first: bool = True,
 ) -> HoldoutReport:
     """Compare boundary-based groups against expansion-based reference groups.
 
@@ -591,7 +574,7 @@ def validate_holdout(
         if mix.id not in reference_assignments:
             raise ValidationError(f"no reference assignment for mixture {mix.id!r}")
         reference = reference_assignments[mix.id]
-        predicted = classify_mixture(mix, bundle, use_simplified_first)
+        predicted = classify_mixture(mix, bundle)
         rows.append(HoldoutRow(mixture_id=mix.id, reference=reference, predicted=predicted))
         confusion[(reference, predicted)] = confusion.get((reference, predicted), 0) + 1
     agreement = sum(r.agree for r in rows) / len(rows)
@@ -613,24 +596,22 @@ class GroupRefit:
 def refit_r2_report(
     bundle: ModelBundle,
     dataset: list[tuple[Mixture, ExpansionSeries]],
-    config: PipelineConfig | None = None,
-    use_simplified_first: bool = True,
 ) -> dict[GroupLabel, GroupRefit]:
     """Refit each group on boundary-assigned membership and report R2 deltas.
 
     Measures how much fit quality degrades when mixtures are routed by the
-    boundaries instead of by their measured expansion patterns.
+    boundaries instead of by their measured expansion patterns. The linear
+    groups are refitted on curves smoothed with :data:`DEFAULT_ALPHA`.
     """
-    config = config or PipelineConfig()
     for label, model in bundle.models.items():
         if model.fit is None:
             raise ValidationError(
                 f"bundle model for {label} has no fit statistics; refit needs a fitted bundle"
             )
-    smoothed = [(mix, curves.smooth(series, config.alpha)) for mix, series in dataset]
+    smoothed = [(mix, curves.smooth(series, DEFAULT_ALPHA)) for mix, series in dataset]
     regrouped: dict[GroupLabel, list[int]] = {label: [] for label in bundle.models}
     for i, (mix, _) in enumerate(dataset):
-        label = classify_mixture(mix, bundle, use_simplified_first)
+        label = classify_mixture(mix, bundle)
         regrouped.setdefault(label, []).append(i)
 
     report = {}

@@ -57,18 +57,11 @@ GROUP_ROLES: dict[GroupLabel, tuple[str, ...]] = {
 LOG_RESPONSE_GROUPS = frozenset({GroupLabel.HN})
 
 
-def role_fields(roles: tuple[str, ...]) -> list[str]:
-    """Mixture fields a set of regressor roles needs."""
-    out = []
+def check_roles(roles: tuple[str, ...]) -> None:
+    """Reject a regressor role that is neither time-scaled nor the constant."""
     for role in roles:
-        if role == CONST_ROLE:
-            continue
-        if role not in _T_ROLES:
+        if role != CONST_ROLE and role not in _T_ROLES:
             raise ValidationError(f"unknown regressor role {role!r}")
-        f = _T_ROLES[role]
-        if f is not None:
-            out.append(f)
-    return out
 
 
 @dataclass(frozen=True)
@@ -173,7 +166,7 @@ class GroupModel:
         if not np.isfinite(coeffs).all():
             raise NonFiniteValue(
                 f"{self.group} model coefficients must be finite, got {coeffs.tolist()}")
-        role_fields(self.variable_roles)
+        check_roles(self.variable_roles)
 
     def __eq__(self, other):
         if not isinstance(other, GroupModel):
@@ -229,7 +222,7 @@ def design_rows(
         y = values
     if not times.size:
         raise TooFewRows("no usable observations after filtering")
-    role_fields(roles)  # rejects an unknown role
+    check_roles(roles)
     scaled = [j for j, role in enumerate(roles) if role != CONST_ROLE]
     fields = [_T_ROLES[roles[j]] for j in scaled]
     scales = np.array([

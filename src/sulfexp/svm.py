@@ -15,7 +15,6 @@ formulation is never used.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,8 @@ class LinearBoundary:
 
     Points with positive decision value fall on the +1 side. ``slacks``
     and ``objective`` are carried along as training diagnostics and do not
-    participate in equality.
+    participate in equality. A ``box_constraint``, when given, must be a
+    finite positive number.
     """
 
     feature_names: tuple[str, str]
@@ -59,6 +59,8 @@ class LinearBoundary:
         if not (np.isfinite(w).all() and math.isfinite(bias)):
             raise NonFiniteValue(
                 f"boundary weights and bias must be finite, got {w.tolist()} and {bias!r}")
+        if self.box_constraint is not None:
+            linalg.check_positive("box constraint", self.box_constraint)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "bias", bias)
@@ -72,12 +74,6 @@ class LinearBoundary:
             and self.bias == other.bias
             and self.box_constraint == other.box_constraint
         )
-
-    @property
-    def normalized(self) -> tuple[np.ndarray, float]:
-        """(weights, bias) rescaled to a unit normal; the sign is unchanged."""
-        norm = float(np.linalg.norm(self.weights))
-        return self.weights / norm, self.bias / norm
 
     def decision_value(self, point) -> float:
         point = np.asarray(point, dtype=float).reshape(-1)
@@ -317,13 +313,6 @@ def _polish(X, y, C, z, max_rounds=300):
     return z, False
 
 
-def check_box_constraint(C: float) -> None:
-    """Reject a box constraint that is not a finite positive real number
-    (a bool included)."""
-    if isinstance(C, bool) or not isinstance(C, numbers.Real) or not (math.isfinite(C) and C > 0):
-        raise ValidationError(f"box constraint must be a finite positive number, got {C!r}")
-
-
 def _labeled_points(points, labels) -> tuple[np.ndarray, np.ndarray]:
     """Check finite (n, 2) points with one +1/-1 label each; return both as arrays."""
     X = linalg.check_finite(points, "points")
@@ -353,7 +342,7 @@ def svm_train(
     X, y = _labeled_points(points, labels)
     if np.all(y == y[0]):
         raise SingleClass("training data contains a single class")
-    check_box_constraint(C)
+    linalg.check_positive("box constraint", C)
 
     z, clean = _polish(X, y, C, np.zeros(3))
     beta, b = z[:2], float(z[2])

@@ -5,6 +5,7 @@ report lines alongside the pytest verdicts.
 """
 
 import contextlib
+import dataclasses
 import itertools
 import math
 import time
@@ -64,13 +65,13 @@ def test_criterion_01_reference_coefficient_reproduction():
 
 def test_criterion_02_boundary_reproduction():
     with criterion(2, "boundary reproduction"):
-        bundle = default_bundle()
+        bundle = dataclasses.replace(default_bundle(), boundary_first_simplified=None)
         hot = Mixture(id="a", c3a=10.0, wc=0.5, c3s=40.0)
-        assert classify_mixture(hot, bundle, use_simplified_first=False) is HN
+        assert classify_mixture(hot, bundle) is HN
         moderate = Mixture(id="b", c3a=5.1, wc=0.481, c3s=50.0)
-        assert classify_mixture(moderate, bundle, use_simplified_first=False) is ML
+        assert classify_mixture(moderate, bundle) is ML
         slow = Mixture(id="c", c3a=5.0, wc=0.45, c3s=55.0)
-        assert classify_mixture(slow, bundle, use_simplified_first=False) is LL
+        assert classify_mixture(slow, bundle) is LL
 
 
 EXPECTED_COEFFICIENTS = {

@@ -194,6 +194,24 @@ class TestMalformedBundle:
         assert self._exit_code(tmp_path, path, doc, "predict") == 2
         assert "failure_threshold must be a finite positive number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [0, -1, True])
+    def test_non_positive_box_constraint_exits_2(self, tmp_path, capsys, bundle_doc, value):
+        path, doc = bundle_doc
+        doc["boundary_second"]["box_constraint"] = value
+        assert self._exit_code(tmp_path, path, doc) == 2
+        assert_one_error_line(capsys,
+                              f"box constraint must be a finite positive number, got {value!r}")
+
+    @pytest.mark.parametrize("command", ["classify", "predict"])
+    def test_raw_first_boundary_missing_exits_2(self, tmp_path, capsys, bundle_doc, command):
+        path, doc = bundle_doc
+        doc["boundary_first"] = None
+        assert self._exit_code(tmp_path, path, doc, command) == 0
+        capsys.readouterr()
+        p = tmp_path / "mix.csv"
+        assert main([command, str(p), "--bundle", str(path), "--raw-first-boundary"]) == 2
+        assert_one_error_line(capsys, "no classification boundaries")
+
     def test_model_group_differing_from_its_key_exits_2(self, tmp_path, capsys, bundle_doc):
         path, doc = bundle_doc
         doc["models"]["ML"]["group"] = "LL"
@@ -207,13 +225,15 @@ class TestMalformedBundle:
         ("1e999", "number 1e999 overflows a float"),
         pytest.param("1" + "0" * 400, "int too large to convert to float", id="1e400-int"),
     ])
-    @pytest.mark.parametrize("place", ["second_bias", "ml_coefficient"])
+    @pytest.mark.parametrize("place", ["second_bias", "ml_coefficient", "box_constraint"])
     @pytest.mark.parametrize("command", ["classify", "predict"])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, bundle_doc, command, place,
                                        literal, fragment):
         path, doc = bundle_doc
         if place == "second_bias":
             doc["boundary_second"]["bias"] = "@"
+        elif place == "box_constraint":
+            doc["boundary_second"]["box_constraint"] = "@"
         else:
             doc["models"]["ML"]["coefficients"][0] = "@"
         path.write_text(json.dumps(doc).replace('"@"', literal))
@@ -344,6 +364,26 @@ class TestCluster:
         p.write_text("mixture_id,t_years,expansion_percent\n"
                      + "".join(f"m,{t},0.0\n" for t in range(0, 25, 5)))
         assert main(["cluster", str(p)]) == 3
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--threshold", "-1"], "failure_threshold must be a finite positive number, got -1.0"),
+        (["--threshold", "inf"], "failure_threshold must be a finite positive number, got inf"),
+        (["--cluster-raw", "--alpha", "5"], "alpha must be in [0, 1], got 5.0"),
+    ])
+    @pytest.mark.parametrize("command", ["cluster", "fit"])
+    def test_bad_setting_exits_2_before_reading(self, tmp_path, capsys, command, flags, message):
+        # the input does not exist, so reading it first would report that instead
+        argv = [command, str(tmp_path / "absent"), *flags]
+        if command == "fit":
+            argv += ["--out", str(tmp_path / "b.json")]
+        assert main(argv) == 2
+        assert_one_error_line(capsys, message)
+
+    def test_k_above_three_allowed(self, dataset_dir, capsys):
+        tmp_path, _ = dataset_dir
+        assert main(["--format", "json", "cluster", str(tmp_path / "series.csv"), "--k", "4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert {row["cluster"] for row in doc["clusters"]} == {0, 1, 2, 3}
 
 
 class TestSeedEnvOverride:

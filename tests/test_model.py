@@ -36,6 +36,7 @@ from sulfexp.model import (
     refit_r2_report,
     validate_holdout,
 )
+from sulfexp.svm import LinearBoundary
 
 LL, ML, HN = GroupLabel.LL, GroupLabel.ML, GroupLabel.HN
 
@@ -99,7 +100,8 @@ class TestClassifyMixture:
 
     def test_raw_first_boundary(self):
         mix = Mixture(id="a", wc=0.5, c3a=10.0, c3s=40.0)
-        assert classify_mixture(mix, use_simplified_first=False) is HN
+        raw = dataclasses.replace(default_bundle(), boundary_first_simplified=None)
+        assert classify_mixture(mix, raw) is HN
 
     def test_simplified_threshold_is_strict(self):
         # c3a exactly 8 goes to the linear groups
@@ -137,6 +139,44 @@ class TestClassifyMixture:
             mix = Mixture(id="r", wc=rng.uniform(0.3, 0.7),
                           c3a=rng.uniform(0, 14), c3s=rng.uniform(0, 100))
             assert classify_mixture(mix) in (HN, ML, LL)
+
+
+class TestFirstBoundaryRoute:
+    """The bundle decides the HN route: its simplified first boundary when
+    it has one, else its raw first boundary."""
+
+    def test_raw_route_follows_the_sign_with_zero_as_hn(self):
+        # c3a + 2*wc - 9 is exactly 0 at (8.0, 0.5)
+        first = LinearBoundary(("c3a", "wc"), [1.0, 2.0], bias=-9.0)
+        raw = dataclasses.replace(default_bundle(), boundary_first=first,
+                                  boundary_first_simplified=None)
+        assert classify_mixture(Mixture(id="on", c3a=8.0, wc=0.5, c3s=40.0), raw) is HN
+        second = raw.boundary_second
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            mix = Mixture(id="r", wc=rng.uniform(0.3, 0.7),
+                          c3a=rng.uniform(0, 14), c3s=rng.uniform(0, 100))
+            if first.decision_value([mix.c3a, mix.wc]) >= 0:
+                expected = HN
+            else:
+                expected = ML if second.decision_value([mix.c3s, mix.wc]) >= 0 else LL
+            assert classify_mixture(mix, raw) is expected
+
+    def test_simplified_route_needs_no_raw_boundary(self):
+        simplified_only = dataclasses.replace(default_bundle(), boundary_first=None)
+        assert classify_mixture(Mixture(id="at", c3a=8.0, wc=0.5, c3s=40.0),
+                                simplified_only) is not HN
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            mix = Mixture(id="r", wc=rng.uniform(0.3, 0.7),
+                          c3a=rng.uniform(0, 14), c3s=rng.uniform(0, 100))
+            assert classify_mixture(mix, simplified_only) is classify_mixture(mix)
+
+    def test_no_first_boundary_is_rejected(self):
+        neither = dataclasses.replace(default_bundle(), boundary_first=None,
+                                      boundary_first_simplified=None)
+        with pytest.raises(ValidationError, match="no classification boundaries"):
+            classify_mixture(Mixture(id="m", c3a=5.0, wc=0.5, c3s=40.0), neither)
 
 
 class TestPredictExpansion:

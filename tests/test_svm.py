@@ -242,12 +242,6 @@ class TestClassify:
         for point in ([0.7, 0.1], [-1.0, 2.0], [5.0, -5.0]):
             assert classify(b, point) == classify(scaled, point)
 
-    def test_normalized_form(self):
-        b = LinearBoundary(("x0", "x1"), np.array([3.0, 4.0]), 10.0)
-        w, bias = b.normalized
-        assert np.linalg.norm(w) == pytest.approx(1.0)
-        assert bias == pytest.approx(2.0)
-
 
 class TestLinearBoundaryConstruction:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -260,6 +254,12 @@ class TestLinearBoundaryConstruction:
             weights[int(where[-1])] = bad
         with pytest.raises(NonFiniteValue, match="must be finite"):
             LinearBoundary(("c3s", "wc"), weights, bias=bias)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, True])
+    def test_bad_box_constraint_rejected(self, bad):
+        with pytest.raises(ValidationError,
+                           match=f"box constraint must be a finite positive number, got {bad!r}$"):
+            LinearBoundary(("c3s", "wc"), [1.0, 387.3], bias=-233.6, box_constraint=bad)
 
 
 class TestSimplifyAxisParallel:
