@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
-
-import numpy as np
 
 from . import clustering, curves, dataio, linalg, model
 from .errors import NumericalError, SulfexpError, ValidationError
@@ -54,6 +53,11 @@ def _print_table(header: list[str], rows: list[list[str]]) -> None:
         print(fmt.format(*row))
 
 
+def _json_number(value: float) -> float | None:
+    """``value``, or None (JSON ``null``) where JSON has no number for it."""
+    return value if math.isfinite(value) else None
+
+
 def _emit(args, payload: dict, header: list[str], rows: list[list[str]]) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -78,13 +82,15 @@ def cmd_classify(args) -> int:
         ) if bundle.boundary_second else float("nan")
         rows.append([mix.id, group.value, f"{first:.6g}", f"{second:.6g}"])
         payload.append({"id": mix.id, "group": group.value,
-                        "first_boundary_value": first, "second_boundary_value": second})
+                        "first_boundary_value": _json_number(first),
+                        "second_boundary_value": _json_number(second)})
     _emit(args, {"classifications": payload},
           ["id", "group", "first_boundary", "second_boundary"], rows)
     return 0
 
 
 def cmd_predict(args) -> int:
+    model.check_grid(args.horizon, args.step)
     bundle = _load_bundle(args)
     mixtures = dataio.load_mixtures(args.mixtures)
     if not mixtures:
@@ -184,6 +190,7 @@ def _print_fit_report(payload: dict) -> None:
 
 
 def cmd_smooth(args) -> int:
+    curves.check_alpha(args.alpha)
     series_list = dataio.load_series(args.series)
     if not series_list:
         raise ValidationError(f"no rows in {args.series}")
@@ -202,24 +209,19 @@ def cmd_cluster(args) -> int:
     # the checks and messages of ``fit``; k may exceed 3 in this diagnostic
     curves.check_alpha(args.alpha)
     linalg.check_positive("failure_threshold", args.threshold)
+    clustering.check_settings(args.k, args.seed)
     series_list = dataio.load_series(args.series)
     if not series_list:
         raise ValidationError(f"no rows in {args.series}")
-    features = []
-    for series in series_list:
-        smoothed = curves.smooth(series, args.alpha) if not args.cluster_raw else series
-        features.append(curves.cluster_features(smoothed, args.threshold))
-    feats = np.array(features)
-    points = feats
-    if not args.no_standardize:
-        points, _, _ = clustering.standardize_features(feats)
-    result = clustering.kmeans(points, k=args.k, seed=args.seed)
-    rows = [
-        [series.mixture_id, f"{f[0]:.4g}", f"{f[1]:.6g}", str(int(c))]
-        for series, f, c in zip(series_list, feats, result.assignments)
-    ]
-    payload = [{"id": r[0], "t_fail": float(r[1]), "slope": float(r[2]), "cluster": int(r[3])}
-               for r in rows]
+    if not args.cluster_raw:
+        series_list = [curves.smooth(series, args.alpha) for series in series_list]
+    features, _, _, result = model.cluster_stage(
+        series_list, args.threshold, args.k, args.seed, not args.no_standardize,
+    )
+    records = list(zip(series_list, features.tolist(), result.assignments.tolist()))
+    rows = [[s.mixture_id, f"{t:.4g}", f"{slope:.6g}", str(c)] for s, (t, slope), c in records]
+    payload = [{"id": s.mixture_id, "t_fail": t, "slope": slope, "cluster": c}
+               for s, (t, slope), c in records]
     _emit(args, {"clusters": payload, "objective": result.objective},
           ["id", "t_fail_years", "slope_pct_per_year", "cluster"], rows)
     return 0

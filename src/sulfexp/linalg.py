@@ -38,9 +38,14 @@ def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
 
 
 def check_positive(name: str, value) -> None:
-    """Reject a setting that is not a finite positive real number (a bool included)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and value > 0)):
+    """Reject a setting that is not a finite positive real number (a bool
+    included, and an integer too large for a float)."""
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+              and math.isfinite(value) and value > 0)
+    except OverflowError as exc:  # its repr may be too long to print
+        raise ValidationError(f"{name} must be a finite positive number, got an {exc}") from None
+    if not ok:
         raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
 
 

@@ -274,18 +274,10 @@ def predict_expansion(
     return float(_evaluate(bundle.model_for(group), mix, np.float64(t)))
 
 
-def predict_curve(
-    mix: Mixture,
-    bundle: ModelBundle | None = None,
-    horizon: float = 40.0,
-    step: float = 1.0,
-) -> ExpansionSeries:
-    """Classify, then sample the predicted curve on the grid 0, step, ... <= horizon.
-
-    ``horizon`` and ``step`` must be positive and finite, and the grid may
-    hold at most :data:`MAX_CURVE_POINTS` points; both are checked before
-    anything is allocated.
-    """
+def check_grid(horizon: float, step: float) -> None:
+    """Reject a prediction grid that is not positive and finite, or that
+    would hold more than :data:`MAX_CURVE_POINTS` points (a step longer
+    than the horizon counts as the horizon)."""
     if not (math.isfinite(horizon) and math.isfinite(step) and horizon > 0 and step > 0):
         raise ValidationError(
             f"horizon and step must both be positive and finite, got {horizon} and {step}"
@@ -296,6 +288,20 @@ def predict_curve(
             f"a horizon of {horizon:g} at step {step:g} needs more than "
             f"{MAX_CURVE_POINTS} grid points"
         )
+
+
+def predict_curve(
+    mix: Mixture,
+    bundle: ModelBundle | None = None,
+    horizon: float = 40.0,
+    step: float = 1.0,
+) -> ExpansionSeries:
+    """Classify, then sample the predicted curve on the grid 0, step, ... <= horizon.
+
+    :func:`check_grid` checks the grid before anything is allocated.
+    """
+    check_grid(horizon, step)
+    step = min(step, horizon)
     if bundle is None:
         bundle = _DEFAULT_BUNDLE
     group = classify_mixture(mix, bundle)
@@ -339,20 +345,6 @@ def predicted_failure_time(
     return (target - intercept) / slope
 
 
-def _label_clusters(result: clustering.KMeansResult, features: np.ndarray) -> dict[int, GroupLabel]:
-    """Name clusters by ascending mean failure time: earliest HN, latest LL."""
-    k = result.centroids.shape[0]
-    mean_tfail = []
-    for c in range(k):
-        members = features[result.assignments == c]
-        mean_tfail.append(members[:, 0].mean() if members.size else np.inf)
-    order = np.argsort(mean_tfail, kind="stable")
-    labels = {}
-    for rank, cluster in enumerate(order):
-        labels[int(cluster)] = LABELS_BY_FAILURE_TIME[rank]
-    return labels
-
-
 @contextlib.contextmanager
 def _stage(name: str):
     """Prefix any package error with the pipeline stage it came from."""
@@ -361,6 +353,24 @@ def _stage(name: str):
     except SulfexpError as exc:
         exc.args = (f"{name}: {exc.args[0]}",) + exc.args[1:]
         raise
+
+
+def cluster_stage(
+    series: list[ExpansionSeries], threshold: float, k: int, seed: int, standardize: bool,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, clustering.KMeansResult]:
+    """The fit's "features" and "clustering" stages, which ``sulfexp cluster`` runs too.
+
+    Returns each series' (failure time, slope) features, their z-score
+    means and scales (None unless ``standardize``) and the k-means result.
+    """
+    with _stage("features"):
+        features = np.array([curves.cluster_features(s, threshold) for s in series])
+    with _stage("clustering"):
+        if standardize:
+            points, means, scales = clustering.standardize_features(features)
+        else:
+            points, means, scales = features, None, None
+        return features, means, scales, clustering.kmeans(points, k=k, seed=seed)
 
 
 def dataset_hash(dataset: list[tuple[Mixture, ExpansionSeries]]) -> str:
@@ -429,43 +439,34 @@ def fit_pipeline(
     Smooth each series, extract (failure time, slope) features, k-means
     them into expansion-pattern clusters, name the clusters by ascending
     mean failure time, screen variables per group, fit each group's
-    regression and train the two boundaries. Raises
-    :class:`ValidationError` when two records share a mixture id.
+    regression and train the two boundaries. Records are taken in id order,
+    so row order does not change the fit. Raises :class:`ValidationError`
+    when two records share a mixture id.
     """
     config = config or PipelineConfig()
-    seen: set[str] = set()
-    for mix, _ in dataset:
-        if mix.id in seen:
+    dataset = sorted(dataset, key=lambda pair: pair[0].id)
+    for (mix, _), (following, _) in zip(dataset, dataset[1:]):
+        if mix.id == following.id:
             raise ValidationError(f"mixture id {mix.id!r} appears more than once in the dataset")
-        seen.add(mix.id)
 
     with _stage("smoothing"):
         smoothed = [(mix, curves.smooth(series, config.alpha)) for mix, series in dataset]
 
-    with _stage("features"):
-        feature_source = smoothed if config.smooth_for_clustering else dataset
-        features = np.array([
-            curves.cluster_features(series, config.threshold) for _, series in feature_source
-        ])
-
-    with _stage("clustering"):
-        if config.standardize_features:
-            scaled, f_means, f_scales = clustering.standardize_features(features)
-        else:
-            scaled, f_means, f_scales = features, None, None
-        km = clustering.kmeans(scaled, k=config.k, seed=config.seed)
-        cluster_labels = _label_clusters(km, features)
-        # the group of each dataset row
-        row_labels = [cluster_labels[int(c)] for c in km.assignments]
-
-    groups: dict[GroupLabel, list[int]] = {
-        cluster_labels[c]: [] for c in range(config.k)
-    }
-    for i, label in enumerate(row_labels):
-        groups[label].append(i)
-    for label, members in groups.items():
-        if len(members) < 2:
-            raise EmptyGroup(f"cluster {label} received {len(members)} mixture(s); need >= 2")
+    features, f_means, f_scales, km = cluster_stage(
+        [series for _, series in (smoothed if config.smooth_for_clustering else dataset)],
+        config.threshold, config.k, config.seed, config.standardize_features,
+    )
+    # name the clusters by ascending mean failure time: the earliest HN, the latest LL
+    cluster_rows = [np.flatnonzero(km.assignments == c) for c in range(config.k)]
+    mean_tfail = [features[rows, 0].mean() if rows.size else np.inf for rows in cluster_rows]
+    ranks = np.argsort(np.argsort(mean_tfail, kind="stable"))
+    cluster_labels = [LABELS_BY_FAILURE_TIME[rank] for rank in ranks]
+    # the group of each dataset row
+    row_labels = [cluster_labels[c] for c in km.assignments.tolist()]
+    groups = {cluster_labels[c]: rows.tolist() for c, rows in enumerate(cluster_rows)}
+    for label, rows in groups.items():
+        if len(rows) < 2:
+            raise EmptyGroup(f"cluster {label} received {len(rows)} mixture(s); need >= 2")
 
     pca_selected: dict[GroupLabel, list[pca.SelectedVariable]] = {}
     roles_by_group: dict[GroupLabel, tuple[str, ...] | None] = {}
@@ -513,16 +514,12 @@ def fit_pipeline(
                 pts_second, y_second, C=config.box_constraint, feature_names=SECOND_AXES,
             )
 
-    mean_tfail = {
-        label: float(np.mean([features[i][0] for i in members]))
-        for label, members in groups.items()
-    }
     diagnostics = PipelineDiagnostics(
         assignments={mix.id: label for (mix, _), label in zip(dataset, row_labels)},
         cluster_sizes={label: len(members) for label, members in groups.items()},
         feature_means=f_means,
         feature_scales=f_scales,
-        mean_failure_times=mean_tfail,
+        mean_failure_times=dict(zip(cluster_labels, map(float, mean_tfail))),
         pca_selected=pca_selected,
         kmeans_objective=km.objective,
     )

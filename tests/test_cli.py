@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from sulfexp import svm
 from sulfexp.cli import main
+from sulfexp.curves import cluster_features, smooth
 from sulfexp.dataio import (
     generate_synthetic,
     load_bundle,
@@ -46,6 +49,20 @@ class TestClassify:
         assert main(["--format", "json", "classify", str(p)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["classifications"][0]["group"] == "LL"
+
+    def test_json_without_raw_first_boundary_is_strict(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle.json"
+        save_bundle(dataclasses.replace(default_bundle(), boundary_first=None), bundle)
+        p = tmp_path / "mix.csv"
+        p.write_text(MIX_HEADER + "slow,0.45,5.0,55,,,,\n")
+        assert main(["--format", "json", "classify", str(p), "--bundle", str(bundle)]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        row = doc["classifications"][0]
+        assert row["first_boundary_value"] is None
+        assert row["second_boundary_value"] == default_bundle().boundary_second.decision_value(
+            [55.0, 0.45])
+        assert main(["classify", str(p), "--bundle", str(bundle)]) == 0
+        assert capsys.readouterr().out.splitlines()[2].split()[2] == "nan"
 
     def test_missing_field_exits_2(self, tmp_path, capsys):
         p = tmp_path / "mix.csv"
@@ -289,6 +306,20 @@ class TestFit:
         assert code == 2
         assert "clustering:" in capsys.readouterr().err
 
+    def test_uncertified_svm_exits_3(self, dataset_dir, monkeypatch, capsys):
+        # stop the descent at its start point, uncertified
+        monkeypatch.setattr(svm, "_polish", lambda X, y, C, z: (z, False))
+        tmp_path, _ = dataset_dir
+        assert main(["fit", str(tmp_path / "manifest.json"),
+                     "--out", str(tmp_path / "b.json")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "numerical failure: boundaries: svm training certified no optimum (objective=")
+        assert not (tmp_path / "b.json").exists()
+
     def test_bad_manifest_exits_2(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text("{}")
         assert main(["fit", str(tmp_path / "manifest.json"),
@@ -379,6 +410,46 @@ class TestCluster:
         assert main(argv) == 2
         assert_one_error_line(capsys, message)
 
+    @pytest.mark.parametrize("flags", [[], ["--cluster-raw"]])
+    def test_json_carries_full_floats(self, dataset_dir, capsys, flags):
+        tmp_path, ds = dataset_dir
+        assert main(["--format", "json", "cluster", str(tmp_path / "series.csv"), *flags]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        series = {s.mixture_id: s for _, s in ds.pairs}
+        for row in doc["clusters"]:
+            record = series[row["id"]]
+            if not flags:
+                record = smooth(record)
+            assert [row["t_fail"], row["slope"]] == cluster_features(record).tolist()
+
+    @pytest.mark.parametrize("rows,flags,code,message", [
+        ("".join(f"m,{t},0.0\n" for t in range(0, 25, 5)), [], 3,
+         "features: series 'm' never reaches 0.5"),
+        ("".join(f"{m},{t},{0.1 * t * (i + 1)}\n" for i, m in enumerate("abc")
+                 for t in range(0, 25, 5)), ["--k", "4"], 2,
+         "clustering: 3 points cannot fill 4 clusters"),
+    ], ids=["features", "clustering"])
+    def test_errors_carry_the_fit_stage_prefixes(self, tmp_path, capsys, rows, flags, code,
+                                                 message):
+        p = tmp_path / "series.csv"
+        p.write_text("mixture_id,t_years,expansion_percent\n" + rows)
+        assert main(["cluster", str(p), *flags]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["smooth", "--alpha", "2", "--out", "x.csv"], "alpha must be in [0, 1], got 2.0"),
+        (["cluster", "--k", "0"], "k, max_iter and restarts must all be >= 1"),
+        (["cluster", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        (["predict", "--horizon", "-1"],
+         "horizon and step must both be positive and finite, got -1.0 and 1.0"),
+    ], ids=["smooth-alpha", "cluster-k", "cluster-seed", "predict-horizon"])
+    def test_bad_flag_exits_2_before_reading(self, tmp_path, capsys, argv, message):
+        # the input does not exist, so reading it first would report that instead
+        command, *flags = argv
+        assert main([command, str(tmp_path / "absent"), *flags]) == 2
+        assert_one_error_line(capsys, message)
+
     def test_k_above_three_allowed(self, dataset_dir, capsys):
         tmp_path, _ = dataset_dir
         assert main(["--format", "json", "cluster", str(tmp_path / "series.csv"), "--k", "4"]) == 0
@@ -400,6 +471,10 @@ class TestSeedEnvOverride:
         monkeypatch.setenv("SULFEXP_SEED", "abc")
         assert main(["classify", str(p)]) == 2
         assert "SULFEXP_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+def reject_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
 
 
 def assert_one_error_line(capsys, *fragments):

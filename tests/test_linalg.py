@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,8 @@ from sulfexp.errors import (
     ValidationError,
 )
 from sulfexp.linalg import check_positive, dominant_eigenpair, sign_convention, solve_symmetric
+from sulfexp.model import PipelineConfig, default_bundle
+from sulfexp.svm import LinearBoundary
 
 
 def _gauss_solve(A, b, pivot_floor):
@@ -339,6 +342,24 @@ class TestCheckPositive:
         with pytest.raises(ValidationError,
                            match=r"^knob must be a finite positive number, got "):
             check_positive("knob", bad)
+
+    @pytest.mark.parametrize("bad", [10**400, -(10**400), Fraction(10**400)])
+    def test_too_large_for_a_float_rejected(self, bad):
+        with pytest.raises(ValidationError,
+                           match=r"^knob must be a finite positive number, got "):
+            check_positive("knob", bad)
+
+    @pytest.mark.parametrize("build,name", [
+        (lambda: PipelineConfig(threshold=10**400), "failure_threshold"),
+        (lambda: PipelineConfig(box_constraint=10**400), "box constraint"),
+        (lambda: LinearBoundary(feature_names=("x0", "x1"), weights=[1.0, 0.0], bias=0.0,
+                                box_constraint=10**400), "box constraint"),
+        (lambda: dataclasses.replace(default_bundle(), failure_threshold=10**400),
+         "failure_threshold"),
+    ], ids=["config-threshold", "config-box-constraint", "boundary", "bundle"])
+    def test_callers_reject_an_int_too_large_for_a_float(self, build, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be a finite positive number"):
+            build()
 
     @pytest.mark.parametrize("good", [5e-324, 1, 0.5, np.float64(2.0), Fraction(1, 3)])
     def test_accepted(self, good):

@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sulfexp.curves import ExpansionSeries
-from sulfexp.dataio import generate_synthetic
+from sulfexp import svm
+from sulfexp.curves import ExpansionSeries, cluster_features, smooth
+from sulfexp.dataio import generate_synthetic, save_bundle
 from sulfexp.errors import (
     AlreadyFailed,
     EmptyGroup,
     MissingField,
     NegativeTime,
+    NoConvergence,
     NonIncreasing,
     NonPositiveTrend,
     PredictionOverflow,
@@ -517,6 +519,36 @@ class TestFitPipeline:
                                    samples=np.array((series.times, series.values)).T))
         with pytest.raises(ValidationError, match="'syn0001' appears more than once"):
             fit_pipeline(pairs[:-1] + [renamed])
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.sampled_from([0, 1, 2]), order=st.permutations(range(40)))
+    def test_row_order_does_not_change_the_saved_bundle(self, tmp_path_factory, seed, order):
+        pairs = generate_synthetic((12, 16, 12), noise=0.03, seed=seed).pairs
+        path = tmp_path_factory.mktemp("bundles") / "bundle.json"
+        save_bundle(fit_pipeline(pairs), path)
+        expected = path.read_bytes()
+        shuffled = fit_pipeline([pairs[i] for i in order])
+        save_bundle(shuffled, path)
+        assert path.read_bytes() == expected
+        assert list(shuffled.diagnostics.assignments) == [mix.id for mix, _ in pairs]
+
+    def test_mean_failure_times_name_the_clusters(self):
+        pairs = generate_synthetic((12, 16, 12), noise=0.03, seed=0).pairs
+        diagnostics = fit_pipeline(pairs).diagnostics
+        t_fail = {mix.id: cluster_features(smooth(series))[0] for mix, series in pairs}
+        means = diagnostics.mean_failure_times
+        for label in (HN, ML, LL):
+            members = [t_fail[m] for m, group in diagnostics.assignments.items() if group is label]
+            assert means[label] == np.mean(members)
+        assert means[HN] < means[ML] < means[LL]
+
+    def test_uncertified_svm_raises_no_convergence(self, monkeypatch):
+        # stop the descent at its start point, uncertified
+        monkeypatch.setattr(svm, "_polish", lambda X, y, C, z: (z, False))
+        with pytest.raises(NoConvergence) as excinfo:
+            fit_pipeline(generate_synthetic((6, 8, 6), noise=0.0, seed=11).pairs)
+        assert str(excinfo.value).startswith("boundaries: svm training certified no optimum")
+        assert "objective" in excinfo.value.diagnostics
 
     def test_deterministic(self):
         ds = generate_synthetic((6, 8, 6), noise=0.02, seed=9)
