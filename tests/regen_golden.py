@@ -1,10 +1,12 @@
 """Regenerate ``golden_fits.json``, the exact fingerprints of reference fits.
 
 Run from the repository root with ``PYTHONPATH=src python tests/regen_golden.py``.
-Each golden dataset is generated, fitted with the default configuration and
-reduced to its input hash, the sha256 of the saved bundle and the ``repr``
+Each golden entry names a generated dataset and a fit configuration (the
+default one unless the entry says otherwise). The dataset is generated,
+fitted with that configuration and reduced to its input hash, the sha256 of the saved bundle and the ``repr``
 of every coefficient, boundary weight and bias and of each raw boundary's
-training objective, plus the cluster assignments. Before overwriting an
+training objective, plus the cluster assignments. A partial bundle records ``null`` for each
+boundary it lacks. Before overwriting an
 existing file the script prints, per field, the largest relative drift
 from the stored values, so a deliberate numerical change can be
 documented; the objectives tell a move along a flat optimum (equal
@@ -24,11 +26,18 @@ import sys
 import tempfile
 from pathlib import Path
 
-from sulfexp import fit_pipeline, generate_synthetic, save_bundle
+from sulfexp import PipelineConfig, fit_pipeline, generate_synthetic, save_bundle
 from sulfexp.model import dataset_hash
 
 GOLDEN_PATH = Path(__file__).with_name("golden_fits.json")
 NOISE = 0.03
+#: named fit configurations; entries of the default one keep the bare dataset key
+CONFIGS = {
+    "default": {},
+    "raw-features": {"smooth_for_clustering": False, "standardize_features": False},
+    "data-driven": {"data_driven_variables": True},
+    "k2": {"k": 2},
+}
 #: (HN, ML, LL) counts and generator seed of every golden dataset
 DATASETS = (
     ((12, 16, 12), 0),
@@ -37,13 +46,21 @@ DATASETS = (
     ((12, 16, 12), 3),
     ((120, 160, 120), 0),
 )
+#: (counts, seed, configuration) of every golden entry: each dataset with the
+#: default configuration, and the other three on the first and the last
+ENTRIES = tuple((counts, seed, "default") for counts, seed in DATASETS) + tuple(
+    (counts, seed, config)
+    for counts, seed in (DATASETS[0], DATASETS[-1])
+    for config in ("raw-features", "data-driven", "k2")
+)
 BOUNDARIES = ("boundary_first", "boundary_first_simplified", "boundary_second")
 #: boundaries trained by the SVM, which carry their primal objective
 RAW_BOUNDARIES = ("boundary_first", "boundary_second")
 
 
-def dataset_key(counts, seed) -> str:
-    return f"{'-'.join(map(str, counts))}@{seed}"
+def dataset_key(counts, seed, config="default") -> str:
+    key = f"{'-'.join(map(str, counts))}@{seed}"
+    return key if config == "default" else f"{key}/{config}"
 
 
 def bundle_sha256(bundle) -> str:
@@ -53,13 +70,16 @@ def bundle_sha256(bundle) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def snapshot(counts, seed) -> dict:
-    """Fit one golden dataset and fingerprint the result."""
+def snapshot(counts, seed, config="default") -> dict:
+    """Fit one golden dataset with the named configuration and fingerprint the result."""
     pairs = generate_synthetic(counts, noise=NOISE, seed=seed).pairs
-    bundle = fit_pipeline(pairs)
+    bundle = fit_pipeline(pairs, PipelineConfig(**CONFIGS[config]))
     boundaries = {}
     for name in BOUNDARIES:
         boundary = getattr(bundle, name)
+        if boundary is None:
+            boundaries[name] = None
+            continue
         boundaries[name] = {
             "weights": [repr(float(w)) for w in boundary.weights],
             "bias": repr(boundary.bias),
@@ -80,7 +100,7 @@ def snapshot(counts, seed) -> dict:
 
 
 def snapshot_all() -> dict:
-    return {dataset_key(counts, seed): snapshot(counts, seed) for counts, seed in DATASETS}
+    return {dataset_key(*entry): snapshot(*entry) for entry in ENTRIES}
 
 
 def _relative(old: str, new: str) -> float:
@@ -105,6 +125,8 @@ def drift_table(old: dict, new: dict) -> list[tuple[str, str]]:
             note(f"coefficients {group}", before["coefficients"][group],
                  after["coefficients"][group])
         for name in BOUNDARIES:
+            if before["boundaries"][name] is None or after["boundaries"][name] is None:
+                continue
             note(f"{name}.weights", before["boundaries"][name]["weights"],
                  after["boundaries"][name]["weights"])
             note(f"{name}.bias", [before["boundaries"][name]["bias"]],

@@ -1,6 +1,8 @@
-"""Golden-fit guard: the default pipeline reproduces stored fits exactly.
+"""Golden-fit guard: the pipeline reproduces stored fits exactly.
 
-``golden_fits.json`` holds, per generated dataset, the input hash, the
+``golden_fits.json`` holds, per generated dataset and fit configuration
+(the default one, raw-curve features, data-driven roles and the partial
+bundle of ``k=2``), the input hash, the
 sha256 of the saved bundle and the ``repr`` of every fitted number. A
 change that moves any of them on purpose regenerates the file with
 ``tests/regen_golden.py`` and documents the printed drift table.
@@ -16,17 +18,17 @@ GOLDEN = json.loads(regen_golden.GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
 def test_golden_file_covers_every_dataset():
-    keys = {regen_golden.dataset_key(counts, seed) for counts, seed in regen_golden.DATASETS}
+    keys = {regen_golden.dataset_key(*entry) for entry in regen_golden.ENTRIES}
     assert set(GOLDEN) == keys
 
 
 @pytest.mark.parametrize(
-    "counts,seed", regen_golden.DATASETS,
-    ids=[regen_golden.dataset_key(c, s) for c, s in regen_golden.DATASETS],
+    "counts,seed,config", regen_golden.ENTRIES,
+    ids=[regen_golden.dataset_key(*entry) for entry in regen_golden.ENTRIES],
 )
-def test_fit_matches_golden(counts, seed):
-    stored = GOLDEN[regen_golden.dataset_key(counts, seed)]
-    fresh = regen_golden.snapshot(counts, seed)
+def test_fit_matches_golden(counts, seed, config):
+    stored = GOLDEN[regen_golden.dataset_key(counts, seed, config)]
+    fresh = regen_golden.snapshot(counts, seed, config)
     if fresh["dataset_hash"] != stored["dataset_hash"]:
         pytest.fail(
             f"the generator moved: input hash {fresh['dataset_hash']} != stored "
