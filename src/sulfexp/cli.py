@@ -194,11 +194,11 @@ def cmd_smooth(args) -> int:
     series_list = dataio.load_series(args.series)
     if not series_list:
         raise ValidationError(f"no rows in {args.series}")
+    smoothed = curves.smooth(curves.SeriesBlock.from_series(series_list), args.alpha)
     out_series = []
     labels = []
-    for series in series_list:
-        smoothed = curves.smooth(series, args.alpha)
-        out_series.extend([series, smoothed])
+    for i, series in enumerate(series_list):
+        out_series.extend([series, smoothed.series(i)])
         labels.extend([f"{series.mixture_id}/original", f"{series.mixture_id}/smoothed"])
     dataio.emit_plot_data(out_series, args.out, labels=labels)
     print(f"wrote {len(series_list)} smoothed curve pair(s) to {args.out}")
@@ -213,15 +213,16 @@ def cmd_cluster(args) -> int:
     series_list = dataio.load_series(args.series)
     if not series_list:
         raise ValidationError(f"no rows in {args.series}")
+    block = curves.SeriesBlock.from_series(series_list)
     if not args.cluster_raw:
-        series_list = [curves.smooth(series, args.alpha) for series in series_list]
+        block = curves.smooth(block, args.alpha)
     features, _, _, result = model.cluster_stage(
-        series_list, args.threshold, args.k, args.seed, not args.no_standardize,
+        block, args.threshold, args.k, args.seed, not args.no_standardize,
     )
-    records = list(zip(series_list, features.tolist(), result.assignments.tolist()))
-    rows = [[s.mixture_id, f"{t:.4g}", f"{slope:.6g}", str(c)] for s, (t, slope), c in records]
-    payload = [{"id": s.mixture_id, "t_fail": t, "slope": slope, "cluster": c}
-               for s, (t, slope), c in records]
+    records = list(zip(block.ids, features.tolist(), result.assignments.tolist()))
+    rows = [[mid, f"{t:.4g}", f"{slope:.6g}", str(c)] for mid, (t, slope), c in records]
+    payload = [{"id": mid, "t_fail": t, "slope": slope, "cluster": c}
+               for mid, (t, slope), c in records]
     _emit(args, {"clusters": payload, "objective": result.objective},
           ["id", "t_fail_years", "slope_pct_per_year", "cluster"], rows)
     return 0

@@ -9,12 +9,13 @@ identical output.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooFewPoints, ValidationError
+from .errors import DimensionMismatch, NonFiniteValue, TooFewPoints, ValidationError
 from .linalg import check_finite
 
 DEFAULT_RESTARTS = 16
@@ -139,7 +140,8 @@ def kmeans(
     seeded by (seed, restart). ``converged`` is True when an assignment
     pass produced no change before ``max_iter``. All-identical points with
     k > 1 are not an error: the surplus clusters come back empty and are
-    listed in ``empty_clusters``.
+    listed in ``empty_clusters``. Points whose squared distances overflow a
+    float raise :class:`NonFiniteValue`.
     """
     pts = _as_points(points)
     n = pts.shape[0]
@@ -151,7 +153,9 @@ def kmeans(
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         idx = rng.choice(n, size=k, replace=False)
-        centroids, assignments, trace, iterations, converged = _lloyd(pts, pts[idx], max_iter)
+        # points too large for their squared distances are rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            centroids, assignments, trace, iterations, converged = _lloyd(pts, pts[idx], max_iter)
         objective = trace[-1]
         if best is None or objective < best.objective - 1e-15:
             present = np.unique(assignments)
@@ -166,6 +170,8 @@ def kmeans(
                 empty_clusters=empty,
             )
     assert best is not None
+    if not math.isfinite(best.objective):
+        raise NonFiniteValue("squared distances between the points overflow a float")
     return best
 
 
@@ -173,10 +179,14 @@ def standardize_features(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     """Z-score each feature column; constant columns get scale 1.
 
     Returns (scaled points, means, scales) so new points can be projected
-    into the same feature space.
+    into the same feature space. Raises :class:`NonFiniteValue` when a
+    column's mean or spread overflows a float.
     """
     pts = _as_points(points)
-    means = pts.mean(axis=0)
-    scales = pts.std(axis=0, ddof=1) if pts.shape[0] > 1 else np.ones(pts.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = pts.mean(axis=0)
+        scales = pts.std(axis=0, ddof=1) if pts.shape[0] > 1 else np.ones(pts.shape[1])
+    if not (np.isfinite(means).all() and np.isfinite(scales).all()):
+        raise NonFiniteValue("the mean or spread of a feature overflows a float")
     scales = np.where(scales > 0, scales, 1.0)
     return (pts - means) / scales, means, scales

@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
-import operator
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -22,11 +21,10 @@ from types import MappingProxyType
 import numpy as np
 
 from . import clustering, curves, linalg, pca, regression, svm
-from .curves import DEFAULT_ALPHA, DEFAULT_THRESHOLD, ExpansionSeries
+from .curves import DEFAULT_ALPHA, DEFAULT_THRESHOLD, ExpansionSeries, SeriesBlock
 from .errors import (
     AlreadyFailed,
     EmptyGroup,
-    MissingField,
     NegativeTime,
     NonIncreasing,
     PredictionOverflow,
@@ -44,7 +42,6 @@ PROVENANCE_FITTED = "fitted"
 #: scheme of :func:`dataset_hash`, named in every fingerprint it returns
 DATASET_HASH_SCHEME = "b2"
 _DATASET_HASH_TAG = f"sulfexp-dataset-{DATASET_HASH_SCHEME}".encode()
-_mixture_fields = operator.attrgetter(*MIXTURE_FIELDS)
 
 #: most points a predicted curve's time grid may hold
 MAX_CURVE_POINTS = 100_000
@@ -356,15 +353,15 @@ def _stage(name: str):
 
 
 def cluster_stage(
-    series: list[ExpansionSeries], threshold: float, k: int, seed: int, standardize: bool,
+    block: SeriesBlock, threshold: float, k: int, seed: int, standardize: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, clustering.KMeansResult]:
     """The fit's "features" and "clustering" stages, which ``sulfexp cluster`` runs too.
 
-    Returns each series' (failure time, slope) features, their z-score
+    Returns each record's (failure time, slope) features, their z-score
     means and scales (None unless ``standardize``) and the k-means result.
     """
     with _stage("features"):
-        features = np.array([curves.cluster_features(s, threshold) for s in series])
+        features = curves.cluster_features(block, threshold)
     with _stage("clustering"):
         if standardize:
             points, means, scales = clustering.standardize_features(features)
@@ -392,42 +389,35 @@ def dataset_hash(dataset: list[tuple[Mixture, ExpansionSeries]]) -> str:
     into records one way only. The fingerprint names the set of records:
     row order does not change it.
     """
-    records = sorted(dataset, key=lambda p: p[0].id)
-    ids = [mix.id.encode() for mix, _ in records]
-    # None becomes NaN, which marks an absent field: a Mixture holds finite values only
-    rows = np.array([_mixture_fields(mix) for mix, _ in records], dtype=float)
-    rows = rows.reshape(-1, len(MIXTURE_FIELDS))
-    present = ~np.isnan(rows)
+    return _fingerprint(SeriesBlock.from_pairs(sorted(dataset, key=lambda p: p[0].id)))
+
+
+def _fingerprint(block: SeriesBlock) -> str:
+    """:func:`dataset_hash` of the records of ``block``, taken in block order."""
+    ids = [mid.encode() for mid in block.ids]
+    present = ~np.isnan(block.fields)
     mask = np.packbits(present, axis=1, bitorder="little")
-    matrix = np.where(present, rows, 0.0).astype("<f8", copy=False)
-    series = [s for _, s in records]
+    matrix = np.where(present, block.fields, 0.0).astype("<f8", copy=False)
     h = hashlib.sha256(_DATASET_HASH_TAG)
-    h.update(np.array([len(records)], dtype="<u8").tobytes())
+    h.update(np.array([len(ids)], dtype="<u8").tobytes())
     h.update(np.array([len(i) for i in ids], dtype="<u8").tobytes())
     h.update(b"".join(ids))
     h.update(mask.tobytes())
     h.update(matrix.tobytes())
-    h.update(np.array([len(s.times) for s in series], dtype="<u8").tobytes())
-    for column in ("times", "values"):
-        arrays = [getattr(s, column) for s in series]
-        h.update(np.concatenate(arrays or [np.empty(0)]).astype("<f8", copy=False).tobytes())
+    h.update(block.lengths.astype("<u8").tobytes())
+    for column in (block.times, block.values):
+        h.update(column.astype("<f8", copy=False).tobytes())
     return f"{DATASET_HASH_SCHEME}:{h.hexdigest()[:16]}"
 
 
-def _fit_group(
-    label: GroupLabel,
-    members: list[int],
-    dataset: list[tuple[Mixture, ExpansionSeries]],
-    smoothed: list[tuple[Mixture, ExpansionSeries]],
-    roles: tuple[str, ...] | None,
-) -> GroupModel:
-    """Fit one group's regression on the dataset rows ``members``.
+def _regression_block(label: GroupLabel, raw: SeriesBlock, smoothed: SeriesBlock,
+                      members) -> SeriesBlock:
+    """The records ``members`` that fit group ``label``'s regression.
 
     HN is fitted on its raw curves, whose exponential shape a three-point
     average would distort; the linear groups on their smoothed curves.
     """
-    source = dataset if label in regression.LOG_RESPONSE_GROUPS else smoothed
-    return regression.fit_group_model([source[i] for i in members], label, roles)
+    return (raw if label in regression.LOG_RESPONSE_GROUPS else smoothed).subset(members)
 
 
 def fit_pipeline(
@@ -440,20 +430,25 @@ def fit_pipeline(
     them into expansion-pattern clusters, name the clusters by ascending
     mean failure time, screen variables per group, fit each group's
     regression and train the two boundaries. Records are taken in id order,
-    so row order does not change the fit. Raises :class:`ValidationError`
-    when two records share a mixture id.
+    so row order does not change the fit. Every stage reads one
+    :class:`~sulfexp.curves.SeriesBlock` of the records, built once, in
+    whole-array passes. Raises :class:`ValidationError` for an empty
+    dataset and when two records share a mixture id.
     """
     config = config or PipelineConfig()
     dataset = sorted(dataset, key=lambda pair: pair[0].id)
+    if not dataset:
+        raise ValidationError("the dataset holds no records")
     for (mix, _), (following, _) in zip(dataset, dataset[1:]):
         if mix.id == following.id:
             raise ValidationError(f"mixture id {mix.id!r} appears more than once in the dataset")
+    block = SeriesBlock.from_pairs(dataset)
 
     with _stage("smoothing"):
-        smoothed = [(mix, curves.smooth(series, config.alpha)) for mix, series in dataset]
+        smoothed = curves.smooth(block, config.alpha)
 
     features, f_means, f_scales, km = cluster_stage(
-        [series for _, series in (smoothed if config.smooth_for_clustering else dataset)],
+        smoothed if config.smooth_for_clustering else block,
         config.threshold, config.k, config.seed, config.standardize_features,
     )
     # name the clusters by ascending mean failure time: the earliest HN, the latest LL
@@ -463,10 +458,10 @@ def fit_pipeline(
     cluster_labels = [LABELS_BY_FAILURE_TIME[rank] for rank in ranks]
     # the group of each dataset row
     row_labels = [cluster_labels[c] for c in km.assignments.tolist()]
-    groups = {cluster_labels[c]: rows.tolist() for c, rows in enumerate(cluster_rows)}
+    groups = {cluster_labels[c]: rows for c, rows in enumerate(cluster_rows)}
     for label, rows in groups.items():
-        if len(rows) < 2:
-            raise EmptyGroup(f"cluster {label} received {len(rows)} mixture(s); need >= 2")
+        if rows.size < 2:
+            raise EmptyGroup(f"cluster {label} received {rows.size} mixture(s); need >= 2")
 
     pca_selected: dict[GroupLabel, list[pca.SelectedVariable]] = {}
     roles_by_group: dict[GroupLabel, tuple[str, ...] | None] = {}
@@ -474,9 +469,8 @@ def fit_pipeline(
         for label, members in groups.items():
             pca_selected[label] = []
             roles_by_group[label] = None
-            try:
-                matrix = np.array([dataset[i][0].feature_row() for i in members])
-            except MissingField:
+            matrix = block.fields[members]
+            if np.isnan(matrix).any():
                 continue
             m = min(pca.DEFAULT_COMPONENTS, matrix.shape[0] - 1, matrix.shape[1])
             if m < 1:
@@ -492,7 +486,8 @@ def fit_pipeline(
 
     with _stage("regression"):
         models = {
-            label: _fit_group(label, members, dataset, smoothed, roles_by_group[label])
+            label: regression.fit_group_model(
+                _regression_block(label, block, smoothed, members), label, roles_by_group[label])
             for label, members in groups.items()
         }
 
@@ -500,7 +495,7 @@ def fit_pipeline(
     partial = len(groups) < 3
     if not partial:
         with _stage("boundaries"):
-            pts_first = np.array([mix.require(*FIRST_AXES) for mix, _ in dataset])
+            pts_first = block.require(FIRST_AXES)
             y_first = np.array([1.0 if label is GroupLabel.HN else -1.0 for label in row_labels])
             boundary_first = svm.svm_train(
                 pts_first, y_first, C=config.box_constraint, feature_names=FIRST_AXES,
@@ -508,15 +503,15 @@ def fit_pipeline(
             boundary_first_simplified = svm.simplify_axis_parallel(boundary_first, pts_first, y_first)
 
             rest = [i for i, label in enumerate(row_labels) if label is not GroupLabel.HN]
-            pts_second = np.array([dataset[i][0].require(*SECOND_AXES) for i in rest])
+            pts_second = block.require(SECOND_AXES, rest)
             y_second = np.array([1.0 if row_labels[i] is GroupLabel.ML else -1.0 for i in rest])
             boundary_second = svm.svm_train(
                 pts_second, y_second, C=config.box_constraint, feature_names=SECOND_AXES,
             )
 
     diagnostics = PipelineDiagnostics(
-        assignments={mix.id: label for (mix, _), label in zip(dataset, row_labels)},
-        cluster_sizes={label: len(members) for label, members in groups.items()},
+        assignments=dict(zip(block.ids, row_labels)),
+        cluster_sizes={label: members.size for label, members in groups.items()},
         feature_means=f_means,
         feature_scales=f_scales,
         mean_failure_times=dict(zip(cluster_labels, map(float, mean_tfail))),
@@ -528,7 +523,7 @@ def fit_pipeline(
         boundary_first=boundary_first,
         boundary_first_simplified=boundary_first_simplified,
         boundary_second=boundary_second,
-        provenance=f"{PROVENANCE_FITTED} data={dataset_hash(dataset)} seed={config.seed}",
+        provenance=f"{PROVENANCE_FITTED} data={_fingerprint(block)} seed={config.seed}",
         failure_threshold=config.threshold,
         partial=partial,
         diagnostics=diagnostics,
@@ -605,7 +600,8 @@ def refit_r2_report(
             raise ValidationError(
                 f"bundle model for {label} has no fit statistics; refit needs a fitted bundle"
             )
-    smoothed = [(mix, curves.smooth(series, DEFAULT_ALPHA)) for mix, series in dataset]
+    block = SeriesBlock.from_pairs(dataset)
+    smoothed = curves.smooth(block, DEFAULT_ALPHA)
     regrouped: dict[GroupLabel, list[int]] = {label: [] for label in bundle.models}
     for i, (mix, _) in enumerate(dataset):
         label = classify_mixture(mix, bundle)
@@ -615,7 +611,8 @@ def refit_r2_report(
     for label, members in regrouped.items():
         if len(members) < 2:
             raise EmptyGroup(f"boundary reassignment left group {label} with {len(members)} mixture(s)")
-        refit = _fit_group(label, members, dataset, smoothed, bundle.models[label].variable_roles)
+        refit = regression.fit_group_model(_regression_block(label, block, smoothed, members),
+                                           label, bundle.models[label].variable_roles)
         report[label] = GroupRefit(
             group=label,
             r2_original=bundle.models[label].fit.r_squared,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .curves import ExpansionSeries
+from .curves import ExpansionSeries, SeriesBlock
 from .errors import (
     ConstantResponse,
     DimensionMismatch,
@@ -86,7 +86,9 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> OLSFit:
     R-squared is the explained-to-total variance ratio of the fitted
     values. A constant response is only fit when the residual is exactly
     zero (trivial perfect fit, R-squared 1); otherwise it raises
-    :class:`ConstantResponse` because the ratio is undefined.
+    :class:`ConstantResponse` because the ratio is undefined. Values too
+    large for the normal equations or the sums of squares raise
+    :class:`NonFiniteValue`.
     """
     X = linalg.check_finite(X, "X")
     y = linalg.check_finite(y, "y").reshape(-1)
@@ -98,20 +100,26 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> OLSFit:
     if n <= p:
         raise TooFewRows(f"need more observations than coefficients ({n} rows, {p} columns)")
 
+    # values too large for the sums of squares are rejected after each step
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, moments = X.T @ X, X.T @ y
     # one solve gives beta and (X^T X)^-1, whose diagonal scales the t-statistics
     try:
-        solution = linalg.solve_symmetric(X.T @ X, np.column_stack([X.T @ y, np.eye(p)]))
+        solution = linalg.solve_symmetric(gram, np.column_stack([moments, np.eye(p)]))
     except SingularMatrix as exc:
         raise RankDeficient(f"regressor matrix is numerically rank deficient: {exc}") from exc
     beta = solution[:, 0].copy()
     inv_diag = np.diagonal(solution[:, 1:])
 
-    fitted = X @ beta
-    residuals = y - fitted
-    rss = float(residuals @ residuals)
-    y_bar = float(y.mean())
-    tss = float(((y - y_bar) ** 2).sum())
-    scale = max(1.0, float(y @ y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fitted = X @ beta
+        residuals = y - fitted
+        rss = float(residuals @ residuals)
+        y_bar = float(y.mean())
+        tss = float(((y - y_bar) ** 2).sum())
+        scale = max(1.0, float(y @ y))
+    if not (math.isfinite(rss) and math.isfinite(tss) and math.isfinite(scale)):
+        raise NonFiniteValue("a sum of squares of the fit overflows a float")
     if tss <= 1e-14 * scale:
         if rss <= 1e-14 * scale:
             r_squared = 1.0
@@ -195,23 +203,29 @@ class GroupModel:
         return slope, intercept
 
 
+def _as_block(data) -> SeriesBlock:
+    return data if isinstance(data, SeriesBlock) else SeriesBlock.from_pairs(data)
+
+
 def design_rows(
-    pairs: list[tuple[Mixture, ExpansionSeries]],
+    data: SeriesBlock | list[tuple[Mixture, ExpansionSeries]],
     roles: tuple[str, ...],
     log_response: bool,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Pool every (mixture, sample) into regressor rows and responses.
 
-    Rows follow the pairs in order, each series' samples in time order.
-    For a log response, rows whose expansion is not strictly positive are
-    dropped and counted; the logarithm is undefined there. Each
-    time-scaled column is the mixture's field value repeated once per kept
-    sample times the pooled sample times, so a mixture's fields are read
-    (and a missing one raises :class:`MissingField`) only if it keeps rows.
+    ``data`` is a :class:`SeriesBlock` or a list of (mixture, series)
+    pairs, which is read as the block of those pairs. Rows follow the
+    records in order, each record's samples in time order. For a log
+    response, rows whose expansion is not strictly positive are dropped
+    and counted; the logarithm is undefined there. Each time-scaled column
+    is the record's field value repeated once per kept sample times the
+    pooled sample times, so a record's fields are read (and a missing one
+    raises :class:`MissingField`) only if it keeps rows.
     """
-    kept = np.array([len(series) for _, series in pairs], dtype=int)
-    times = np.concatenate([series.times for _, series in pairs]) if pairs else np.empty(0)
-    values = np.concatenate([series.values for _, series in pairs]) if pairs else np.empty(0)
+    block = _as_block(data)
+    kept = block.lengths
+    times, values = block.times, block.values
     n_samples = times.size
     if log_response:
         keep = values > 0
@@ -225,31 +239,34 @@ def design_rows(
     check_roles(roles)
     scaled = [j for j, role in enumerate(roles) if role != CONST_ROLE]
     fields = [_T_ROLES[roles[j]] for j in scaled]
-    scales = np.array([
-        [1.0 if f is None else mixture.require(f)[0] for f in fields]
-        for (mixture, _), n in zip(pairs, kept.tolist()) if n
-    ])
+    rows = np.flatnonzero(kept)
+    scales = np.ones((rows.size, len(fields)))
+    named = [j for j, f in enumerate(fields) if f is not None]
+    scales[:, named] = block.require([fields[j] for j in named], rows)
     X = np.ones((times.size, len(roles)))
-    X[:, scaled] = np.repeat(scales, kept[kept > 0], axis=0) * times[:, None]
+    with np.errstate(over="ignore"):  # ols_fit rejects a regressor that overflows
+        X[:, scaled] = np.repeat(scales, kept[rows], axis=0) * times[:, None]
     return X, y, n_samples - times.size
 
 
 def fit_group_model(
-    pairs: list[tuple[Mixture, ExpansionSeries]],
+    data: SeriesBlock | list[tuple[Mixture, ExpansionSeries]],
     group: GroupLabel,
     roles: tuple[str, ...] | None = None,
 ) -> GroupModel:
-    """Fit one group's model on pooled rows from its member series.
+    """Fit one group's model on pooled rows from its member records.
 
-    ``roles`` defaults to the group's canonical form; passing an explicit
-    tuple (for data-driven variable selection) keeps the group's response
-    transform but swaps the regressors.
+    ``data`` is a :class:`SeriesBlock` or a list of (mixture, series)
+    pairs. ``roles`` defaults to the group's canonical form; passing an
+    explicit tuple (for data-driven variable selection) keeps the group's
+    response transform but swaps the regressors.
     """
-    if len(pairs) < 2:
-        raise TooFewRows(f"group {group} needs >= 2 mixtures, got {len(pairs)}")
+    block = _as_block(data)
+    if len(block.ids) < 2:
+        raise TooFewRows(f"group {group} needs >= 2 mixtures, got {len(block.ids)}")
     roles = GROUP_ROLES[group] if roles is None else tuple(roles)
     log_response = group in LOG_RESPONSE_GROUPS
-    X, y, dropped = design_rows(pairs, roles, log_response)
+    X, y, dropped = design_rows(block, roles, log_response)
     fit = ols_fit(X, y)
     return GroupModel(
         group=group,

@@ -1,5 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -545,3 +550,97 @@ class TestHelp:
         assert "100" in out      # box constraint default
         assert "0.5" in out      # failure threshold default
         assert "3" in out        # cluster count default
+
+
+SERIES_HEADER = "mixture_id,t_years,expansion_percent\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def write_dataset(tmp_path, ds, replaced: dict[str, str]):
+    """The dataset's tables and manifest, with the rows of ``replaced`` ids swapped."""
+    write_mixtures([m for m, _ in ds.pairs], tmp_path / "mixtures.csv")
+    write_series([s for _, s in ds.pairs], tmp_path / "series.csv")
+    lines = (tmp_path / "series.csv").read_text().splitlines(keepends=True)
+    kept = [line for line in lines if line.split(",")[0] not in replaced]
+    (tmp_path / "series.csv").write_text("".join(kept) + "".join(replaced.values()))
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"mixtures_path": "mixtures.csv", "series_path": "series.csv"}))
+
+
+def sulfexp(tmp_path, *argv) -> subprocess.CompletedProcess:
+    """``sulfexp`` in a fresh interpreter, as a user runs it."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONWARNINGS", "SULFEXP_SEED")}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-m", "sulfexp.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestEveryFailedRecordIsNamed:
+    ds = generate_synthetic((12, 16, 12), noise=0.03, seed=0)
+    flat = {mid: "".join(f"{mid},{t},0.0\n" for t in range(0, 45, 5))
+            for mid in ("syn0004", "syn0021")}
+    short = {mid: f"{mid},0,0.1\n{mid},5,0.2\n" for mid in ("syn0006", "syn0021")}
+
+    @pytest.mark.parametrize("command", ["fit", "cluster"])
+    def test_flat_series(self, tmp_path, capsys, command):
+        write_dataset(tmp_path, self.ds, self.flat)
+        argv = (["fit", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "b.json")]
+                if command == "fit" else ["cluster", str(tmp_path / "series.csv")])
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "numerical failure: features: series 'syn0004' never reaches 0.5 and its terminal "
+            "secant slope 0 admits no finite crossing (and 1 more: 'syn0021')"]
+
+    @pytest.mark.parametrize("command,prefix", [("fit", "smoothing: "), ("cluster", "")])
+    def test_short_series(self, tmp_path, capsys, command, prefix):
+        write_dataset(tmp_path, self.ds, self.short)
+        argv = (["fit", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "b.json")]
+                if command == "fit" else ["cluster", str(tmp_path / "series.csv")])
+        assert main(argv) == 2
+        assert_one_error_line(
+            capsys, f"error: {prefix}series 'syn0006' has 2 samples; smoothing needs >= 3 "
+                    "(and 1 more: 'syn0021')")
+
+
+class TestNoWarningReachesStderr:
+    overflow = "x,0,1e308\nx,1,-1e308\nx,2,1e308\n"
+
+    def overflow_dataset(self, tmp_path):
+        (tmp_path / "mixtures.csv").write_text(MIX_HEADER + "x,0.5,5,50,20,10,0.6,3\n")
+        (tmp_path / "series.csv").write_text(SERIES_HEADER + self.overflow)
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"mixtures_path": "mixtures.csv", "series_path": "series.csv"}))
+
+    def test_fit_on_header_only_tables(self, tmp_path):
+        (tmp_path / "mixtures.csv").write_text(MIX_HEADER)
+        (tmp_path / "series.csv").write_text(SERIES_HEADER)
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"mixtures_path": "mixtures.csv", "series_path": "series.csv"}))
+        proc = sulfexp(tmp_path, "fit", "manifest.json", "--out", "b.json")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: the dataset holds no records"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["fit", "manifest.json", "--out", "b.json"],
+         "error: smoothing: series 'x' has non-finite samples"),
+        (["smooth", "series.csv", "--out", "o.csv"], "error: series 'x' has non-finite samples"),
+    ], ids=["fit", "smooth"])
+    def test_overflowing_series(self, tmp_path, argv, message):
+        self.overflow_dataset(tmp_path)
+        proc = sulfexp(tmp_path, *argv)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [message]
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "manifest.json", "--out", "b.json"],
+        ["smooth", "series.csv", "--out", "o.csv"],
+        ["cluster", "series.csv"],
+    ], ids=["fit", "smooth", "cluster"])
+    def test_in_process_under_warnings_as_errors(self, tmp_path, capsys, monkeypatch, argv):
+        self.overflow_dataset(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert_one_error_line(capsys, "series 'x' has non-finite samples")

@@ -1,9 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from sulfexp.errors import DimensionMismatch, TooFewPoints, ValidationError
+from sulfexp.errors import DimensionMismatch, NonFiniteValue, TooFewPoints, ValidationError
 from sulfexp import curves
 from sulfexp.clustering import assign_step, kmeans, standardize_features, update_step
 from sulfexp.dataio import generate_synthetic
@@ -225,3 +226,17 @@ class TestStandardizeFeatures:
         scaled, _, scales = standardize_features(pts)
         assert scales[0] == 1.0
         assert np.allclose(scaled[:, 0], 0.0)
+
+
+class TestOverflowIsAnErrorNotAWarning:
+    def test_standardize_rejects_an_overflowing_spread(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="mean or spread of a feature overflows"):
+                standardize_features(np.array([[1e308, 0.0], [-1e308, 1.0], [0.0, 2.0]]))
+
+    def test_kmeans_rejects_overflowing_distances(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="squared distances between the points"):
+                kmeans(np.array([[1e200], [-1e200], [0.0]]), k=2)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sulfexp.curves import (
+    CENSORED_TIME_CAP,
     ExpansionSeries,
+    FailurePoint,
+    SeriesBlock,
     cluster_features,
     failure_point,
     smooth,
@@ -14,11 +18,13 @@ from sulfexp.curves import (
 )
 from sulfexp.errors import (
     InvalidAlpha,
+    MissingField,
     NonFiniteValue,
     NonPositiveTrend,
     TooFewSamples,
     ValidationError,
 )
+from sulfexp.mixtures import Mixture
 
 
 def series(ts, es, mid="s"):
@@ -255,3 +261,221 @@ class TestClusterFeatures:
     def test_censored_series_features(self):
         s = series([30.0, 35.0, 40.0], [0.3, 0.35, 0.4])
         assert np.allclose(cluster_features(s), [50.0, 0.01])
+
+
+# --- the per-series kernels the block replaced, kept as the oracle -------------
+
+
+def smooth_series_oracle(series, alpha):
+    """One series at a time: the length check, the slice expression, the
+    finiteness check of the series it builds."""
+    if len(series) < 3:
+        raise TooFewSamples(
+            f"series {series.mixture_id!r} has {len(series)} samples; smoothing needs >= 3"
+        )
+    t = series.times
+    s = series.values
+    dt = np.diff(t)
+    with np.errstate(all="ignore"):
+        w_prev, _, w_next = smoothing_weights(alpha, dt[:-1], dt[1:])
+        mid = s[1:-1]
+        out = s.copy()
+        out[1:-1] = mid + w_prev * (s[:-2] - mid) + w_next * (s[2:] - mid)
+    return ExpansionSeries(series.mixture_id, np.array((t, out)).T, series.group)
+
+
+def failure_point_oracle(series, threshold):
+    if len(series) < 2:
+        raise TooFewSamples(
+            f"series {series.mixture_id!r} needs >= 2 samples to define a slope"
+        )
+    t = series.times
+    e = series.values
+    with np.errstate(all="ignore"):
+        if e[0] >= threshold:
+            slope = (e[1] - e[0]) / (t[1] - t[0])
+            return FailurePoint(t_fail=float(t[0]), slope=float(slope), censored=False)
+        crossing = np.nonzero(e >= threshold)[0]
+        if crossing.size:
+            i = int(crossing[0])
+            slope = (e[i] - e[i - 1]) / (t[i] - t[i - 1])
+            t_fail = t[i - 1] + (threshold - e[i - 1]) / slope
+            return FailurePoint(t_fail=float(t_fail), slope=float(slope), censored=False)
+        slope = (e[-1] - e[-2]) / (t[-1] - t[-2])
+        if slope <= 0:
+            raise NonPositiveTrend(
+                f"series {series.mixture_id!r} never reaches {threshold} and its "
+                f"terminal secant slope {slope:.4g} admits no finite crossing"
+            )
+        t_fail = min(t[-1] + (threshold - e[-1]) / slope, CENSORED_TIME_CAP)
+    return FailurePoint(t_fail=float(t_fail), slope=float(slope), censored=True)
+
+
+def run_oracle(kernel, series_list, *args):
+    """Per-series results, or the expected block error: the first failure's
+    type and message, naming every other failed id."""
+    results, failures = [], []
+    for s in series_list:
+        try:
+            results.append(kernel(s, *args))
+        except (TooFewSamples, NonFiniteValue, NonPositiveTrend) as exc:
+            failures.append((s.mixture_id, exc))
+    if not failures:
+        return results, None
+    (_, first), others = failures[0], [mid for mid, _ in failures[1:]]
+    message = first.args[0]
+    if others:
+        message += f" (and {len(others)} more: {', '.join(map(repr, others))})"
+    return None, (type(first), message)
+
+
+THRESHOLD = 0.5
+KINDS = ("free", "failed-at-start", "crossing", "censored", "flat", "falling", "overflow")
+
+
+@st.composite
+def records(draw):
+    """One record's (times, values): 1-40 samples at non-uniform spacing."""
+    n = draw(st.integers(1, 40))
+    start = draw(st.floats(0.0, 5.0))
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    times = np.cumsum([start] + steps)
+    t = times - times[0]
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "free":
+        values = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    elif kind == "failed-at-start":
+        rest = draw(st.lists(st.floats(-2.0, 3.0), min_size=n - 1, max_size=n - 1))
+        values = np.array([draw(st.floats(THRESHOLD, 3.0))] + rest)
+    elif kind == "crossing":
+        noise = draw(st.lists(st.floats(-0.05, 0.05), min_size=n, max_size=n))
+        values = draw(st.floats(-1.0, 0.45)) + draw(st.floats(1e-3, 1.0)) * t + noise
+    elif kind == "censored":
+        # slopes down to 1e-7 per year extrapolate past the cap
+        values = draw(st.floats(-0.5, 0.4)) + draw(st.floats(1e-7, 1e-2)) * t
+        values = np.minimum(values, THRESHOLD - 1e-3)
+    elif kind == "flat":
+        values = np.full(n, draw(st.floats(-1.0, 0.49)))
+    elif kind == "falling":
+        values = draw(st.floats(-1.0, 0.49)) - draw(st.floats(0.0, 0.5)) * t
+    else:
+        values = np.where(np.arange(n) % 2 == 0, 1e308, -1e308)
+    return times, values
+
+
+@st.composite
+def blocks(draw):
+    recs = draw(st.lists(records(), min_size=0, max_size=12))
+    return [ExpansionSeries(f"r{i:02d}", np.array((t, v)).T) for i, (t, v) in enumerate(recs)]
+
+
+class TestBlockKernelsMatchPerSeriesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(series_list=blocks(), alpha=st.floats(0.0, 1.0))
+    def test_smoothing(self, series_list, alpha):
+        expected, error = run_oracle(smooth_series_oracle, series_list, alpha)
+        block = SeriesBlock.from_series(series_list)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if error is not None:
+                with pytest.raises(error[0]) as excinfo:
+                    smooth(block, alpha)
+                assert str(excinfo.value) == error[1]
+                return
+            out = smooth(block, alpha)
+            for s, want in zip(series_list, expected):
+                assert smooth(s, alpha).values.tobytes() == want.values.tobytes()
+        assert out.ids == block.ids and out.times.tobytes() == block.times.tobytes()
+        joined = np.concatenate([s.values for s in expected] or [np.empty(0)])
+        assert out.values.tobytes() == joined.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(series_list=blocks())
+    def test_failure_features(self, series_list):
+        expected, error = run_oracle(failure_point_oracle, series_list, THRESHOLD)
+        block = SeriesBlock.from_series(series_list)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if error is not None:
+                with pytest.raises(error[0]) as excinfo:
+                    cluster_features(block, THRESHOLD)
+                assert str(excinfo.value) == error[1]
+                return
+            features = cluster_features(block, THRESHOLD)
+            points = [failure_point(s, THRESHOLD) for s in series_list]
+        assert features.shape == (len(series_list), 2)
+        want = np.array([[fp.t_fail, fp.slope] for fp in expected]).reshape(-1, 2)
+        assert features.tobytes() == want.tobytes()
+        assert points == expected
+
+    def test_short_series_after_an_overflowing_one(self):
+        # the first record fails its finiteness check before the second's length is looked at
+        series_list = [series([0.0, 1.0, 2.0], [1e308, -1e308, 1e308], mid="big"),
+                       series([0.0, 1.0], [0.1, 0.2], mid="short")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as excinfo:
+                smooth(SeriesBlock.from_series(series_list))
+        assert str(excinfo.value) == "series 'big' has non-finite samples (and 1 more: 'short')"
+        with pytest.raises(TooFewSamples) as excinfo:
+            smooth(SeriesBlock.from_series(series_list[::-1]))
+        assert str(excinfo.value) == (
+            "series 'short' has 2 samples; smoothing needs >= 3 (and 1 more: 'big')")
+
+    def test_overflowing_series_raises_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="series 'big' has non-finite samples$"):
+                smooth(series([0.0, 1.0, 2.0], [1e308, -1e308, 1e308], mid="big"))
+
+
+class TestSeriesBlock:
+    def pairs(self):
+        return [
+            (Mixture(id="a", wc=0.5, c3a=4.0), series([0.0, 1.0, 3.0], [0.1, 0.2, 0.4], mid="a")),
+            (Mixture(id="b", wc=0.4), series([0.0, 2.0], [0.0, 0.3], mid="b")),
+            (Mixture(id="c", c3a=6.0), series([1.0, 2.0, 4.0, 5.0], [0.2, 0.1, 0.6, 0.9], mid="c")),
+        ]
+
+    def test_layout(self):
+        block = SeriesBlock.from_pairs(self.pairs())
+        assert block.ids == ("a", "b", "c") and len(block) == 9
+        assert block.offsets.tolist() == [0, 3, 5, 9] and block.lengths.tolist() == [3, 2, 4]
+        assert block.times.tolist() == [0.0, 1.0, 3.0, 0.0, 2.0, 1.0, 2.0, 4.0, 5.0]
+        assert block.fields.shape == (3, 7)
+        assert np.isnan(block.fields[1, 1]) and block.fields[0, 1] == 4.0
+        for array in (block.times, block.values, block.offsets, block.fields):
+            assert not array.flags.writeable
+        assert block.series(2) == self.pairs()[2][1]
+
+    def test_from_series_has_every_field_absent(self):
+        block = SeriesBlock.from_series([s for _, s in self.pairs()])
+        assert np.isnan(block.fields).all() and block.fields.shape == (3, 7)
+
+    def test_empty(self):
+        block = SeriesBlock.from_pairs([])
+        assert len(block) == 0 and block.ids == () and block.fields.shape == (0, 7)
+        assert smooth(block).values.size == 0
+        assert cluster_features(block).shape == (0, 2)
+
+    def test_subset_keeps_order_and_samples(self):
+        block = SeriesBlock.from_pairs(self.pairs())
+        sub = block.subset([2, 0])
+        assert sub.ids == ("c", "a") and sub.offsets.tolist() == [0, 4, 7]
+        assert sub.values.tolist() == [0.2, 0.1, 0.6, 0.9, 0.1, 0.2, 0.4]
+        assert sub.fields.tobytes() == block.fields[[2, 0]].tobytes()
+        assert block.subset([]).ids == () and len(block.subset([])) == 0
+
+    def test_require_names_the_first_record_and_field_and_then_the_rest(self):
+        block = SeriesBlock.from_pairs(self.pairs())
+        assert block.require(("wc",), [0, 1]).tolist() == [[0.5], [0.4]]
+        with pytest.raises(MissingField) as excinfo:
+            block.require(("c3a", "wc"))
+        assert str(excinfo.value) == (
+            "mixture 'b' is missing field 'c3a' (and 1 more: 'c')")
+        with pytest.raises(ValidationError, match="unknown mixture field 'zz'"):
+            block.require(("zz",))
+
+    def test_require_is_c_contiguous(self):
+        matrix = SeriesBlock.from_pairs(self.pairs()).require(("c3a", "wc"), [0])
+        assert matrix.flags.c_contiguous

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sulfexp import svm
+from sulfexp import curves, regression, svm
 from sulfexp.curves import ExpansionSeries, cluster_features, smooth
 from sulfexp.dataio import generate_synthetic, save_bundle
 from sulfexp.errors import (
@@ -19,9 +19,11 @@ from sulfexp.errors import (
     MissingField,
     NegativeTime,
     NoConvergence,
+    NonFiniteValue,
     NonIncreasing,
     NonPositiveTrend,
     PredictionOverflow,
+    TooFewSamples,
     ValidationError,
 )
 from sulfexp.mixtures import MIXTURE_FIELDS, GroupLabel, Mixture
@@ -562,6 +564,95 @@ class TestFitPipeline:
         for model in bundle.models.values():
             assert model.variable_roles[-1] == "const"
             assert len(model.variable_roles) >= 2
+
+
+def replace_series(pairs, samples_by_id):
+    return [(mix, ExpansionSeries(mixture_id=mix.id, samples=samples_by_id[mix.id]))
+            if mix.id in samples_by_id else (mix, series) for mix, series in pairs]
+
+
+class TestBlockFit:
+    """The fit's stages read one block of the records in id order."""
+
+    pairs = generate_synthetic((12, 16, 12), noise=0.03, seed=0).pairs
+
+    def test_features_error_names_every_flat_series(self):
+        flat = [(float(t), 0.0) for t in range(0, 45, 5)]
+        pairs = replace_series(self.pairs, {"syn0021": flat, "syn0004": flat})
+        with pytest.raises(NonPositiveTrend) as excinfo:
+            fit_pipeline(pairs[::-1])
+        assert str(excinfo.value) == (
+            "features: series 'syn0004' never reaches 0.5 and its terminal secant slope 0 "
+            "admits no finite crossing (and 1 more: 'syn0021')")
+
+    def test_smoothing_error_names_every_short_series(self):
+        short = [(0.0, 0.1), (5.0, 0.2)]
+        pairs = replace_series(self.pairs, {"syn0006": short, "syn0021": short,
+                                            "syn0030": short[:1]})
+        with pytest.raises(TooFewSamples) as excinfo:
+            fit_pipeline(pairs)
+        assert str(excinfo.value) == (
+            "smoothing: series 'syn0006' has 2 samples; smoothing needs >= 3 "
+            "(and 2 more: 'syn0021', 'syn0030')")
+
+    def test_boundary_points_name_the_first_missing_field(self):
+        pairs = [(dataclasses.replace(mix, c3a=None), series) if mix.id in ("syn0003", "syn0009")
+                 else (mix, series) for mix, series in self.pairs]
+        with pytest.raises(MissingField) as excinfo:
+            fit_pipeline(pairs)
+        assert str(excinfo.value) == (
+            "boundaries: mixture 'syn0003' is missing field 'c3a' (and 1 more: 'syn0009')")
+
+    def test_empty_dataset_is_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^the dataset holds no records$"):
+                fit_pipeline([])
+
+    def test_overflowing_series_is_rejected_without_a_warning(self):
+        pairs = replace_series(self.pairs, {"syn0007": [(0.0, 1e308), (1.0, -1e308),
+                                                        (2.0, 1e308)]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as excinfo:
+                fit_pipeline(pairs)
+        assert str(excinfo.value) == "smoothing: series 'syn0007' has non-finite samples"
+
+    def test_no_mixture_field_is_read_record_by_record(self, monkeypatch):
+        def never(self, *names):
+            raise AssertionError("Mixture.require called during a fit")
+
+        expected = fit_pipeline(self.pairs)
+        monkeypatch.setattr(Mixture, "require", never)
+        monkeypatch.setattr(Mixture, "feature_row", never)
+        assert fit_pipeline(self.pairs) == expected
+
+    def test_stages_call_the_kernels_through_their_modules(self, monkeypatch):
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapper(data, *args, **kwargs):
+                calls.append((name, type(data).__name__, len(data)))
+                return real(data, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((curves, "smooth"), (curves, "cluster_features"),
+                             (regression, "fit_group_model"), (regression, "design_rows")):
+            spy(module, name)
+        fit_pipeline(self.pairs)
+        samples = sum(len(series) for _, series in self.pairs)
+        assert calls[:2] == [("smooth", "SeriesBlock", samples),
+                             ("cluster_features", "SeriesBlock", samples)]
+        assert [name for name, _, _ in calls[2:]] == ["fit_group_model", "design_rows"] * 3
+        assert sum(n for name, _, n in calls if name == "design_rows") == samples
+
+    def test_fingerprint_reads_the_block(self):
+        bundle = fit_pipeline(self.pairs[::-1])
+        assert bundle.provenance.split()[1] == f"data={dataset_hash(self.pairs)}"
+        assert dataset_hash(self.pairs) == dataset_hash_oracle(self.pairs)
 
 
 class TestPipelineConfig:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import regen_golden
 from test_linalg import assert_no_farther_than_gauss
 
 from sulfexp import fit_pipeline, linalg, regression
-from sulfexp.curves import ExpansionSeries
+from sulfexp.curves import ExpansionSeries, SeriesBlock
 from sulfexp.dataio import generate_synthetic
 from sulfexp.errors import (
     ConstantResponse,
@@ -341,6 +342,59 @@ class TestDesignRows:
     def test_no_rows(self):
         with pytest.raises(TooFewRows):
             design_rows([], GROUP_ROLES[GroupLabel.LL], log_response=False)
+
+
+class TestBlockRows:
+    """A block's member rows pool exactly as the same records given as pairs."""
+
+    ds = generate_synthetic((4, 5, 4), noise=0.05, seed=3)
+    pairs = ds.pairs
+
+    @pytest.mark.parametrize("log_response", [False, True])
+    def test_subset_matches_the_member_pairs(self, log_response):
+        members = [7, 0, 12, 3]
+        sub = SeriesBlock.from_pairs(self.pairs).subset(members)
+        got = design_rows(sub, ALL_ROLES, log_response)
+        want = design_rows_oracle([self.pairs[i] for i in members], ALL_ROLES, log_response)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert got[2] == want[2]
+
+    def test_fit_group_model_takes_a_block(self):
+        ml = [i for i, (mix, _) in enumerate(self.pairs)
+              if self.ds.labels[mix.id] is GroupLabel.ML]
+        sub = SeriesBlock.from_pairs(self.pairs).subset(ml)
+        from_block = fit_group_model(sub, GroupLabel.ML)
+        from_pairs = fit_group_model([self.pairs[i] for i in ml], GroupLabel.ML)
+        assert from_block.coefficients.tobytes() == from_pairs.coefficients.tobytes()
+        with pytest.raises(TooFewRows, match="needs >= 2 mixtures, got 1"):
+            fit_group_model(sub.subset([0]), GroupLabel.ML)
+
+    def test_missing_field_names_every_record_that_keeps_rows(self):
+        pairs = [(Mixture(id=mid, wc=0.5), ExpansionSeries(mixture_id=mid,
+                                                           samples=[[0.0, 0.1], [1.0, 0.2]]))
+                 for mid in ("a", "b")]
+        with pytest.raises(MissingField) as excinfo:
+            design_rows(pairs, GROUP_ROLES[GroupLabel.ML], log_response=False)
+        assert str(excinfo.value) == "mixture 'a' is missing field 'c3a' (and 1 more: 'b')"
+
+    def test_overflowing_regressor_is_rejected_without_a_warning(self):
+        pairs = [(Mixture(id=mid, wc=0.5), ExpansionSeries(
+            mixture_id=mid, samples=[[0.0, 0.1], [t, 0.2], [1e308, 0.3]]))
+            for mid, t in (("a", 1.0), ("b", 2.0))]
+        X, _, _ = design_rows(pairs, GROUP_ROLES[GroupLabel.LL], log_response=False)
+        assert np.isfinite(X).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="contains NaN or Inf entries"):
+                fit_group_model(pairs, GroupLabel.LL)
+
+    def test_overflowing_sum_of_squares_is_rejected_without_a_warning(self):
+        X = np.column_stack([np.arange(4.0), np.ones(4)])
+        y = np.array([1e200, -1e200, 1e200, -3e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="sum of squares of the fit overflows"):
+                ols_fit(X, y)
 
 
 class TestGroupModelConstruction:
