@@ -4,11 +4,14 @@ Points are rows of a 2-D array. Assignment ties go to the smallest
 centroid index; empty clusters keep their previous centroid. Restarts are
 seeded deterministically from (seed, restart index) and initialized by
 sampling k distinct data points, so identical inputs always produce
-identical output.
+identical output. All restarts run together in one Lloyd loop; each does
+the same arithmetic, in the same order, as the per-restart steps
+:func:`assign_step` and :func:`update_step`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -21,6 +24,9 @@ from .linalg import check_finite
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_ITER = 300
 
+# the restarts run in chunks whose temporaries hold at most this many elements
+_CHUNK_ELEMENTS = 1 << 18
+
 
 @dataclass(frozen=True)
 class KMeansResult:
@@ -31,6 +37,8 @@ class KMeansResult:
     converged: bool
     objective_trace: tuple[float, ...] = ()
     empty_clusters: tuple[int, ...] = ()
+    restart_iterations: tuple[int, ...] = ()    # every restart's, in restart order
+    restart_converged: tuple[bool, ...] = ()
 
 
 def _as_points(points: np.ndarray) -> np.ndarray:
@@ -85,28 +93,81 @@ def update_step(points: np.ndarray, assignments: np.ndarray, centroids: np.ndarr
     return _means(pts, assignments, cts)
 
 
-def _objective(points: np.ndarray, assignments: np.ndarray, centroids: np.ndarray) -> float:
-    diff = points - centroids[assignments]
-    return float(np.einsum("nd,nd->", diff, diff))
+@functools.lru_cache(maxsize=32)
+def _starts(n: int, k: int, seed: int, restarts: int) -> np.ndarray:
+    """The (restarts, k) indices of the points each restart starts from, read-only.
+
+    Restart r draws k distinct indices with the rng seeded by (seed, r).
+    """
+    idx = np.array([
+        np.random.default_rng([seed, r]).choice(n, size=k, replace=False) for r in range(restarts)
+    ])
+    idx.flags.writeable = False
+    return idx
 
 
-def _lloyd(points, centroids, max_iter):
-    """Lloyd iterations on points and centroids that ``kmeans`` has checked."""
-    trace = []
-    assignments = _nearest(points, centroids)
-    trace.append(_objective(points, assignments, centroids))
-    converged = False
-    iterations = 0
+def _nearest_batch(pts: np.ndarray, cts: np.ndarray) -> np.ndarray:
+    """``_nearest`` for every restart's centroids (R, k, d) at once: (R, n)."""
+    # squares summed over the coordinates in order, as _nearest's einsum sums them
+    d2 = 0.0
+    for j in range(pts.shape[1]):
+        t = pts[None, :, None, j] - cts[:, None, :, j]
+        d2 = d2 + t * t
+    return np.argmin(d2, axis=2)
+
+
+def _means_batch(pts: np.ndarray, assignments: np.ndarray, cts: np.ndarray) -> np.ndarray:
+    """``_means`` for every restart's assignments (R, n) and centroids (R, k, d) at once."""
+    restarts, k, d = cts.shape
+    if d == 1:
+        # the mean of an (m, 1) array sums pairwise, not in row order as bincount does
+        return np.stack([_means(pts, a, c) for a, c in zip(assignments, cts)])
+    keys = (np.arange(restarts)[:, None] * k + assignments).ravel()
+    counts = np.bincount(keys, minlength=restarts * k).reshape(restarts, k)
+    filled = counts > 0
+    cts = cts.copy()
+    for j in range(d):
+        sums = np.bincount(keys, weights=np.tile(pts[:, j], restarts), minlength=restarts * k)
+        cts[filled, j] = sums.reshape(restarts, k)[filled] / counts[filled]
+    return cts
+
+
+def _objectives(pts: np.ndarray, assignments: np.ndarray, cts: np.ndarray) -> list[float]:
+    """Each restart's sum of squared distances to its assigned centroids.
+
+    Each restart's sum is one einsum over its own (n, d) slice, so it adds
+    in the same order as a single-restart sum would.
+    """
+    diff = pts[None] - cts[np.arange(cts.shape[0])[:, None], assignments]
+    return [float(np.einsum("nd,nd->", one, one)) for one in diff]
+
+
+def _lloyd_batch(points, centroids, max_iter):
+    """Lloyd iterations of R restarts at once, from starting centroids (R, k, d), updated in place.
+
+    A restart leaves the active set once an assignment pass changes
+    nothing. Returns the final centroids and assignments, each restart's
+    objective trace, its iteration count and whether it converged.
+    """
+    assignments = _nearest_batch(points, centroids)
+    traces = [[obj] for obj in _objectives(points, assignments, centroids)]
+    iterations = np.zeros(len(traces), dtype=int)
+    converged = np.zeros(len(traces), dtype=bool)
+    active = np.arange(len(traces))
     for _ in range(max_iter):
-        iterations += 1
-        centroids = _means(points, assignments, centroids)
-        new_assignments = _nearest(points, centroids)
-        trace.append(_objective(points, new_assignments, centroids))
-        if np.array_equal(new_assignments, assignments):
-            converged = True
+        iterations[active] += 1
+        cts = _means_batch(points, assignments[active], centroids[active])
+        new_assignments = _nearest_batch(points, cts)
+        for r, obj in zip(active, _objectives(points, new_assignments, cts)):
+            traces[r].append(obj)
+        centroids[active] = cts
+        unchanged = (new_assignments == assignments[active]).all(axis=1)
+        assignments[active] = new_assignments
+        converged[active[unchanged]] = True
+        active = active[~unchanged]
+        if not active.size:
             break
-        assignments = new_assignments
-    return centroids, assignments, trace, iterations, converged
+    return centroids, assignments, traces, iterations, converged
 
 
 def check_integer(name: str, value) -> None:
@@ -123,7 +184,7 @@ def check_settings(
         check_integer(name, value)
     if k < 1 or max_iter < 1 or restarts < 1:
         raise ValidationError("k, max_iter and restarts must all be >= 1")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -137,8 +198,11 @@ def kmeans(
     """Multi-restart Lloyd's algorithm; returns the lowest-objective run.
 
     Each restart starts from k distinct data points drawn with the rng
-    seeded by (seed, restart). ``converged`` is True when an assignment
-    pass produced no change before ``max_iter``. All-identical points with
+    seeded by (seed, restart); the draws are cached per (n, k, seed,
+    restarts). ``iterations`` and ``converged`` are the chosen restart's:
+    ``converged`` is True when an assignment pass produced no change before
+    ``max_iter``. ``restart_iterations`` and ``restart_converged`` hold
+    every restart's, in restart order. All-identical points with
     k > 1 are not an error: the surplus clusters come back empty and are
     listed in ``empty_clusters``. Points whose squared distances overflow a
     float raise :class:`NonFiniteValue`.
@@ -149,30 +213,40 @@ def kmeans(
     if n < k:
         raise TooFewPoints(f"{n} points cannot fill {k} clusters")
 
-    best: KMeansResult | None = None
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        idx = rng.choice(n, size=k, replace=False)
-        # points too large for their squared distances are rejected below
-        with np.errstate(over="ignore", invalid="ignore"):
-            centroids, assignments, trace, iterations, converged = _lloyd(pts, pts[idx], max_iter)
-        objective = trace[-1]
-        if best is None or objective < best.objective - 1e-15:
-            present = np.unique(assignments)
-            empty = tuple(c for c in range(k) if c not in present)
-            best = KMeansResult(
-                centroids=centroids,
-                assignments=assignments,
-                objective=objective,
-                iterations=iterations,
-                converged=converged,
-                objective_trace=tuple(trace),
-                empty_clusters=empty,
+    starts = _starts(n, k, seed, restarts)
+    chunk = max(1, _CHUNK_ELEMENTS // (n * max(k, pts.shape[1])))
+    finals, traces, iterations, converged = [], [], [], []
+    # points too large for their squared distances are rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, restarts, chunk):
+            cts, assignments, chunk_traces, chunk_iterations, chunk_converged = _lloyd_batch(
+                pts, pts[starts[lo:lo + chunk]], max_iter,
             )
-    assert best is not None
-    if not math.isfinite(best.objective):
+            finals += zip(cts, assignments)
+            traces += chunk_traces
+            iterations += chunk_iterations.tolist()
+            converged += chunk_converged.tolist()
+
+    best = 0
+    for r in range(1, restarts):
+        if traces[r][-1] < traces[best][-1] - 1e-15:
+            best = r
+    objective = traces[best][-1]
+    if not math.isfinite(objective):
         raise NonFiniteValue("squared distances between the points overflow a float")
-    return best
+    centroids, assignments = finals[best]
+    present = np.unique(assignments)
+    return KMeansResult(
+        centroids=centroids.copy(),
+        assignments=assignments.copy(),
+        objective=objective,
+        iterations=iterations[best],
+        converged=converged[best],
+        objective_trace=tuple(traces[best]),
+        empty_clusters=tuple(c for c in range(k) if c not in present),
+        restart_iterations=tuple(iterations),
+        restart_converged=tuple(converged),
+    )
 
 
 def standardize_features(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -97,6 +97,8 @@ class PipelineDiagnostics:
     mean_failure_times: dict[GroupLabel, float]
     pca_selected: dict[GroupLabel, list[pca.SelectedVariable]]
     kmeans_objective: float
+    kmeans_restart_iterations: tuple[int, ...]   # every k-means restart's, in restart order
+    kmeans_restart_converged: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -517,6 +519,8 @@ def fit_pipeline(
         mean_failure_times=dict(zip(cluster_labels, map(float, mean_tfail))),
         pca_selected=pca_selected,
         kmeans_objective=km.objective,
+        kmeans_restart_iterations=km.restart_iterations,
+        kmeans_restart_converged=km.restart_converged,
     )
     return ModelBundle(
         models=models,

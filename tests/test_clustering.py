@@ -1,12 +1,15 @@
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sulfexp.errors import DimensionMismatch, NonFiniteValue, TooFewPoints, ValidationError
-from sulfexp import curves
-from sulfexp.clustering import assign_step, kmeans, standardize_features, update_step
+from sulfexp import clustering, curves
+from sulfexp.clustering import KMeansResult, assign_step, kmeans, standardize_features, update_step
 from sulfexp.dataio import generate_synthetic
 
 
@@ -111,7 +114,7 @@ class TestKMeans:
             kmeans(np.zeros((3, 1)), **settings)
         assert str(excinfo.value) == message
 
-    @pytest.mark.parametrize("seed", [-1, -3, 1.5, "7"])
+    @pytest.mark.parametrize("seed", [-1, -3, 1.5, "7", True, False])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
             kmeans(np.zeros((3, 1)), k=1, seed=seed)
@@ -176,8 +179,8 @@ def objective(points, assignments, centroids):
 
 
 def kmeans_by_public_steps(points, k, seed, max_iter=300, restarts=16):
-    """Multi-restart Lloyd's loop over the public, checked step functions."""
-    best = None
+    """Multi-restart Lloyd's loop over the public, checked step functions, restart by restart."""
+    best, restart_iterations, restart_converged = None, [], []
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         centroids = points[rng.choice(points.shape[0], size=k, replace=False)]
@@ -193,9 +196,55 @@ def kmeans_by_public_steps(points, k, seed, max_iter=300, restarts=16):
                 converged = True
                 break
             assignments = new_assignments
+        restart_iterations.append(iterations)
+        restart_converged.append(converged)
         if best is None or trace[-1] < best[3][-1] - 1e-15:
             best = (centroids, assignments, iterations, trace, converged)
-    return best
+    centroids, assignments, iterations, trace, converged = best
+    return KMeansResult(
+        centroids=centroids,
+        assignments=assignments,
+        objective=trace[-1],
+        iterations=iterations,
+        converged=converged,
+        objective_trace=tuple(trace),
+        empty_clusters=tuple(c for c in range(k) if not np.any(assignments == c)),
+        restart_iterations=tuple(restart_iterations),
+        restart_converged=tuple(restart_converged),
+    )
+
+
+def assert_same_result(result, expected):
+    """Every field of two k-means results, bit for bit."""
+    assert result.centroids.tobytes() == expected.centroids.tobytes()
+    assert result.centroids.shape == expected.centroids.shape
+    assert result.assignments.tobytes() == expected.assignments.tobytes()
+    assert np.array(result.objective).tobytes() == np.array(expected.objective).tobytes()
+    trace, expected_trace = np.array(result.objective_trace), np.array(expected.objective_trace)
+    assert trace.tobytes() == expected_trace.tobytes()
+    assert (result.iterations, result.converged) == (expected.iterations, expected.converged)
+    assert result.empty_clusters == expected.empty_clusters
+    assert result.restart_iterations == expected.restart_iterations
+    assert result.restart_converged == expected.restart_converged
+
+
+@st.composite
+def kmeans_problems(draw):
+    """Small k-means inputs, some duplicated or all identical: clusters empty, distances tie."""
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 3))
+    value = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), st.floats(-1e3, 1e3))
+    if draw(st.booleans()):
+        points = np.full((n, d), draw(value))
+    else:
+        points = np.array(draw(st.lists(value, min_size=n * d, max_size=n * d))).reshape(n, d)
+    return {
+        "points": points,
+        "k": draw(st.integers(1, min(n, 5))),
+        "seed": draw(st.sampled_from([0, 1, 7, 42, 2**40])),
+        "max_iter": draw(st.integers(1, 3)),
+        "restarts": draw(st.integers(1, 20)),
+    }
 
 
 class TestKernelsMatchPublicSteps:
@@ -204,12 +253,57 @@ class TestKernelsMatchPublicSteps:
         pairs = generate_synthetic(counts, noise=0.03, seed=seed).pairs
         features = np.array([curves.cluster_features(curves.smooth(s, 0.3), 0.5) for _, s in pairs])
         points, _, _ = standardize_features(features)
-        result = kmeans(points, k=3, seed=42)
-        centroids, assignments, iterations, trace, converged = kmeans_by_public_steps(points, 3, 42)
-        assert result.centroids.tobytes() == centroids.tobytes()
-        assert np.array_equal(result.assignments, assignments)
-        assert np.array(result.objective_trace).tobytes() == np.array(trace).tobytes()
-        assert (result.iterations, result.converged) == (iterations, converged)
+        assert_same_result(kmeans(points, k=3, seed=42), kmeans_by_public_steps(points, 3, 42))
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=kmeans_problems(), chunk=st.sampled_from([None, None, None, 1, 7, 100]))
+    def test_batched_restarts_equal_the_public_step_loop(self, problem, chunk):
+        # chunk, when set, caps the batch temporaries so the restarts split across chunks
+        cap = clustering._CHUNK_ELEMENTS if chunk is None else chunk
+        with warnings.catch_warnings(), mock.patch.object(clustering, "_CHUNK_ELEMENTS", cap):
+            warnings.simplefilter("error")
+            assert_same_result(kmeans(**problem), kmeans_by_public_steps(**problem))
+
+
+class TestStartDraws:
+    def test_starts_are_the_seeded_draws_and_read_only(self):
+        idx = clustering._starts(30, 4, 9, 5)
+        fresh = [np.random.default_rng([9, r]).choice(30, size=4, replace=False) for r in range(5)]
+        assert np.array_equal(idx, fresh)
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0, 0] = 1
+
+    def test_numpy_and_python_integer_seeds_agree(self):
+        points = np.random.default_rng(1).normal(size=(25, 2))
+        clustering._starts.cache_clear()
+        starts = clustering._starts(25, 3, np.int64(4), 16)
+        result = kmeans(points, 3, seed=np.int64(4))
+        clustering._starts.cache_clear()
+        assert np.array_equal(starts, clustering._starts(25, 3, 4, 16))
+        assert_same_result(result, kmeans(points, 3, seed=4))
+
+    def test_cached_draws_hold_no_points(self):
+        rng = np.random.default_rng(2)
+        points, other = rng.normal(size=(20, 2)), rng.normal(size=(20, 2))
+        first = kmeans(points, 3, seed=3)
+        centroids = first.centroids.copy()
+        points[:] = other
+        after = kmeans(points, 3, seed=3)
+        assert first.centroids.tobytes() == centroids.tobytes()
+        clustering._starts.cache_clear()
+        assert_same_result(after, kmeans(other.copy(), 3, seed=3))
+
+    def test_second_fit_of_the_same_size_draws_nothing(self, monkeypatch):
+        points = np.random.default_rng(3).normal(size=(17, 2))
+        draws = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: draws.append(a) or default_rng(*a))
+        clustering._starts.cache_clear()
+        kmeans(points, 3, seed=5)
+        assert len(draws) == clustering.DEFAULT_RESTARTS
+        kmeans(points[::-1].copy(), 3, seed=5)
+        assert len(draws) == clustering.DEFAULT_RESTARTS
 
 
 class TestStandardizeFeatures:

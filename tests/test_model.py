@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sulfexp import curves, regression, svm
+from sulfexp import clustering, curves, regression, svm
 from sulfexp.curves import ExpansionSeries, cluster_features, smooth
 from sulfexp.dataio import generate_synthetic, save_bundle
 from sulfexp.errors import (
@@ -544,6 +544,20 @@ class TestFitPipeline:
             assert means[label] == np.mean(members)
         assert means[HN] < means[ML] < means[LL]
 
+    def test_diagnostics_carry_every_kmeans_restart(self, monkeypatch):
+        results = []
+        kmeans = clustering.kmeans
+        monkeypatch.setattr(
+            clustering, "kmeans", lambda *a, **kw: results.append(kmeans(*a, **kw)) or results[-1],
+        )
+        pairs = generate_synthetic((12, 16, 12), noise=0.03, seed=0).pairs
+        diagnostics = fit_pipeline(pairs).diagnostics
+        (km,) = results
+        assert len(diagnostics.kmeans_restart_iterations) == clustering.DEFAULT_RESTARTS
+        assert diagnostics.kmeans_restart_iterations == km.restart_iterations
+        assert diagnostics.kmeans_restart_converged == km.restart_converged
+        assert km.iterations in km.restart_iterations and all(km.restart_converged)
+
     def test_uncertified_svm_raises_no_convergence(self, monkeypatch):
         # stop the descent at its start point, uncertified
         monkeypatch.setattr(svm, "_polish", lambda X, y, C, z: (z, False))
@@ -659,6 +673,7 @@ class TestPipelineConfig:
     @pytest.mark.parametrize("field,value,message", [
         ("seed", -1, "seed must be a non-negative integer, got -1"),
         ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+        ("seed", True, "seed must be a non-negative integer, got True"),
         ("box_constraint", math.inf, "box constraint must be a finite positive number, got inf"),
         ("box_constraint", math.nan, "box constraint must be a finite positive number, got nan"),
         ("box_constraint", 0.0, "box constraint must be a finite positive number, got 0.0"),
