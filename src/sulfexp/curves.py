@@ -42,11 +42,14 @@ class ExpansionSeries:
     """One specimen's expansion history.
 
     ``samples`` is any (n, 2) array-like of (time in years, expansion in
-    percent) rows with strictly increasing times. It is stored as two
-    read-only float64 arrays, ``times`` and ``values``; the ``samples``
-    property rebuilds the pairs as a tuple of Python floats. Negative
-    expansion values are legal measurement noise; they are kept, not
-    clamped. Equality compares the id and both arrays, not ``group``.
+    percent) rows with strictly increasing times; :meth:`from_columns`
+    takes the two columns instead. Either way the series is stored as two
+    read-only float64 arrays, ``times`` and ``values``, checked by one
+    routine: finite samples, non-negative and strictly increasing times.
+    The ``samples`` property rebuilds the pairs as a tuple of Python
+    floats. Negative expansion values are legal measurement noise; they
+    are kept, not clamped. Equality compares the id and both arrays, not
+    ``group``.
     """
 
     mixture_id: str
@@ -55,7 +58,12 @@ class ExpansionSeries:
     group: str | None = None
 
     def __init__(self, mixture_id: str, samples, group: str | None = None):
-        array = np.asarray(samples, dtype=float)
+        try:
+            array = np.asarray(samples, dtype=float)
+        except ValueError:  # ragged or non-numeric samples
+            raise ValidationError(
+                f"series {mixture_id!r} samples must be (time, value) pairs of numbers"
+            ) from None
         if array.size == 0:
             array = array.reshape(0, 2)
         if array.ndim != 2 or array.shape[1] != 2:
@@ -63,14 +71,37 @@ class ExpansionSeries:
                 f"series {mixture_id!r} samples must be (time, value) pairs, "
                 f"got shape {array.shape}"
             )
-        columns = array.T.copy()
+        self._set_columns(mixture_id, array.T.copy(), group)
+
+    @classmethod
+    def from_columns(cls, mixture_id: str, times, values,
+                     group: str | None = None) -> "ExpansionSeries":
+        """The series of aligned 1-D ``times`` and ``values``, copied and
+        checked as the samples of the constructor are."""
+        try:
+            columns = np.array((times, values), dtype=float)
+        except ValueError:  # ragged or non-numeric columns
+            columns = None
+        if columns is None or columns.ndim != 2:
+            raise ValidationError(
+                f"series {mixture_id!r} times and values must be aligned 1-D arrays of numbers, "
+                f"got shapes {np.shape(times)} and {np.shape(values)}")
+        series = cls.__new__(cls)
+        series._set_columns(mixture_id, columns, group)
+        return series
+
+    def _set_columns(self, mixture_id: str, columns: np.ndarray, group: str | None) -> None:
+        """Check and store a (2, n) array of times over values that this
+        series owns."""
         if not np.isfinite(columns).all():
             raise NonFiniteValue(f"series {mixture_id!r} has non-finite samples")
         columns.flags.writeable = False
-        times, values = columns
-        if np.count_nonzero(times < 0):
+        times, values = columns[0], columns[1]
+        increasing = not np.count_nonzero(times[1:] <= times[:-1])
+        # strictly increasing times are all non-negative when the first one is
+        if (times.size and times[0] < 0) if increasing else np.count_nonzero(times < 0):
             raise ValidationError(f"series {mixture_id!r} has negative times")
-        if np.count_nonzero(times[1:] <= times[:-1]):
+        if not increasing:
             raise ValidationError(f"series {mixture_id!r} times not strictly increasing")
         object.__setattr__(self, "mixture_id", mixture_id)
         object.__setattr__(self, "times", times)
@@ -219,7 +250,7 @@ class SeriesBlock:
     def series(self, i: int) -> ExpansionSeries:
         """Record i as an :class:`ExpansionSeries`."""
         a, b = self.offsets[i], self.offsets[i + 1]
-        return ExpansionSeries(self.ids[i], np.array((self.times[a:b], self.values[a:b])).T)
+        return ExpansionSeries.from_columns(self.ids[i], self.times[a:b], self.values[a:b])
 
     def subset(self, rows) -> "SeriesBlock":
         """The block of records ``rows`` (indices, in the order given)."""
@@ -275,7 +306,7 @@ def smooth(data, alpha: float = DEFAULT_ALPHA):
     check_alpha(alpha)
     if isinstance(data, ExpansionSeries):
         values = _smooth_values(SeriesBlock.from_series([data]), alpha)
-        return ExpansionSeries(data.mixture_id, np.array((data.times, values)).T, data.group)
+        return ExpansionSeries.from_columns(data.mixture_id, data.times, values, data.group)
     return dataclasses.replace(data, values=_read_only(_smooth_values(data, alpha)))
 
 

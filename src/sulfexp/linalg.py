@@ -37,6 +37,14 @@ def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
     return out
 
 
+def read_only_copy(values) -> np.ndarray:
+    """A float64 copy of ``values`` that rejects writes. It is a view of a
+    read-only copy, so its write flag cannot be set again either."""
+    owner = np.array(values, dtype=float)
+    owner.flags.writeable = False
+    return owner.view()
+
+
 def check_positive(name: str, value) -> None:
     """Reject a setting that is not a finite positive real number (a bool
     included, and an integer too large for a float)."""

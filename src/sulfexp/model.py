@@ -108,8 +108,11 @@ class ModelBundle:
     ``boundary_first``/``boundary_second`` may be None for partial bundles
     (degenerate single-group fits). Diagnostics never participate in
     equality or serialization. Construction rejects a ``failure_threshold``
-    that is not a finite positive real number (a bool included) and a
-    model stored under another group's key.
+    that is not a finite positive real number (a bool included), a model
+    stored under another group's key and a ``boundary_first_simplified``
+    that is not axis-parallel (two non-zero weights). Every boundary weight
+    and model coefficient array is read-only, so the routing rule of
+    :func:`classify_mixture` is derived once, at construction.
     """
 
     models: Mapping[GroupLabel, GroupModel]
@@ -127,17 +130,61 @@ class ModelBundle:
         for label, model in self.models.items():
             if model.group is not label:
                 raise ValidationError(f"the model stored under {label} is for group {model.group}")
+        simplified = self.boundary_first_simplified
+        if simplified is not None and np.count_nonzero(simplified.weights) != 1:
+            raise ValidationError(
+                f"the simplified first boundary must be axis-parallel, got weights "
+                f"{simplified.weights.tolist()}")
+        unroutable = self.boundary_second is None or (
+            self.boundary_first is None and simplified is None)
+        # not a field: equality, repr and serialization never see it
+        object.__setattr__(self, "_route", None if unroutable else _Route(
+            simplified, self.boundary_first, self.boundary_second))
 
     def model_for(self, group: GroupLabel) -> GroupModel:
-        if group not in self.models:
+        model = self.models.get(group)
+        if model is None:
             raise ValidationError(f"bundle has no model for group {group}")
-        return self.models[group]
+        return model
 
 
-def _read_only(values) -> np.ndarray:
-    array = np.array(values, dtype=float)
-    array.flags.writeable = False
-    return array
+def _decision_value(boundary: LinearBoundary, mix: Mixture):
+    """``point @ weights + bias`` of the mixture's point in the boundary's
+    plane, the sum :meth:`LinearBoundary.decision_value` makes."""
+    return np.array(mix.require(*boundary.feature_names)) @ boundary.weights + boundary.bias
+
+
+class _Route:
+    """The routing rule of :func:`classify_mixture` for one bundle.
+
+    The HN test is the simplified first boundary's threshold on its one
+    non-zero axis, oriented by that weight's sign, or else the raw first
+    boundary; the second boundary splits the rest.
+    """
+
+    __slots__ = ("hn_field", "hn_threshold", "hn_above", "first", "second")
+
+    def __init__(self, simplified: LinearBoundary | None, first: LinearBoundary | None,
+                 second: LinearBoundary):
+        self.hn_field = None
+        if simplified is not None:
+            axis = int(np.flatnonzero(simplified.weights)[0])
+            weight = float(simplified.weights[axis])
+            self.hn_field = simplified.feature_names[axis]
+            self.hn_threshold = -simplified.bias / weight
+            self.hn_above = weight > 0
+        self.first = first
+        self.second = second
+
+    def __call__(self, mix: Mixture) -> GroupLabel:
+        if self.hn_field is not None:
+            value = mix.require(self.hn_field)[0]
+            is_hn = value > self.hn_threshold if self.hn_above else value < self.hn_threshold
+        else:
+            is_hn = _decision_value(self.first, mix) >= 0
+        if is_hn:
+            return GroupLabel.HN
+        return GroupLabel.ML if _decision_value(self.second, mix) >= 0 else GroupLabel.LL
 
 
 def _build_default_bundle() -> ModelBundle:
@@ -146,40 +193,40 @@ def _build_default_bundle() -> ModelBundle:
             group=GroupLabel.LL,
             form="linear",
             variable_roles=("WC*T", "const"),
-            coefficients=_read_only([0.0157, 0.0305]),
+            coefficients=[0.0157, 0.0305],
         ),
         GroupLabel.ML: GroupModel(
             group=GroupLabel.ML,
             form="linear",
             variable_roles=("WC*T", "C3A*T", "const"),
-            coefficients=_read_only([0.0293, 0.000975, 0.0216]),
+            coefficients=[0.0293, 0.000975, 0.0216],
         ),
         GroupLabel.HN: GroupModel(
             group=GroupLabel.HN,
             form="log-linear",
             variable_roles=("CC*T", "T", "const"),
-            coefficients=_read_only([11.20, -5.68, -3.66]),
+            coefficients=[11.20, -5.68, -3.66],
         ),
     }
     return ModelBundle(
         models=MappingProxyType(models),
         boundary_first=LinearBoundary(
-            feature_names=FIRST_AXES, weights=_read_only([1.0, 1.241]), bias=-8.697,
+            feature_names=FIRST_AXES, weights=[1.0, 1.241], bias=-8.697,
             box_constraint=100.0,
         ),
         boundary_first_simplified=LinearBoundary(
-            feature_names=FIRST_AXES, weights=_read_only([1.0, 0.0]), bias=-8.00,
+            feature_names=FIRST_AXES, weights=[1.0, 0.0], bias=-8.00,
             box_constraint=100.0,
         ),
         boundary_second=LinearBoundary(
-            feature_names=SECOND_AXES, weights=_read_only([1.0, 387.3]), bias=-233.6,
+            feature_names=SECOND_AXES, weights=[1.0, 387.3], bias=-233.6,
             box_constraint=100.0,
         ),
         provenance=PROVENANCE_DEFAULT,
     )
 
 
-#: built once; read-only so that every caller can share it
+#: built once; its mapping and arrays are read-only, so every caller can share it
 _DEFAULT_BUNDLE = _build_default_bundle()
 
 
@@ -192,8 +239,9 @@ def default_bundle() -> ModelBundle:
     (simplified: C3A = 8.00), second boundary C3S + 387.3*WC - 233.6.
 
     Every call returns the same read-only instance: its ``models`` mapping
-    and its coefficient and weight arrays reject writes. Derive a variant
-    with ``dataclasses.replace``.
+    rejects writes, and its coefficient and weight arrays, like those of
+    every bundle, are read-only. Derive a variant with
+    ``dataclasses.replace``.
     """
     return _DEFAULT_BUNDLE
 
@@ -207,29 +255,17 @@ def classify_mixture(mix: Mixture, bundle: ModelBundle | None = None) -> GroupLa
     zero counts as HN. To route by the raw boundary, pass
     ``dataclasses.replace(bundle, boundary_first_simplified=None)``.
     Non-HN mixtures go to ML when the second boundary's decision value is
-    >= 0, else LL.
+    >= 0, else LL. The simplified threshold is ``-bias / weight`` on the
+    boundary's one non-zero axis, and a negative weight turns the test
+    into ``value < threshold``. Each bundle derives this rule once, at
+    construction. A partial bundle raises :class:`ValidationError`.
     """
     if bundle is None:
         bundle = _DEFAULT_BUNDLE
-    if bundle.boundary_second is None or (
-        bundle.boundary_first is None and bundle.boundary_first_simplified is None
-    ):
+    route = bundle._route
+    if route is None:
         raise ValidationError("bundle has no classification boundaries (partial bundle)")
-
-    simplified = bundle.boundary_first_simplified
-    if simplified is not None:
-        axis = int(np.argmax(np.abs(simplified.weights)))
-        value = mix.require(simplified.feature_names[axis])[0]
-        threshold = -simplified.bias / simplified.weights[axis]
-        is_hn = (value > threshold) if simplified.weights[axis] > 0 else (value < threshold)
-    else:
-        first = bundle.boundary_first
-        is_hn = svm.classify(first, mix.require(*first.feature_names)) > 0
-    if is_hn:
-        return GroupLabel.HN
-    second = bundle.boundary_second
-    is_ml = svm.classify(second, mix.require(*second.feature_names)) > 0
-    return GroupLabel.ML if is_ml else GroupLabel.LL
+    return route(mix)
 
 
 #: largest log-linear predictor whose exponential is a finite float
@@ -265,9 +301,15 @@ def predict_expansion(
     bundle: ModelBundle | None = None,
     t: float = 0.0,
 ) -> float:
-    """Expansion percent of a mixture at time t under its group's model."""
+    """Expansion percent of a mixture at time t under its group's model.
+
+    Raises :class:`NegativeTime` for ``t < 0`` and
+    :class:`ValidationError` for a NaN or infinite ``t``.
+    """
     if t < 0:
         raise NegativeTime(f"time must be >= 0, got {t}")
+    if not math.isfinite(t):
+        raise ValidationError(f"time must be finite, got {t}")
     if bundle is None:
         bundle = _DEFAULT_BUNDLE
     return float(_evaluate(bundle.model_for(group), mix, np.float64(t)))
@@ -305,10 +347,9 @@ def predict_curve(
         bundle = _DEFAULT_BUNDLE
     group = classify_mixture(mix, bundle)
     n_steps = int(math.floor(horizon / step + 1e-9))
-    times = np.arange(n_steps + 1) * step
+    times = np.arange(n_steps + 1, dtype=float) * step
     values = _evaluate(bundle.model_for(group), mix, times)
-    return ExpansionSeries(mixture_id=mix.id, samples=np.array((times, values)).T,
-                           group=group.value)
+    return ExpansionSeries.from_columns(mix.id, times, values, group.value)
 
 
 def predicted_failure_time(

@@ -150,7 +150,9 @@ class GroupModel:
     ``form`` is "linear" (predicts expansion directly) or "log-linear"
     (the linear predictor models ln of expansion). ``variable_roles`` and
     ``coefficients`` are aligned, constant term last; an unknown role is
-    rejected at construction. ``dropped_rows`` counts
+    rejected at construction. ``coefficients`` is stored as a read-only
+    float64 copy, so the terms :meth:`time_line` reads, derived once at
+    construction, always match it. ``dropped_rows`` counts
     non-positive-expansion rows excluded before a log fit.
     """
 
@@ -164,7 +166,7 @@ class GroupModel:
     def __post_init__(self):
         if self.form not in ("linear", "log-linear"):
             raise ValidationError(f"unknown model form {self.form!r}")
-        coeffs = np.asarray(self.coefficients, dtype=float)
+        coeffs = linalg.read_only_copy(self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "variable_roles", tuple(self.variable_roles))
         if coeffs.shape[0] != len(self.variable_roles):
@@ -175,6 +177,10 @@ class GroupModel:
             raise NonFiniteValue(
                 f"{self.group} model coefficients must be finite, got {coeffs.tolist()}")
         check_roles(self.variable_roles)
+        # (is constant, field scaling t or None, coefficient) per role, in role order
+        object.__setattr__(self, "_terms", tuple(
+            (role == CONST_ROLE, _T_ROLES.get(role), c)
+            for role, c in zip(self.variable_roles, coeffs.tolist())))
 
     def __eq__(self, other):
         if not isinstance(other, GroupModel):
@@ -194,12 +200,13 @@ class GroupModel:
         """
         slope = 0.0
         intercept = 0.0
-        for role, c in zip(self.variable_roles, self.coefficients.tolist()):
-            if role == CONST_ROLE:
+        for is_constant, name, c in self._terms:
+            if is_constant:
                 intercept += c
+            elif name is None:
+                slope += c
             else:
-                f = _T_ROLES[role]
-                slope += c * (1.0 if f is None else mixture.require(f)[0])
+                slope += c * mixture.require(name)[0]
         return slope, intercept
 
 

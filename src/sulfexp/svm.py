@@ -36,10 +36,12 @@ DEFAULT_BOX_CONSTRAINT = 100.0
 class LinearBoundary:
     """An oriented line  weights . x + bias = 0  in a named 2-D plane.
 
-    Points with positive decision value fall on the +1 side. ``slacks``
-    and ``objective`` are carried along as training diagnostics and do not
-    participate in equality. A ``box_constraint``, when given, must be a
-    finite positive number.
+    Points with positive decision value fall on the +1 side. ``weights``
+    is stored as a read-only float64 copy, so a change to the array passed
+    in does not reach the boundary. ``slacks`` and ``objective`` are
+    carried along as training diagnostics and do not participate in
+    equality. A ``box_constraint``, when given, must be a finite positive
+    number.
     """
 
     feature_names: tuple[str, str]
@@ -50,7 +52,7 @@ class LinearBoundary:
     slacks: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        w = linalg.read_only_copy(self.weights).reshape(-1)
         if w.shape[0] != 2:
             raise DimensionMismatch(f"boundary weights must have 2 entries, got {w.shape[0]}")
         if w[0] == 0.0 and w[1] == 0.0:

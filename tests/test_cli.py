@@ -209,6 +209,13 @@ class TestMalformedBundle:
         assert self._exit_code(tmp_path, path, doc) == 2
         assert "unknown mixture field 'zzz'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weights", [[1.0, 0.5], [1.0, -20.0]])
+    def test_tilted_simplified_boundary_exits_2(self, tmp_path, capsys, bundle_doc, weights):
+        path, doc = bundle_doc
+        doc["boundary_first_simplified"]["weights"] = weights
+        assert self._exit_code(tmp_path, path, doc) == 2
+        assert "simplified first boundary must be axis-parallel" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threshold", ["abc", -1.0])
     def test_bad_failure_threshold_exits_2(self, tmp_path, capsys, bundle_doc, threshold):
         path, doc = bundle_doc

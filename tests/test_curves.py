@@ -46,6 +46,17 @@ def smooth_oracle(s, alpha):
     return out
 
 
+VALIDATION_CASES = [
+    ([0.0, np.nan], [0.1, 0.2], NonFiniteValue, "has non-finite samples"),
+    ([0.0, 1.0], [0.1, np.inf], NonFiniteValue, "has non-finite samples"),
+    ([-np.inf, 1.0], [0.1, 0.2], NonFiniteValue, "has non-finite samples"),
+    ([-1.0, 1.0], [0.1, 0.2], ValidationError, "has negative times"),
+    ([1.0, -1.0], [0.1, 0.2], ValidationError, "has negative times"),
+    ([0.0, 2.0, 1.0], [0.1, 0.2, 0.3], ValidationError, "times not strictly increasing"),
+    ([0.0, 1.0, 1.0], [0.1, 0.2, 0.3], ValidationError, "times not strictly increasing"),
+]
+
+
 class TestSeriesValidation:
     def test_times_must_increase(self):
         with pytest.raises(ValidationError):
@@ -55,20 +66,40 @@ class TestSeriesValidation:
         s = series([0.0, 1.0, 2.0], [0.0, -0.01, 0.02])
         assert s.values[1] == -0.01
 
-    @pytest.mark.parametrize("ts, es, error, message", [
-        ([0.0, np.nan], [0.1, 0.2], NonFiniteValue, "has non-finite samples"),
-        ([0.0, 1.0], [0.1, np.inf], NonFiniteValue, "has non-finite samples"),
-        ([-np.inf, 1.0], [0.1, 0.2], NonFiniteValue, "has non-finite samples"),
-        ([-1.0, 1.0], [0.1, 0.2], ValidationError, "has negative times"),
-        ([1.0, -1.0], [0.1, 0.2], ValidationError, "has negative times"),
-        ([0.0, 2.0, 1.0], [0.1, 0.2, 0.3], ValidationError, "times not strictly increasing"),
-        ([0.0, 1.0, 1.0], [0.1, 0.2, 0.3], ValidationError, "times not strictly increasing"),
-    ])
+    @pytest.mark.parametrize("ts, es, error, message", VALIDATION_CASES)
     def test_each_validation_error(self, ts, es, error, message):
         with pytest.raises(error, match=f"series 'bad' {message}"):
             series(ts, es, mid="bad")
 
-    @pytest.mark.parametrize("samples", [[0.0, 1.0, 2.0], [(0.0, 1.0, 2.0)], [[[0.0, 1.0]]]])
+    @pytest.mark.parametrize("ts, es, error, message", VALIDATION_CASES)
+    def test_each_validation_error_from_columns(self, ts, es, error, message):
+        with pytest.raises(error, match=f"series 'bad' {message}"):
+            ExpansionSeries.from_columns("bad", np.array(ts), np.array(es))
+
+    @pytest.mark.parametrize("ts, es", [
+        ([0.0, 1.0], [0.1]), ([[0.0, 1.0]], [[0.1, 0.2]]), (0.0, 0.1), (["a", "b"], [0.1, 0.2])])
+    def test_columns_must_be_aligned_1d_numbers(self, ts, es):
+        with pytest.raises(ValidationError, match="must be aligned 1-D arrays of numbers"):
+            ExpansionSeries.from_columns("bad", ts, es)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, np.nan, np.inf]),
+                              st.floats(-1.0, 1.0)), max_size=5))
+    def test_columns_and_samples_agree(self, samples):
+        def outcome(build):
+            try:
+                s = build()
+            except ValidationError as exc:
+                return type(exc), str(exc)
+            assert not s.times.flags.writeable and not s.values.flags.writeable
+            return s.times.tobytes(), s.values.tobytes(), s.group
+
+        ts, es = [t for t, _ in samples], [e for _, e in samples]
+        assert outcome(lambda: ExpansionSeries.from_columns("c", ts, es, "LL")) == outcome(
+            lambda: ExpansionSeries("c", samples, "LL"))
+
+    @pytest.mark.parametrize("samples", [[0.0, 1.0, 2.0], [(0.0, 1.0, 2.0)], [[[0.0, 1.0]]],
+                                         [(0.0, 0.1), (1.0,)], [("x", 0.1)]])
     def test_samples_must_be_pairs(self, samples):
         with pytest.raises(ValidationError, match="must be \\(time, value\\) pairs"):
             ExpansionSeries(mixture_id="bad", samples=samples)

@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import struct
+import sys
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from sulfexp import clustering, curves, regression, svm
 from sulfexp.curves import ExpansionSeries, cluster_features, smooth
-from sulfexp.dataio import generate_synthetic, save_bundle
+from sulfexp.dataio import generate_synthetic, load_bundle, save_bundle
 from sulfexp.errors import (
     AlreadyFailed,
     EmptyGroup,
@@ -28,7 +29,10 @@ from sulfexp.errors import (
 )
 from sulfexp.mixtures import MIXTURE_FIELDS, GroupLabel, Mixture
 from sulfexp.model import (
+    FIRST_AXES,
     MAX_CURVE_POINTS,
+    SECOND_AXES,
+    ModelBundle,
     PipelineConfig,
     classify_mixture,
     dataset_hash,
@@ -94,6 +98,66 @@ class TestDefaultBundle:
         models[ML] = models[LL]
         with pytest.raises(ValidationError, match="stored under ML is for group LL"):
             dataclasses.replace(default_bundle(), models=models)
+
+
+@pytest.fixture(scope="module")
+def fitted_bundle():
+    return fit_pipeline(generate_synthetic((12, 16, 12), noise=0.03, seed=0).pairs)
+
+
+class TestReadOnlyArrays:
+    """Every bundle's coefficient and weight arrays are read-only copies,
+    so the routing rule and time-line terms derived from them at
+    construction cannot go stale."""
+
+    @pytest.fixture(params=["default", "fitted", "loaded"])
+    def bundle(self, request, fitted_bundle, tmp_path):
+        if request.param == "default":
+            return default_bundle()
+        if request.param == "fitted":
+            return fitted_bundle
+        save_bundle(fitted_bundle, tmp_path / "bundle.json")
+        return load_bundle(tmp_path / "bundle.json")
+
+    def test_every_array_rejects_writes(self, bundle):
+        arrays = [m.coefficients for m in bundle.models.values()] + [
+            b.weights for b in (bundle.boundary_first, bundle.boundary_first_simplified,
+                                bundle.boundary_second)]
+        assert len(arrays) == 6
+        for array in arrays:
+            assert array.dtype == np.float64 and not array.flags.writeable
+            before = array.tolist()
+            with pytest.raises(ValueError):
+                array[0] = 123.0
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+            assert array.tolist() == before
+
+    def test_boundary_does_not_alias_its_weights(self):
+        w = np.array([1.0, 387.3])
+        b = LinearBoundary(("c3s", "wc"), w, -233.6)
+        w[1] = 0.0
+        assert b.weights.tolist() == [1.0, 387.3]
+        assert b.decision_value([50.0, 0.5]) == float(np.array([50.0, 0.5]) @ [1.0, 387.3] - 233.6)
+
+    def test_group_model_does_not_alias_its_coefficients(self):
+        c = np.array([0.0293, 0.000975, 0.0216])
+        group_model = regression.GroupModel(
+            group=ML, form="linear", variable_roles=("WC*T", "C3A*T", "const"), coefficients=c)
+        mix = Mixture(id="m", wc=0.5, c3a=6.0)
+        line = group_model.time_line(mix)
+        c[:] = 9.0
+        assert group_model.coefficients.tolist() == [0.0293, 0.000975, 0.0216]
+        assert group_model.time_line(mix) == line
+
+    def test_bundle_routes_by_its_own_copies(self):
+        weights = np.array([1.0, 387.3])
+        second = LinearBoundary(("c3s", "wc"), weights, -233.6)
+        bundle = dataclasses.replace(default_bundle(), boundary_second=second)
+        mix = Mixture(id="m", wc=0.45, c3a=5.0, c3s=55.0)
+        assert classify_mixture(mix, bundle) is LL
+        weights[0] = 1000.0
+        assert classify_mixture(mix, bundle) is LL
 
 
 class TestClassifyMixture:
@@ -176,11 +240,210 @@ class TestFirstBoundaryRoute:
                           c3a=rng.uniform(0, 14), c3s=rng.uniform(0, 100))
             assert classify_mixture(mix, simplified_only) is classify_mixture(mix)
 
+    def test_points_exactly_on_a_raw_boundary_take_its_non_negative_side(self):
+        # each bias puts the mixture exactly on the line under numpy's
+        # point @ weights; a sum of Python float products differs from it in
+        # the last bit on some of these points and would move them off
+        rng = np.random.default_rng(6)
+        for _ in range(1000):
+            mix = Mixture(id="on", wc=rng.uniform(0.01, 1.0), c3a=rng.uniform(0, 100),
+                          c3s=rng.uniform(0, 100))
+            w_first, w_second = rng.uniform(-50, 50, 2), rng.uniform(-50, 50, 2)
+            first = LinearBoundary(FIRST_AXES, w_first,
+                                   -float(np.array([mix.c3a, mix.wc]) @ w_first))
+            second = LinearBoundary(SECOND_AXES, w_second,
+                                    -float(np.array([mix.c3s, mix.wc]) @ w_second))
+            raw = dataclasses.replace(default_bundle(), boundary_first=first,
+                                      boundary_first_simplified=None, boundary_second=second)
+            assert classify_mixture(mix, raw) is HN
+            simplified = dataclasses.replace(default_bundle(), boundary_second=second)
+            assert classify_mixture(mix, simplified) is (HN if mix.c3a > 8.0 else ML)
+
+    @pytest.mark.parametrize("weights", [[1.0, 0.5], [1.0, -20.0], [-0.1, 3.0]])
+    def test_tilted_simplified_boundary_is_rejected(self, weights):
+        # read as a threshold on c3a, [1.0, 0.5] would route c3a=7.9, wc=0.5
+        # (+0.15 on the line) to ML, and [1.0, -20.0] would never route to HN
+        tilted = LinearBoundary(("c3a", "wc"), weights, bias=-8.0)
+        with pytest.raises(ValidationError, match="simplified first boundary must be "
+                                                  "axis-parallel"):
+            dataclasses.replace(default_bundle(), boundary_first_simplified=tilted)
+
     def test_no_first_boundary_is_rejected(self):
         neither = dataclasses.replace(default_bundle(), boundary_first=None,
                                       boundary_first_simplified=None)
         with pytest.raises(ValidationError, match="no classification boundaries"):
             classify_mixture(Mixture(id="m", c3a=5.0, wc=0.5, c3s=40.0), neither)
+
+
+def route_oracle(mix: Mixture, bundle) -> GroupLabel:
+    """The rule of :func:`classify_mixture`'s docstring, from
+    :meth:`LinearBoundary.decision_value`."""
+    simplified, first, second = (bundle.boundary_first_simplified, bundle.boundary_first,
+                                 bundle.boundary_second)
+    if second is None or (first is None and simplified is None):
+        raise ValidationError("bundle has no classification boundaries (partial bundle)")
+    if simplified is not None:
+        (axis,) = [i for i, w in enumerate(simplified.weights.tolist()) if w != 0.0]
+        weight = simplified.weights[axis]
+        value = mix.require(simplified.feature_names[axis])[0]
+        threshold = -simplified.bias / weight
+        is_hn = value > threshold if weight > 0 else value < threshold
+    else:
+        is_hn = first.decision_value(mix.require(*first.feature_names)) >= 0
+    if is_hn:
+        return HN
+    return ML if second.decision_value(mix.require(*second.feature_names)) >= 0 else LL
+
+
+def time_line_oracle(model, mix: Mixture) -> tuple[float, float]:
+    """slope and intercept of a group model, summed term by term in role order."""
+    field_of = {role: f for f, role in regression.FIELD_TO_ROLE.items()}
+    slope = intercept = 0.0
+    for role, c in zip(model.variable_roles, model.coefficients.tolist()):
+        if role == regression.CONST_ROLE:
+            intercept += c
+        elif role == "T":
+            slope += c
+        else:
+            slope += c * mix.require(field_of[role])[0]
+    return slope, intercept
+
+
+def outcome(call):
+    """A call's result, or its error's type and message."""
+    try:
+        return call()
+    except (ValidationError, NonIncreasing, AlreadyFailed) as exc:
+        return type(exc), str(exc)
+
+
+def spread(lo: float, hi: float):
+    """Floats in [lo, hi]: hypothesis's own, or full-mantissa ones whose
+    products round, so that a sum made in another order can land on the
+    other side of a tie."""
+    return st.one_of(st.floats(lo, hi), st.integers(0, 2**53).map(
+        lambda k: min(hi, lo + (hi - lo) * (k / 2**53))))
+
+
+finite = spread(-50.0, 50.0)
+nonzero = finite.filter(lambda w: w != 0.0)
+
+
+@st.composite
+def mixtures_and_bundles(draw):
+    """A mixture (perhaps missing one field) and a bundle routing it: random
+    boundaries and models, the simplified boundary present or removed, or
+    a partial bundle; a raw boundary may pass exactly through the mixture."""
+    values = {
+        "wc": draw(spread(0.01, 1.0)), "c3a": draw(spread(0.0, 100.0)),
+        "c3s": draw(spread(0.0, 100.0)), "c2s": draw(spread(0.0, 100.0)),
+        "cement_content": draw(spread(0.0, 1.0)),
+    }
+    dropped = draw(st.sampled_from([None, None, None, *values]))
+    mix = Mixture(id="m", **{k: v for k, v in values.items() if k != dropped})
+
+    def boundary(axes, on_mixture):
+        weights = np.array([draw(finite), draw(finite)])
+        weights[draw(st.integers(0, 1))] = draw(nonzero)   # not both zero
+        if on_mixture:   # the decision value at the mixture is exactly 0
+            bias = -float(np.array([values[a] for a in axes]) @ weights)
+        else:
+            bias = draw(st.floats(-1e3, 1e3))
+        return LinearBoundary(axes, weights, bias)
+
+    axis = draw(st.integers(0, 1))
+    simplified_weights = [0.0, 0.0]
+    simplified_weights[axis] = draw(nonzero)
+    simplified = LinearBoundary(FIRST_AXES, simplified_weights, draw(st.floats(-100.0, 100.0)))
+    if draw(st.booleans()):   # a threshold exactly at the mixture's value
+        simplified = LinearBoundary(FIRST_AXES, simplified_weights,
+                                    -values[FIRST_AXES[axis]] * simplified_weights[axis])
+    roles = {
+        LL: ("WC*T", "const"), ML: ("WC*T", "C3A*T", "const"), HN: ("CC*T", "T", "const")}
+    if draw(st.booleans()):   # data-driven roles
+        scaled = st.sampled_from(["WC*T", "C3A*T", "C3S*T", "C2S*T", "CC*T", "T"])
+        roles = {g: tuple(dict.fromkeys(draw(st.lists(scaled, min_size=1, max_size=3))))
+                 + ("const",) for g in roles}
+    models = {g: regression.GroupModel(
+        group=g, form="log-linear" if g is HN else "linear", variable_roles=r,
+        coefficients=[draw(spread(-3.0, 3.0)) for _ in r]) for g, r in roles.items()}
+    bundle = ModelBundle(
+        models=models,
+        boundary_first=boundary(FIRST_AXES, draw(st.booleans())),
+        boundary_first_simplified=simplified,
+        boundary_second=boundary(SECOND_AXES, draw(st.booleans())),
+        provenance="drawn",
+        failure_threshold=draw(st.floats(0.05, 5.0)),
+    )
+    variant = draw(st.sampled_from(["simplified", "simplified", "raw", "raw", "partial",
+                                    "no first"]))
+    if variant == "raw":
+        bundle = dataclasses.replace(bundle, boundary_first_simplified=None)
+    elif variant == "partial":
+        bundle = dataclasses.replace(bundle, boundary_second=None, partial=True)
+    elif variant == "no first":
+        bundle = dataclasses.replace(bundle, boundary_first=None, boundary_first_simplified=None)
+    return mix, bundle
+
+
+class TestRoutingOracle:
+    """Routing, curves and failure times against references that rederive
+    everything per call, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(drawn=mixtures_and_bundles(), horizon=st.floats(0.5, 60.0),
+           step=st.floats(0.05, 5.0))
+    def test_matches_the_per_call_reference(self, drawn, horizon, step):
+        mix, bundle = drawn
+        expected = outcome(lambda: route_oracle(mix, bundle))
+        assert outcome(lambda: classify_mixture(mix, bundle)) == expected
+        if not isinstance(expected, GroupLabel):
+            return
+        group_model = bundle.models[expected]
+        line = outcome(lambda: time_line_oracle(group_model, mix))
+        assert outcome(lambda: group_model.time_line(mix)) == line
+        if not isinstance(line, tuple) or not isinstance(line[0], float):
+            return
+        slope, intercept = line
+
+        grid_step = min(step, horizon)
+        times = np.arange(int(math.floor(horizon / grid_step + 1e-9)) + 1) * grid_step
+        values = slope * times + intercept
+        if group_model.form == "log-linear" and values.max() > math.log(sys.float_info.max):
+            with pytest.raises(PredictionOverflow):
+                predict_curve(mix, bundle, horizon=horizon, step=step)
+        else:
+            if group_model.form == "log-linear":
+                values = np.exp(values)
+            curve = predict_curve(mix, bundle, horizon=horizon, step=step)
+            assert curve.group == expected.value
+            assert curve.times.tobytes() == times.astype(float).tobytes()
+            assert curve.values.tobytes() == values.tobytes()
+
+        target = bundle.failure_threshold
+        if group_model.form == "log-linear":
+            target = math.log(target)
+        t_fail = outcome(lambda: predicted_failure_time(mix, bundle))
+        if intercept >= target:
+            assert t_fail[0] is AlreadyFailed
+        elif slope <= 0:
+            assert t_fail[0] is NonIncreasing
+        else:
+            assert t_fail == (target - intercept) / slope
+
+
+    def test_time_line_adds_every_term_in_role_order(self):
+        # with eight time-scaled terms a sum in any other order differs in the last bit
+        roles = tuple(regression.FIELD_TO_ROLE.values()) + ("T", regression.CONST_ROLE)
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            group_model = regression.GroupModel(group=ML, form="linear", variable_roles=roles,
+                                                coefficients=rng.uniform(-3, 3, len(roles)))
+            mix = Mixture(id="m", wc=rng.uniform(0.01, 1.0), c3a=rng.uniform(0, 100),
+                          c3s=rng.uniform(0, 100), c2s=rng.uniform(0, 100),
+                          c4af=rng.uniform(0, 100), cement_content=rng.uniform(0, 1),
+                          air=rng.uniform(0, 100))
+            assert group_model.time_line(mix) == time_line_oracle(group_model, mix)
 
 
 class TestPredictExpansion:
@@ -200,6 +463,11 @@ class TestPredictExpansion:
     def test_negative_time(self):
         with pytest.raises(NegativeTime):
             predict_expansion(Mixture(id="x", wc=0.5), LL, t=-1.0)
+        for group in (LL, HN):
+            for t in (math.nan, math.inf):
+                with pytest.raises(ValidationError, match=f"time must be finite, got {t}") as info:
+                    predict_expansion(Mixture(id="x", wc=0.5, cement_content=0.3), group, t=t)
+                assert not isinstance(info.value, NegativeTime)
 
     def test_missing_field(self):
         with pytest.raises(MissingField):
@@ -247,6 +515,13 @@ class TestPredictCurve:
         series = predict_curve(Mixture(id="x", wc=0.49, c3a=5.0, c3s=40.0),
                                horizon=40.0, step=7.0)
         assert series.times.tolist() == [0.0, 7.0, 14.0, 21.0, 28.0, 35.0]
+
+    def test_integer_grid_beyond_int64(self):
+        # an integer step whose grid times overflow a 64-bit integer
+        series = predict_curve(Mixture(id="x", wc=0.49, c3a=5.0, c3s=40.0),
+                               horizon=10**20, step=10**20)
+        assert series.times.tolist() == [0.0, 1e20]
+        assert series.values.tolist() == [0.0305, 0.0157 * 0.49 * 1e20 + 0.0305]
 
     def test_time_zero_is_intercept(self):
         series = predict_curve(Mixture(id="x", wc=0.49, c3a=5.0, c3s=40.0),
