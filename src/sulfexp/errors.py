@@ -115,6 +115,10 @@ class NoConvergence(NumericalError):
         super().__init__(message)
 
 
+class OneSidedBoundary(NumericalError):
+    """A trained boundary's optimum puts every training point on one side."""
+
+
 class RankDeficient(NumericalError):
     pass
 

@@ -103,10 +103,14 @@ def solve_symmetric(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"eigenvalue magnitude {smallest:.3e} below threshold {RANK_REL_TOL * scale:.3e}"
         )
     scaled = Q / w  # A^-1 = scaled @ Q^T
-    x = scaled @ (Q.T @ b)
-    # One refinement pass tightens the residual for mildly ill-conditioned systems.
-    x += scaled @ (Q.T @ (b - A @ x))
-    if not (np.abs(A @ x - b).max(axis=0) <= bound).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = scaled @ (Q.T @ b)
+        # One refinement pass tightens the residual for mildly ill-conditioned systems.
+        x += scaled @ (Q.T @ (b - A @ x))
+        residual = np.abs(A @ x - b).max(axis=0)
+    if not np.isfinite(residual).all():
+        raise NonFiniteValue("the solution of the system overflows a float")
+    if not (residual <= bound).all():
         raise SingularMatrix("solution residual exceeds tolerance; matrix numerically singular")
     return x
 

@@ -182,6 +182,10 @@ class GroupModel:
             (role == CONST_ROLE, _T_ROLES.get(role), c)
             for role, c in zip(self.variable_roles, coeffs.tolist())))
 
+    def __reduce__(self):  # a copy is built again: read-only coefficients, its own terms
+        return (GroupModel, (self.group, self.form, self.variable_roles, self.coefficients,
+                             self.fit, self.dropped_rows))
+
     def __eq__(self, other):
         if not isinstance(other, GroupModel):
             return NotImplemented

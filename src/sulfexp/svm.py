@@ -8,8 +8,10 @@ The objective restricted to a ray is convex piecewise quadratic, so the
 line search sorts its breakpoints once and reads the minimizer off the
 cumulative jumps of the derivative (Keerthi & DeCoste, JMLR 2005). Clean
 multipliers certify global optimality of this convex problem, and the
-result is then the KKT solution of the certified margin set. The dual
-formulation is never used.
+result is then the KKT solution of the certified margin set. Where that
+step cannot move, the one fallback is the minimum-norm subgradient (a
+bounded least squares over the margin multipliers): zero certifies the
+point, and otherwise its negative is the next direction. No dual.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
     NonFiniteValue,
+    OneSidedBoundary,
     SingleClass,
     SingularMatrix,
     ValidationError,
@@ -67,6 +70,10 @@ class LinearBoundary:
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "bias", bias)
 
+    def __reduce__(self):  # a copy is built again, with read-only weights
+        return (LinearBoundary, (self.feature_names, self.weights, self.bias,
+                                 self.box_constraint, self.objective, self.slacks))
+
     def __eq__(self, other):
         if not isinstance(other, LinearBoundary):
             return NotImplemented
@@ -96,15 +103,6 @@ def classify(boundary: LinearBoundary, point) -> int:
 def _primal_objective(X, y, C, beta, b):
     margins = y * (X @ beta + b)
     return 0.5 * float(beta @ beta) + C * float(np.maximum(0.0, 1.0 - margins).sum())
-
-
-def _subgradient(X, y, C, z):
-    margins = y * (X @ z[:2] + z[2])
-    viol = margins < 1.0
-    g = np.empty(3)
-    g[:2] = z[:2] - C * (y[viol, None] * X[viol]).sum(axis=0)
-    g[2] = -C * float(y[viol].sum())
-    return g
 
 
 def _line_minimize(X, y, C, z, d):
@@ -147,13 +145,6 @@ def _line_minimize(X, y, C, z, d):
     return tau, _primal_objective(X, y, C, zz[:2], zz[2])
 
 
-_COORDINATE_DIRECTIONS = (
-    np.array([1.0, 0.0, 0.0]),
-    np.array([0.0, 1.0, 0.0]),
-    np.array([0.0, 0.0, 1.0]),
-)
-
-
 def _kkt_solve(X, y, C, on_margin, violating):
     """Solve the equality-constrained problem for a margin-set guess.
 
@@ -185,29 +176,70 @@ def _kkt_solve(X, y, C, on_margin, violating):
     return np.array([beta[0], beta[1], b]), mu, idx
 
 
-def _independent_margin_subset(X, y, on_margin, max_rank=3):
-    """Greedy linearly independent subset of the margin constraints.
+def _bounded_lsq(A, b, C):
+    """Minimize |A x - b| over the box 0 <= x <= C; returns x.
 
-    Constraint rows are y_i * (x_i0, x_i1, 1); at most three can be
-    independent, and feeding only those to the KKT solve gives a usable
-    candidate when the full margin set is rank deficient.
+    Bounded-variable least squares (Stark & Parker, Comput. Stat. 1995;
+    Lawson & Hanson 1974, ch. 23). From x = 0, each of at most 10e steps
+    frees the bound variable whose gradient points furthest into the box
+    and solves the free variables' least squares; while that solution
+    leaves the box, x walks toward it up to the first bound crossed, and
+    the variables that reach a bound are fixed. A step is kept only if it
+    lowers the residual, else its variable is passed over until x moves.
     """
-    chosen_rows: list[np.ndarray] = []
-    subset = np.zeros_like(on_margin)
-    for i in np.nonzero(on_margin)[0]:
-        row = y[i] * np.array([X[i, 0], X[i, 1], 1.0])
-        residual = row.copy()
-        for q in chosen_rows:
-            residual -= (q @ residual) * q
-        norm = float(np.linalg.norm(residual))
-        if norm > 1e-10 * (1.0 + float(np.linalg.norm(row))):
-            chosen_rows.append(residual / norm)
-            subset[i] = True
-            if len(chosen_rows) == max_rank:
+    e = A.shape[1]
+    x = np.zeros(e)
+    free = np.zeros(e, dtype=bool)
+    passed = np.zeros(e, dtype=bool)
+    r = b - A @ x
+    col_norms = np.sqrt((A * A).sum(axis=0))
+    for _ in range(10 * e):
+        w = A.T @ r  # minus the gradient of 0.5*|A x - b|^2
+        inward = np.where(x == 0.0, w, -w)
+        # below rounding noise, freeing a variable cannot lower the residual
+        inward[free | passed | (inward <= 1e-12 * col_norms * float(np.linalg.norm(r)))] = 0.0
+        t = int(np.argmax(inward))
+        if inward[t] <= 0.0:
+            break
+        xt, ft = x.copy(), free.copy()
+        ft[t] = True
+        while ft.any():
+            F = np.flatnonzero(ft)
+            sol = np.linalg.lstsq(A[:, F], b - A[:, ~ft] @ xt[~ft], rcond=None)[0]
+            outside = (sol <= 0.0) | (sol >= C)
+            if not outside.any():
+                xt[F] = sol
                 break
-    if not subset.any() or subset.sum() == on_margin.sum():
-        return None
-    return subset
+            bound = np.where(sol <= 0.0, 0.0, C)
+            span = sol - xt[F]
+            step = np.divide(bound - xt[F], span, out=np.zeros(F.size), where=span != 0.0)
+            step[~outside] = np.inf
+            hit = step <= step.min()
+            xt[F] += step.min() * span
+            xt[F[hit]] = bound[hit]
+            ft[F[hit]] = False
+        rt = b - A @ xt
+        if float(rt @ rt) < float(r @ r):
+            x, free, r = xt, ft, rt
+            passed[:] = False
+        else:
+            passed[t] = True
+    return x
+
+
+def _min_norm_subgradient(X, y, C, z, on_margin, violating):
+    """The shortest subgradient of the objective at z.
+
+    Each violating point adds -C*y_i*(x_i, 1) to (beta, 0), each margin
+    point -mu_i*y_i*(x_i, 1) with mu_i in [0, C]; the shortest sum is one
+    bounded least squares over those mu. It is zero at an optimum, and
+    otherwise its negative is the steepest-descent direction.
+    """
+    g = np.empty(3)
+    g[:2] = z[:2] - C * (y[violating, None] * X[violating]).sum(axis=0)
+    g[2] = -C * float(y[violating].sum())
+    A = y[on_margin] * np.vstack([X[on_margin].T, np.ones(int(on_margin.sum()))])
+    return g - A @ _bounded_lsq(A, g, C)
 
 
 def _polish(X, y, C, z, max_rounds=300):
@@ -219,11 +251,13 @@ def _polish(X, y, C, z, max_rounds=300):
     already solves its partition's system, a negative (or above-C)
     multiplier names the constraint to release, which is the classical
     escape from a non-optimal vertex; clean multipliers certify global
-    optimality of this convex problem, and the partition's KKT solution
-    is returned, so the answer depends on the certified margin set and not
-    on the path that found it. Subgradient and coordinate directions back
-    the KKT direction up, each under the same exact line search, so a
-    failed round can never move uphill. Returns (point, certified).
+    optimality, and the partition's KKT solution is returned, so the
+    answer depends on the certified margin set and not on the path that
+    found it. [[G, y], [y^T, 0]] has rank at most 4 (G = (yX)(yX)^T has
+    rank at most 2), so only one to three margin points are solved for.
+    Otherwise, or when that step cannot move, a minimum-norm subgradient
+    of at most 1e-10 times the gradient scale certifies the point, and a
+    longer one's negative is the next direction. Returns (point, certified).
     """
     obj = _primal_objective(X, y, C, z[:2], z[2])
     kkt_tol = 1e-9 * (1.0 + C)
@@ -247,14 +281,8 @@ def _polish(X, y, C, z, max_rounds=300):
         on_margin = np.abs(1.0 - margins) <= tol_id
         violating = margins < 1.0 - tol_id
 
-        if not on_margin.any():
-            # away from every kink the objective is smooth there; a vanishing
-            # gradient certifies the optimum directly
-            if float(np.linalg.norm(_subgradient(X, y, C, z))) <= 1e-10 * grad_scale:
-                return z, True
-
         moved = False
-        if on_margin.any():
+        if 1 <= on_margin.sum() <= 3:
             try:
                 z_c, mu, idx = _kkt_solve(X, y, C, on_margin, violating)
                 moved = try_direction(z_c - z)
@@ -274,44 +302,16 @@ def _polish(X, y, C, z, max_rounds=300):
                         released[j] = False
                         viol[j] = True
                     if released.any():
-                        try:
-                            z_c2, _, _ = _kkt_solve(X, y, C, released, viol)
-                            moved = try_direction(z_c2 - z)
-                        except SingularMatrix:
-                            pass
+                        z_c2, _, _ = _kkt_solve(X, y, C, released, viol)
+                        moved = try_direction(z_c2 - z)
             except SingularMatrix:
-                # inconsistent margin set: a linearly independent subset
-                # first (degenerate fences put many points on the margin at
-                # once), then leaving single members out
-                subset = _independent_margin_subset(X, y, on_margin)
-                if subset is not None and subset.any():
-                    try:
-                        z_c, _, _ = _kkt_solve(X, y, C, subset, violating)
-                        moved = try_direction(z_c - z)
-                    except SingularMatrix:
-                        pass
-                if not moved:
-                    for i in np.nonzero(on_margin)[0]:
-                        reduced = on_margin.copy()
-                        reduced[i] = False
-                        if not reduced.any():
-                            continue
-                        try:
-                            z_c, _, _ = _kkt_solve(X, y, C, reduced, violating)
-                        except SingularMatrix:
-                            continue
-                        moved = try_direction(z_c - z)
-                        if moved:
-                            break
+                pass
         if not moved:
-            moved = try_direction(-_subgradient(X, y, C, z))
-        if not moved:
-            for d in _COORDINATE_DIRECTIONS:
-                moved = try_direction(d)
-                if moved:
-                    break
-        if not moved:
-            return z, False
+            g = _min_norm_subgradient(X, y, C, z, on_margin, violating)
+            if float(np.linalg.norm(g)) <= 1e-10 * grad_scale:
+                return z, True
+            if not try_direction(-g):
+                return z, False
     return z, False
 
 
@@ -339,7 +339,9 @@ def svm_train(
     ``labels`` must contain both +1 and -1. Training is deterministic: an
     exact active-set descent from the origin. The result carries the
     primal objective and per-point slack values. Raises
-    :class:`NoConvergence` when the descent certified no optimum.
+    :class:`NoConvergence` when the descent certified no optimum, and
+    :class:`OneSidedBoundary` when the certified optimum puts every point
+    on one side, a boundary that separates nothing.
     """
     X, y = _labeled_points(points, labels)
     if np.all(y == y[0]):
@@ -354,8 +356,15 @@ def svm_train(
             objective=_primal_objective(X, y, C, beta, b),
         )
 
-    margins = y * (X @ beta + b)
-    slacks = np.maximum(0.0, 1.0 - margins)
+    decision = X @ beta + b
+    positive = decision >= 0
+    if positive.all() or not positive.any():
+        n_pos = int((y > 0).sum())
+        raise OneSidedBoundary(
+            f"the optimal boundary in the ({feature_names[0]}, {feature_names[1]}) plane puts "
+            f"all {y.size} points on its {'+1' if positive[0] else '-1'} side "
+            f"({n_pos} labelled +1, {y.size - n_pos} labelled -1)")
+    slacks = np.maximum(0.0, 1.0 - y * decision)
     return LinearBoundary(
         feature_names=feature_names,
         weights=beta,

@@ -332,6 +332,15 @@ class TestFit:
             "numerical failure: boundaries: svm training certified no optimum (objective=")
         assert not (tmp_path / "b.json").exists()
 
+    def test_one_sided_boundary_exits_3_naming_the_plane(self, tmp_path, capsys):
+        write_dataset(tmp_path, generate_synthetic((12, 16, 12), noise=0.1, seed=3), {})
+        assert main(["fit", str(tmp_path / "manifest.json"),
+                     "--out", str(tmp_path / "b.json")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: boundaries: the optimal boundary in the (c3s, wc) plane puts "
+            "all 28 points on its +1 side (26 labelled +1, 2 labelled -1)"]
+        assert not (tmp_path / "b.json").exists()
+
     def test_bad_manifest_exits_2(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text("{}")
         assert main(["fit", str(tmp_path / "manifest.json"),

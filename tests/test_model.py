@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import hashlib
 import math
+import pickle
 import re
 import struct
 import sys
@@ -119,7 +121,8 @@ class TestReadOnlyArrays:
         save_bundle(fitted_bundle, tmp_path / "bundle.json")
         return load_bundle(tmp_path / "bundle.json")
 
-    def test_every_array_rejects_writes(self, bundle):
+    @staticmethod
+    def assert_every_array_rejects_writes(bundle):
         arrays = [m.coefficients for m in bundle.models.values()] + [
             b.weights for b in (bundle.boundary_first, bundle.boundary_first_simplified,
                                 bundle.boundary_second)]
@@ -132,6 +135,9 @@ class TestReadOnlyArrays:
             with pytest.raises(ValueError):
                 array.flags.writeable = True
             assert array.tolist() == before
+
+    def test_every_array_rejects_writes(self, bundle):
+        self.assert_every_array_rejects_writes(bundle)
 
     def test_boundary_does_not_alias_its_weights(self):
         w = np.array([1.0, 387.3])
@@ -158,6 +164,22 @@ class TestReadOnlyArrays:
         assert classify_mixture(mix, bundle) is LL
         weights[0] = 1000.0
         assert classify_mixture(mix, bundle) is LL
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_are_built_again_with_read_only_arrays(self, fitted_bundle, duplicate):
+        copied = duplicate(fitted_bundle)
+        assert copied == fitted_bundle
+        self.assert_every_array_rejects_writes(copied)
+        mix = Mixture(id="m", wc=0.45, c3a=5.0, c3s=55.0, cement_content=0.5)
+        assert classify_mixture(mix, copied) is classify_mixture(mix, fitted_bundle)
+        for label, group_model in copied.models.items():
+            assert group_model.time_line(mix) == fitted_bundle.models[label].time_line(mix)
+        for original in (fitted_bundle.boundary_second, fitted_bundle.models[LL]):
+            single = duplicate(original)
+            assert single == original and single is not original
+            array = single.weights if isinstance(single, LinearBoundary) else single.coefficients
+            assert not array.flags.writeable
 
 
 class TestClassifyMixture:

@@ -397,6 +397,14 @@ class TestBlockRows:
                 ols_fit(X, y)
 
 
+    def test_overflowing_solution_is_rejected_without_a_warning(self):
+        # finite normal equations whose solution's residual overflows a float
+        X = np.column_stack([np.arange(1.0, 4.0), np.ones(3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="solution of the system overflows"):
+                ols_fit(X, np.array([1e308, 0.0, 0.0]))
+
 class TestGroupModelConstruction:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("index", [0, 1, 2])

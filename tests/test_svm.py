@@ -1,15 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import lsq_linear
 
-from sulfexp import fit_pipeline, generate_synthetic
-from sulfexp.errors import NonFiniteValue, SingleClass, ValidationError
+from sulfexp import fit_pipeline, generate_synthetic, svm
+from sulfexp.errors import NonFiniteValue, OneSidedBoundary, SingleClass, ValidationError
 from sulfexp.mixtures import GroupLabel
 from sulfexp.svm import (
     LinearBoundary,
+    _bounded_lsq,
     _line_minimize,
     _polish,
     classify,
@@ -215,6 +218,97 @@ class TestPolishStart:
                 z1, clean1 = _polish(X, y, 100.0, start)
                 assert clean1
                 assert z1.tobytes() == z0.tobytes()
+
+
+def bounded_lsq_problem(rng, kind, e):
+    """A 3 x e matrix: generic, rank one, or margin rows y_i*(x_i, 1) of a
+    few repeated points, which make many columns equal or opposite."""
+    if kind == "generic":
+        return rng.normal(size=(3, e)) * 10.0 ** rng.uniform(-2, 2)
+    if kind == "rank one":
+        return np.outer(rng.normal(size=3), rng.normal(size=e))
+    points = rng.uniform(-3, 3, size=(int(rng.integers(1, 5)), 2)) * rng.uniform(0.1, 50.0, 2)
+    X = points[rng.integers(0, len(points), e)]
+    return np.where(rng.random(e) < 0.5, -1.0, 1.0) * np.vstack([X.T, np.ones(e)])
+
+
+class TestBoundedLeastSquares:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), e=st.integers(0, 40), log_c=st.floats(-2.0, 4.0),
+           kind=st.sampled_from(["generic", "rank one", "margin rows"]))
+    def test_matches_scipy_bvls(self, seed, e, log_c, kind):
+        rng = np.random.default_rng(seed)
+        C = 10.0 ** log_c
+        A = bounded_lsq_problem(rng, kind, e)
+        b = rng.normal(size=3) * 10.0 ** rng.uniform(-2, 4) * C
+        x = _bounded_lsq(A, b, C)
+        assert x.shape == (e,) and ((x >= 0.0) & (x <= C)).all()
+        if e == 0:
+            return
+        with warnings.catch_warnings():  # the oracle may warn about a rank-deficient A
+            warnings.simplefilter("ignore")
+            oracle = lsq_linear(A, b, bounds=(0.0, C), method="bvls").x
+        # the minimizing x need not be unique, but the residual A x - b is
+        scale = np.abs(b).sum() + C * np.abs(A).sum()
+        assert np.linalg.norm((A @ x - b) - (A @ oracle - b)) <= 1e-9 * scale
+
+
+def degenerate_plane(n, negatives, seed=0):
+    """Uniform points over c3s in [40, 60], wc in [0.4, 0.6], a few labelled -1;
+    at C = 100 the optimum puts every point on the +1 side."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.uniform(40, 60, n), rng.uniform(0.4, 0.6, n)])
+    y = np.ones(n)
+    y[:negatives] = -1.0
+    return X, y
+
+
+class TestDescentWorkBound:
+    @pytest.mark.parametrize("n,negatives", [(200, 4), (400, 6), (800, 10)])
+    def test_degenerate_plane_is_certified_within_the_round_budget(
+            self, monkeypatch, n, negatives):
+        X, y = degenerate_plane(n, negatives)
+        margin_sets, starts = [], set()
+        kkt_solve, line_minimize = svm._kkt_solve, svm._line_minimize
+
+        def counted_kkt_solve(X, y, C, on_margin, violating):
+            margin_sets.append(int(on_margin.sum()))
+            return kkt_solve(X, y, C, on_margin, violating)
+
+        def counted_line_minimize(X, y, C, z, d):
+            starts.add(z.tobytes())  # each round's line searches start from its point
+            return line_minimize(X, y, C, z, d)
+
+        monkeypatch.setattr(svm, "_kkt_solve", counted_kkt_solve)
+        monkeypatch.setattr(svm, "_line_minimize", counted_line_minimize)
+        z, certified = _polish(X, y, 100.0, np.zeros(3))
+        assert certified
+        assert max(margin_sets, default=0) <= 3
+        assert len(starts) <= 300
+        # the certificate, checked against an independent bounded least squares
+        margins = y * (X @ z[:2] + z[2])
+        tol = 1e-7 * (1.0 + np.abs(margins).max())
+        on, viol = np.abs(1.0 - margins) <= tol, margins < 1.0 - tol
+        g = np.append(z[:2], 0.0) - 100.0 * (y[viol, None] * np.column_stack(
+            [X[viol], np.ones(viol.sum())])).sum(axis=0)
+        A = y[on] * np.vstack([X[on].T, np.ones(on.sum())])
+        mu = lsq_linear(A, g, bounds=(0.0, 100.0), method="bvls").x
+        assert np.linalg.norm(g - A @ mu) <= 1e-10 * (1.0 + 100.0 * (np.abs(X).sum() + n))
+
+    def test_one_sided_optimum_is_a_typed_error(self):
+        X, y = degenerate_plane(800, 10)
+        with pytest.raises(OneSidedBoundary) as excinfo:
+            svm_train(X, y, C=100.0, feature_names=("c3s", "wc"))
+        assert str(excinfo.value) == (
+            "the optimal boundary in the (c3s, wc) plane puts all 800 points on its +1 side "
+            "(790 labelled +1, 10 labelled -1)")
+
+
+class TestNoisyFits:
+    def test_noisy_second_plane_fits_a_real_boundary(self):
+        bundle = fit_pipeline(generate_synthetic((12, 16, 12), noise=0.1, seed=22).pairs)
+        # below the 400 of the boundary that puts both LL points on the ML side
+        assert bundle.boundary_second.objective < 399.0
 
 
 class TestClassify:
