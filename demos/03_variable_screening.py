@@ -16,7 +16,7 @@ dataset = generate_synthetic((10, 10, 10), noise=0.0, seed=23)
 
 by_group = {}
 for mix, _ in dataset.pairs:
-    by_group.setdefault(dataset.labels[mix.id], []).append(mix.feature_row())
+    by_group.setdefault(dataset.labels[mix.id], []).append(mix.require(*MIXTURE_FIELDS))
 
 for group, rows in by_group.items():
     matrix = np.array(rows)

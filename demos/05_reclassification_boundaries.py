@@ -11,7 +11,7 @@ c3a threshold.
 
 import numpy as np
 
-from sulfexp import GroupLabel, classify, generate_synthetic, simplify_axis_parallel, svm_train
+from sulfexp import GroupLabel, generate_synthetic, simplify_axis_parallel, svm_train
 
 dataset = generate_synthetic((10, 12, 10), noise=0.0, seed=47)
 mixtures = [mix for mix, _ in dataset.pairs]
@@ -31,12 +31,13 @@ second_y = np.array([1.0 if labels[m.id] is GroupLabel.ML else -1.0 for m in res
 second = svm_train(second_points, second_y, C=100.0, feature_names=("c3s", "wc"))
 print(f"second boundary:     {second.equation()}")
 
+# a mixture is on a boundary's +1 side when its decision value is >= 0
 errors = sum(
-    classify(first, [m.c3a, m.wc]) != (1 if labels[m.id] is GroupLabel.HN else -1)
+    (first.decision_value([m.c3a, m.wc]) >= 0) != (labels[m.id] is GroupLabel.HN)
     for m in mixtures
 )
 errors2 = sum(
-    classify(second, [m.c3s, m.wc]) != (1 if labels[m.id] is GroupLabel.ML else -1)
+    (second.decision_value([m.c3s, m.wc]) >= 0) != (labels[m.id] is GroupLabel.ML)
     for m in rest
 )
 print(f"\ntraining errors: first {errors}/{len(mixtures)}, second {errors2}/{len(rest)}")

@@ -23,8 +23,7 @@ from .dataio import (
     write_series,
 )
 from .errors import NumericalError, SulfexpError, ValidationError
-from .clustering import KMeansResult, assign_step, kmeans, standardize_features, update_step
-from .linalg import dominant_eigenpair, solve_symmetric
+from .clustering import KMeansResult, kmeans, standardize_features
 from .mixtures import GroupLabel, Mixture
 from .model import (
     HoldoutReport,
@@ -41,16 +40,16 @@ from .model import (
 )
 from .pca import PCAResult, center_and_scale, principal_components, select_dominant_variables
 from .regression import GroupModel, OLSFit, fit_group_model, ols_fit
-from .svm import LinearBoundary, classify, simplify_axis_parallel, svm_train
+from .svm import LinearBoundary, simplify_axis_parallel, svm_train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ExpansionSeries", "FailurePoint", "smooth", "failure_point", "cluster_features",
-    "KMeansResult", "kmeans", "assign_step", "update_step", "standardize_features",
+    "KMeansResult", "kmeans", "standardize_features",
     "PCAResult", "center_and_scale", "principal_components", "select_dominant_variables",
     "OLSFit", "GroupModel", "ols_fit", "fit_group_model",
-    "LinearBoundary", "svm_train", "classify", "simplify_axis_parallel",
+    "LinearBoundary", "svm_train", "simplify_axis_parallel",
     "GroupLabel", "Mixture",
     "ModelBundle", "PipelineConfig", "HoldoutReport",
     "default_bundle", "classify_mixture", "predict_expansion", "predict_curve",
@@ -59,7 +58,6 @@ __all__ = [
     "load_mixtures", "load_series", "load_manifest", "load_dataset",
     "save_bundle", "load_bundle", "generate_synthetic", "emit_plot_data",
     "write_mixtures", "write_series",
-    "solve_symmetric", "dominant_eigenpair",
     "SulfexpError", "ValidationError", "NumericalError",
     "__version__",
 ]

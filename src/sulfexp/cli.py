@@ -74,12 +74,9 @@ def cmd_classify(args) -> int:
     payload = []
     for mix in mixtures:
         group = model.classify_mixture(mix, bundle)
-        first = bundle.boundary_first.decision_value(
-            mix.require(*bundle.boundary_first.feature_names)
-        ) if bundle.boundary_first else float("nan")
-        second = bundle.boundary_second.decision_value(
-            mix.require(*bundle.boundary_second.feature_names)
-        ) if bundle.boundary_second else float("nan")
+        first, second = (
+            boundary.decision_value(mix.require(*boundary.feature_names)) if boundary
+            else float("nan") for boundary in (bundle.boundary_first, bundle.boundary_second))
         rows.append([mix.id, group.value, f"{first:.6g}", f"{second:.6g}"])
         payload.append({"id": mix.id, "group": group.value,
                         "first_boundary_value": _json_number(first),
@@ -151,16 +148,10 @@ def _fit_payload(bundle: model.ModelBundle, out: str) -> dict:
     for label in (GroupLabel.LL, GroupLabel.ML, GroupLabel.HN):
         if label not in bundle.models:
             continue
-        gm = bundle.models[label]
-        payload["groups"][label.value] = {
-            "form": gm.form,
-            "variable_roles": list(gm.variable_roles),
-            "coefficients": [float(c) for c in gm.coefficients],
-            "r_squared": gm.fit.r_squared,
-            "residual_std": gm.fit.residual_std,
-            "t_statistics": [float(t) for t in gm.fit.t_statistics],
-            "n_observations": gm.fit.n_observations,
-        }
+        entry = dataio._model_to_doc(bundle.models[label])
+        del entry["group"]
+        entry.update(entry.pop("fit"))
+        payload["groups"][label.value] = entry
     if bundle.boundary_first is not None:
         payload["first_boundary"] = bundle.boundary_first.equation()
         payload["first_boundary_simplified"] = bundle.boundary_first_simplified.equation()

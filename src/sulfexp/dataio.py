@@ -125,7 +125,8 @@ def load_series(path: str | Path) -> list[ExpansionSeries]:
     """Read long-format expansion records and group them by mixture id.
 
     Rows may arrive unsorted; within one mixture they are sorted by time
-    and duplicate timestamps are rejected.
+    and duplicate timestamps are rejected. The first negative time in
+    file order raises :class:`RangeViolation` naming its line.
     """
     rows = _read_rows(path, SERIES_HEADER)
     by_id: dict[str, list[tuple[float, float, int]]] = {}
@@ -135,6 +136,9 @@ def load_series(path: str | Path) -> list[ExpansionSeries]:
         if not mid:
             raise ParseError("empty mixture id", path=str(path), line=lineno, field="mixture_id")
         t = _parse_float(row["t_years"], str(path), lineno, "t_years")
+        if t < 0:
+            raise RangeViolation(f"series {mid!r}: t_years={t} is negative",
+                                 path=str(path), line=lineno, field="t_years")
         e = _parse_float(row["expansion_percent"], str(path), lineno, "expansion_percent")
         if mid not in by_id:
             by_id[mid] = []
@@ -171,7 +175,6 @@ class DatasetManifest:
     mixtures_path: Path
     series_path: Path
     expansion_unit: str = "percent"
-    schema_version: str = SCHEMA_VERSION
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
@@ -199,7 +202,6 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         mixtures_path=path.parent / doc["mixtures_path"],
         series_path=path.parent / doc["series_path"],
         expansion_unit=unit,
-        schema_version=version,
     )
 
 
@@ -268,7 +270,16 @@ def _model_to_doc(model: GroupModel):
     return doc
 
 
-def _model_from_doc(doc) -> GroupModel:
+def _check_derived(doc: dict, key: str, derived, path: Path, field: str) -> None:
+    """``doc[key]``, a value the bundle derives, may be absent, and must
+    otherwise equal the derived value, type included."""
+    if key in doc and (type(doc[key]) is not type(derived) or doc[key] != derived):
+        raise ParseError(f"stored value {json.dumps(doc[key])} differs from the derived "
+                         f"{json.dumps(derived)}",
+                         path=str(path), field=field)
+
+
+def _model_from_doc(doc, path: Path) -> GroupModel:
     fit = None
     if "fit" in doc:
         fit = OLSFit(
@@ -278,13 +289,14 @@ def _model_from_doc(doc) -> GroupModel:
             t_statistics=np.array(doc["fit"]["t_statistics"], dtype=float),
             n_observations=doc["fit"]["n_observations"],
         )
-    return GroupModel(
+    model = GroupModel(
         group=GroupLabel(doc["group"]),
-        form=doc["form"],
         variable_roles=tuple(doc["variable_roles"]),
         coefficients=np.array(doc["coefficients"], dtype=float),
         fit=fit,
     )
+    _check_derived(doc, "form", model.form, path, f"models.{model.group}.form")
+    return model
 
 
 _BUNDLE_KEYS = {
@@ -294,9 +306,9 @@ _BUNDLE_KEYS = {
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
-    """Write a bundle as JSON; numbers survive reload bit-exactly."""
+    """Write a bundle as JSON of schema :data:`SCHEMA_VERSION`, bit-exact on reload."""
     doc = {
-        "schema_version": bundle.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "provenance": bundle.provenance,
         "failure_threshold": bundle.failure_threshold,
         "partial": bundle.partial,
@@ -322,8 +334,11 @@ def _finite_float(text: str) -> float:
 def load_bundle(path: str | Path) -> ModelBundle:
     """Reload a saved bundle; unknown top-level fields warn, not fail.
 
-    ``NaN``, ``Infinity`` and number literals that overflow a float are
-    rejected with :class:`ParseError`, as is any malformed document.
+    Any schema of major version :data:`SCHEMA_VERSION` loads; the bundle
+    keeps no version. ``partial`` and each ``form`` are derived, and a
+    stored value that differs raises :class:`ParseError` naming the field,
+    as do ``NaN``, ``Infinity``, a number that overflows a float and any
+    malformed document.
     """
     path = Path(path)
     try:
@@ -352,18 +367,18 @@ def load_bundle(path: str | Path) -> ModelBundle:
         raise ParseError(f"bundle has models for unknown groups {unknown_groups}",
                          path=str(path), field="models")
     try:
-        return ModelBundle(
-            models={GroupLabel(k): _model_from_doc(v) for k, v in models.items()},
+        bundle = ModelBundle(
+            models={GroupLabel(k): _model_from_doc(v, path) for k, v in models.items()},
             boundary_first=_boundary_from_doc(doc.get("boundary_first")),
             boundary_first_simplified=_boundary_from_doc(doc.get("boundary_first_simplified")),
             boundary_second=_boundary_from_doc(doc.get("boundary_second")),
             provenance=doc.get("provenance", PROVENANCE_DEFAULT),
             failure_threshold=doc.get("failure_threshold", 0.5),
-            partial=doc.get("partial", False),
-            schema_version=version,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed bundle document: {exc!r}", path=str(path)) from exc
+    _check_derived(doc, "partial", bundle.partial, path, "partial")
+    return bundle
 
 
 # --- synthetic data -------------------------------------------------------

@@ -91,7 +91,3 @@ class Mixture:
                 raise MissingField(f"mixture {self.id!r} is missing field {name!r}")
             values.append(value)
         return values
-
-    def feature_row(self) -> list[float]:
-        """All seven variables in canonical order, for PCA screening."""
-        return self.require(*MIXTURE_FIELDS)

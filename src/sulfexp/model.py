@@ -105,13 +105,14 @@ class PipelineDiagnostics:
 class ModelBundle:
     """Three group models plus the classification boundaries.
 
-    ``boundary_first``/``boundary_second`` may be None for partial bundles
-    (degenerate single-group fits). Diagnostics never participate in
-    equality or serialization. Construction rejects a ``failure_threshold``
-    that is not a finite positive real number (a bool included), a model
-    stored under another group's key and a ``boundary_first_simplified``
-    that is not axis-parallel (two non-zero weights). Every boundary weight
-    and model coefficient array is read-only, so the routing rule of
+    A bundle without the boundaries to route by (a fit of fewer than three
+    groups) is :attr:`partial`. Diagnostics never participate in equality
+    or serialization. Construction rejects a ``failure_threshold`` that is
+    not a finite positive real number (a bool included), a model stored
+    under another group's key, a boundary on a name outside
+    :data:`MIXTURE_FIELDS` and a ``boundary_first_simplified`` that is not
+    axis-parallel (two non-zero weights). Every boundary weight and model
+    coefficient array is read-only, so the routing rule of
     :func:`classify_mixture` is derived once, at construction.
     """
 
@@ -121,8 +122,6 @@ class ModelBundle:
     boundary_second: LinearBoundary | None
     provenance: str
     failure_threshold: float = DEFAULT_THRESHOLD
-    partial: bool = False
-    schema_version: str = "1"
     diagnostics: PipelineDiagnostics | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -130,6 +129,11 @@ class ModelBundle:
         for label, model in self.models.items():
             if model.group is not label:
                 raise ValidationError(f"the model stored under {label} is for group {model.group}")
+        for name in ("boundary_first", "boundary_first_simplified", "boundary_second"):
+            boundary = getattr(self, name)
+            for axis in boundary.feature_names if boundary is not None else ():
+                if axis not in MIXTURE_FIELDS:
+                    raise ValidationError(f"{name}: unknown mixture field {axis!r}")
         simplified = self.boundary_first_simplified
         if simplified is not None and np.count_nonzero(simplified.weights) != 1:
             raise ValidationError(
@@ -141,17 +145,16 @@ class ModelBundle:
         object.__setattr__(self, "_route", None if unroutable else _Route(
             simplified, self.boundary_first, self.boundary_second))
 
+    @property
+    def partial(self) -> bool:
+        """True when the bundle has no boundaries to route a mixture by."""
+        return self._route is None
+
     def model_for(self, group: GroupLabel) -> GroupModel:
         model = self.models.get(group)
         if model is None:
             raise ValidationError(f"bundle has no model for group {group}")
         return model
-
-
-def _decision_value(boundary: LinearBoundary, mix: Mixture):
-    """``point @ weights + bias`` of the mixture's point in the boundary's
-    plane, the sum :meth:`LinearBoundary.decision_value` makes."""
-    return np.array(mix.require(*boundary.feature_names)) @ boundary.weights + boundary.bias
 
 
 class _Route:
@@ -181,29 +184,29 @@ class _Route:
             value = mix.require(self.hn_field)[0]
             is_hn = value > self.hn_threshold if self.hn_above else value < self.hn_threshold
         else:
-            is_hn = _decision_value(self.first, mix) >= 0
+            is_hn = self.first.decision_value(mix.require(*self.first.feature_names)) >= 0
         if is_hn:
             return GroupLabel.HN
-        return GroupLabel.ML if _decision_value(self.second, mix) >= 0 else GroupLabel.LL
+        second = self.second
+        if second.decision_value(mix.require(*second.feature_names)) >= 0:
+            return GroupLabel.ML
+        return GroupLabel.LL
 
 
 def _build_default_bundle() -> ModelBundle:
     models = {
         GroupLabel.LL: GroupModel(
             group=GroupLabel.LL,
-            form="linear",
             variable_roles=("WC*T", "const"),
             coefficients=[0.0157, 0.0305],
         ),
         GroupLabel.ML: GroupModel(
             group=GroupLabel.ML,
-            form="linear",
             variable_roles=("WC*T", "C3A*T", "const"),
             coefficients=[0.0293, 0.000975, 0.0216],
         ),
         GroupLabel.HN: GroupModel(
             group=GroupLabel.HN,
-            form="log-linear",
             variable_roles=("CC*T", "T", "const"),
             coefficients=[11.20, -5.68, -3.66],
         ),
@@ -535,8 +538,7 @@ def fit_pipeline(
         }
 
     boundary_first = boundary_first_simplified = boundary_second = None
-    partial = len(groups) < 3
-    if not partial:
+    if len(groups) == 3:
         with _stage("boundaries"):
             pts_first = block.require(FIRST_AXES)
             y_first = np.array([1.0 if label is GroupLabel.HN else -1.0 for label in row_labels])
@@ -570,7 +572,6 @@ def fit_pipeline(
         boundary_second=boundary_second,
         provenance=f"{PROVENANCE_FITTED} data={_fingerprint(block)} seed={config.seed}",
         failure_threshold=config.threshold,
-        partial=partial,
         diagnostics=diagnostics,
     )
 

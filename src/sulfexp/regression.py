@@ -14,6 +14,7 @@ trained.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -147,8 +148,8 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> OLSFit:
 class GroupModel:
     """A fitted (or preset) expansion model for one group.
 
-    ``form`` is "linear" (predicts expansion directly) or "log-linear"
-    (the linear predictor models ln of expansion). ``variable_roles`` and
+    :attr:`form` is "log-linear" for :data:`LOG_RESPONSE_GROUPS` (the linear
+    predictor models ln of expansion), else "linear". ``variable_roles`` and
     ``coefficients`` are aligned, constant term last; an unknown role is
     rejected at construction. ``coefficients`` is stored as a read-only
     float64 copy, so the terms :meth:`time_line` reads, derived once at
@@ -157,15 +158,12 @@ class GroupModel:
     """
 
     group: GroupLabel
-    form: str
     variable_roles: tuple[str, ...]
     coefficients: np.ndarray
     fit: OLSFit | None = field(default=None, compare=False)
     dropped_rows: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        if self.form not in ("linear", "log-linear"):
-            raise ValidationError(f"unknown model form {self.form!r}")
         coeffs = linalg.read_only_copy(self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "variable_roles", tuple(self.variable_roles))
@@ -183,7 +181,7 @@ class GroupModel:
             for role, c in zip(self.variable_roles, coeffs.tolist())))
 
     def __reduce__(self):  # a copy is built again: read-only coefficients, its own terms
-        return (GroupModel, (self.group, self.form, self.variable_roles, self.coefficients,
+        return (GroupModel, (self.group, self.variable_roles, self.coefficients,
                              self.fit, self.dropped_rows))
 
     def __eq__(self, other):
@@ -191,10 +189,13 @@ class GroupModel:
             return NotImplemented
         return (
             self.group is other.group
-            and self.form == other.form
             and self.variable_roles == other.variable_roles
             and np.array_equal(self.coefficients, other.coefficients)
         )
+
+    @functools.cached_property  # every prediction reads it
+    def form(self) -> str:
+        return "log-linear" if self.group in LOG_RESPONSE_GROUPS else "linear"
 
     def time_line(self, mixture: Mixture) -> tuple[float, float]:
         """Decompose the linear predictor as slope*t + intercept for one mixture.
@@ -276,12 +277,10 @@ def fit_group_model(
     if len(block.ids) < 2:
         raise TooFewRows(f"group {group} needs >= 2 mixtures, got {len(block.ids)}")
     roles = GROUP_ROLES[group] if roles is None else tuple(roles)
-    log_response = group in LOG_RESPONSE_GROUPS
-    X, y, dropped = design_rows(block, roles, log_response)
+    X, y, dropped = design_rows(block, roles, group in LOG_RESPONSE_GROUPS)
     fit = ols_fit(X, y)
     return GroupModel(
         group=group,
-        form="log-linear" if log_response else "linear",
         variable_roles=roles,
         coefficients=fit.coefficients,
         fit=fit,

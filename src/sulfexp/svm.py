@@ -44,7 +44,7 @@ class LinearBoundary:
     in does not reach the boundary. ``slacks`` and ``objective`` are
     carried along as training diagnostics and do not participate in
     equality. A ``box_constraint``, when given, must be a finite positive
-    number.
+    number, and ``feature_names`` must be exactly two strings.
     """
 
     feature_names: tuple[str, str]
@@ -55,6 +55,9 @@ class LinearBoundary:
     slacks: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        names = tuple(self.feature_names)
+        if len(names) != 2 or not all(isinstance(name, str) for name in names):
+            raise DimensionMismatch(f"boundary needs exactly two feature names, got {list(names)}")
         w = linalg.read_only_copy(self.weights).reshape(-1)
         if w.shape[0] != 2:
             raise DimensionMismatch(f"boundary weights must have 2 entries, got {w.shape[0]}")
@@ -67,7 +70,7 @@ class LinearBoundary:
         if self.box_constraint is not None:
             linalg.check_positive("box constraint", self.box_constraint)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "bias", bias)
 
     def __reduce__(self):  # a copy is built again, with read-only weights
@@ -85,19 +88,15 @@ class LinearBoundary:
         )
 
     def decision_value(self, point) -> float:
-        point = np.asarray(point, dtype=float).reshape(-1)
-        if point.shape[0] != 2:
-            raise DimensionMismatch("boundary expects 2-D points")
+        """``point @ weights + bias`` for one point of the boundary's plane."""
+        point = np.asarray(point, float)
+        if point.shape != (2,):
+            raise DimensionMismatch(f"boundary expects one 2-D point, got shape {point.shape}")
         return float(point @ self.weights + self.bias)
 
     def equation(self) -> str:
         a, b = self.feature_names
         return f"{self.weights[0]:+.6g}*{a} {self.weights[1]:+.6g}*{b} {self.bias:+.6g} = 0"
-
-
-def classify(boundary: LinearBoundary, point) -> int:
-    """Side of the boundary: +1 or -1. A decision value of exactly 0 maps to +1."""
-    return 1 if boundary.decision_value(point) >= 0 else -1
 
 
 def _primal_objective(X, y, C, beta, b):

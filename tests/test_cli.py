@@ -209,6 +209,30 @@ class TestMalformedBundle:
         assert self._exit_code(tmp_path, path, doc) == 2
         assert "unknown mixture field 'zzz'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["classify", "predict"])
+    def test_boundary_with_three_names_exits_2(self, tmp_path, capsys, bundle_doc, command):
+        path, doc = bundle_doc
+        doc["boundary_second"]["feature_names"] = ["c3s", "wc", "air"]
+        assert self._exit_code(tmp_path, path, doc, command) == 2
+        assert_one_error_line(capsys, "exactly two feature names")
+
+    @pytest.mark.parametrize("value", [True, "no", 0])
+    def test_stored_partial_that_differs_exits_2(self, tmp_path, capsys, bundle_doc, value):
+        path, doc = bundle_doc
+        doc["partial"] = value
+        assert self._exit_code(tmp_path, path, doc) == 2
+        assert_one_error_line(capsys, "differs from the derived false", "field=partial")
+
+    @pytest.mark.parametrize("group,form,derived", [("HN", "linear", "log-linear"),
+                                                    ("ML", "cubic", "linear")])
+    def test_stored_form_that_differs_exits_2(self, tmp_path, capsys, bundle_doc, group, form,
+                                              derived):
+        path, doc = bundle_doc
+        doc["models"][group]["form"] = form
+        assert self._exit_code(tmp_path, path, doc, "predict") == 2
+        assert_one_error_line(capsys, f'stored value "{form}" differs',
+                              f'from the derived "{derived}"', f"field=models.{group}.form")
+
     @pytest.mark.parametrize("weights", [[1.0, 0.5], [1.0, -20.0]])
     def test_tilted_simplified_boundary_exits_2(self, tmp_path, capsys, bundle_doc, weights):
         path, doc = bundle_doc

@@ -102,6 +102,16 @@ class TestLoadSeries:
             load_series(p)
         assert "2" in str(excinfo.value)
 
+    def test_first_negative_time_in_file_order_carries_location(self, tmp_path):
+        p = tmp_path / "series.csv"
+        p.write_text("mixture_id,t_years,expansion_percent\n"
+                     "a,1,0.1\nb,2,0.1\nb,-3,0.1\na,-1,0.1\n")
+        with pytest.raises(RangeViolation) as excinfo:
+            load_series(p)
+        assert (excinfo.value.path, excinfo.value.line, excinfo.value.field) == (
+            str(p), 4, "t_years")
+        assert str(excinfo.value).startswith("series 'b': t_years=-3.0 is negative")
+
     def test_round_trip(self, tmp_path):
         series = [ExpansionSeries(mixture_id="m1", samples=((0.0, 0.01), (2.5, 0.0725)))]
         p = tmp_path / "series.csv"
@@ -198,6 +208,28 @@ class TestBundlePersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaVersionMismatch):
             load_bundle(path)
+
+    def test_minor_schema_version_loads_and_saves_as_the_writer_schema(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        save_bundle(default_bundle(), path)
+        doc = json.loads(path.read_text())
+        doc["schema_version"] = "1.3"
+        path.write_text(json.dumps(doc))
+        loaded = load_bundle(path)
+        assert loaded == default_bundle()
+        again = tmp_path / "again.json"
+        save_bundle(loaded, again)
+        assert json.loads(again.read_text())["schema_version"] == "1"
+
+    def test_derived_values_may_be_omitted(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        save_bundle(default_bundle(), path)
+        doc = json.loads(path.read_text())
+        del doc["partial"]
+        for model in doc["models"].values():
+            del model["form"]
+        path.write_text(json.dumps(doc))
+        assert load_bundle(path) == default_bundle()
 
     def test_decimal_text_parses_exactly(self, tmp_path):
         path = tmp_path / "bundle.json"

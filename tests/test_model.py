@@ -75,6 +75,22 @@ class TestDefaultBundle:
         for g, model in b.models.items():
             assert (model.form == "log-linear") == (g is HN)
 
+    def test_partial_follows_the_boundaries(self):
+        b = default_bundle()
+        assert not b.partial
+        assert dataclasses.replace(b, boundary_second=None).partial
+        assert dataclasses.replace(b, boundary_first_simplified=None, boundary_first=None).partial
+        assert not dataclasses.replace(b, boundary_first=None).partial
+
+    @pytest.mark.parametrize("place", ["boundary_first", "boundary_first_simplified",
+                                       "boundary_second"])
+    def test_boundary_on_an_unknown_field_rejected(self, place):
+        b = default_bundle()
+        boundary = getattr(b, place)
+        moved = dataclasses.replace(boundary, feature_names=("zzz", boundary.feature_names[1]))
+        with pytest.raises(ValidationError, match=f"^{place}: unknown mixture field 'zzz'$"):
+            dataclasses.replace(b, **{place: moved})
+
     def test_one_shared_read_only_instance(self):
         b = default_bundle()
         assert b is default_bundle()
@@ -149,7 +165,7 @@ class TestReadOnlyArrays:
     def test_group_model_does_not_alias_its_coefficients(self):
         c = np.array([0.0293, 0.000975, 0.0216])
         group_model = regression.GroupModel(
-            group=ML, form="linear", variable_roles=("WC*T", "C3A*T", "const"), coefficients=c)
+            group=ML, variable_roles=("WC*T", "C3A*T", "const"), coefficients=c)
         mix = Mixture(id="m", wc=0.5, c3a=6.0)
         line = group_model.time_line(mix)
         c[:] = 9.0
@@ -306,7 +322,7 @@ def route_oracle(mix: Mixture, bundle) -> GroupLabel:
         raise ValidationError("bundle has no classification boundaries (partial bundle)")
     if simplified is not None:
         (axis,) = [i for i, w in enumerate(simplified.weights.tolist()) if w != 0.0]
-        weight = simplified.weights[axis]
+        weight = float(simplified.weights[axis])
         value = mix.require(simplified.feature_names[axis])[0]
         threshold = -simplified.bias / weight
         is_hn = value > threshold if weight > 0 else value < threshold
@@ -387,7 +403,7 @@ def mixtures_and_bundles(draw):
         roles = {g: tuple(dict.fromkeys(draw(st.lists(scaled, min_size=1, max_size=3))))
                  + ("const",) for g in roles}
     models = {g: regression.GroupModel(
-        group=g, form="log-linear" if g is HN else "linear", variable_roles=r,
+        group=g, variable_roles=r,
         coefficients=[draw(spread(-3.0, 3.0)) for _ in r]) for g, r in roles.items()}
     bundle = ModelBundle(
         models=models,
@@ -402,7 +418,7 @@ def mixtures_and_bundles(draw):
     if variant == "raw":
         bundle = dataclasses.replace(bundle, boundary_first_simplified=None)
     elif variant == "partial":
-        bundle = dataclasses.replace(bundle, boundary_second=None, partial=True)
+        bundle = dataclasses.replace(bundle, boundary_second=None)
     elif variant == "no first":
         bundle = dataclasses.replace(bundle, boundary_first=None, boundary_first_simplified=None)
     return mix, bundle
@@ -459,7 +475,7 @@ class TestRoutingOracle:
         roles = tuple(regression.FIELD_TO_ROLE.values()) + ("T", regression.CONST_ROLE)
         rng = np.random.default_rng(8)
         for _ in range(300):
-            group_model = regression.GroupModel(group=ML, form="linear", variable_roles=roles,
+            group_model = regression.GroupModel(group=ML, variable_roles=roles,
                                                 coefficients=rng.uniform(-3, 3, len(roles)))
             mix = Mixture(id="m", wc=rng.uniform(0.01, 1.0), c3a=rng.uniform(0, 100),
                           c3s=rng.uniform(0, 100), c2s=rng.uniform(0, 100),
@@ -783,6 +799,14 @@ class TestFitPipeline:
         assert not bundle.partial
         assert bundle.provenance.startswith("fitted")
 
+    def test_two_group_k2_partial(self):
+        ds = generate_synthetic((6, 8, 0), noise=0.0, seed=11)
+        bundle = fit_pipeline(ds.pairs, PipelineConfig(k=2))
+        assert bundle.partial
+        assert sorted(g.value for g in bundle.models) == ["HN", "ML"]
+        with pytest.raises(ValidationError, match="no classification boundaries"):
+            classify_mixture(ds.pairs[0][0], bundle)
+
     def test_single_group_k1_partial(self):
         ds = generate_synthetic((0, 0, 8), noise=0.0, seed=3)
         bundle = fit_pipeline(ds.pairs, PipelineConfig(k=1))
@@ -935,7 +959,6 @@ class TestBlockFit:
 
         expected = fit_pipeline(self.pairs)
         monkeypatch.setattr(Mixture, "require", never)
-        monkeypatch.setattr(Mixture, "feature_row", never)
         assert fit_pipeline(self.pairs) == expected
 
     def test_stages_call_the_kernels_through_their_modules(self, monkeypatch):

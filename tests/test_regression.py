@@ -412,14 +412,14 @@ class TestGroupModelConstruction:
         coefficients = [0.0293, 0.000975, 0.0216]
         coefficients[index] = bad
         with pytest.raises(NonFiniteValue, match="must be finite"):
-            GroupModel(group=GroupLabel.ML, form="linear",
+            GroupModel(group=GroupLabel.ML,
                        variable_roles=("WC*T", "C3A*T", "const"), coefficients=coefficients)
 
 
 class TestGroupModelEvaluation:
     def test_time_line_decomposition(self):
         gm = GroupModel(
-            group=GroupLabel.ML, form="linear",
+            group=GroupLabel.ML,
             variable_roles=("WC*T", "C3A*T", "const"),
             coefficients=np.array([0.0293, 0.000975, 0.0216]),
         )

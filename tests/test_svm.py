@@ -8,14 +8,19 @@ from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 
 from sulfexp import fit_pipeline, generate_synthetic, svm
-from sulfexp.errors import NonFiniteValue, OneSidedBoundary, SingleClass, ValidationError
+from sulfexp.errors import (
+    DimensionMismatch,
+    NonFiniteValue,
+    OneSidedBoundary,
+    SingleClass,
+    ValidationError,
+)
 from sulfexp.mixtures import GroupLabel
 from sulfexp.svm import (
     LinearBoundary,
     _bounded_lsq,
     _line_minimize,
     _polish,
-    classify,
     simplify_axis_parallel,
     svm_train,
 )
@@ -311,6 +316,11 @@ class TestNoisyFits:
         assert bundle.boundary_second.objective < 399.0
 
 
+def classify(boundary: LinearBoundary, point) -> int:
+    """Side of the boundary: +1 or -1. A decision value of exactly 0 maps to +1."""
+    return 1 if boundary.decision_value(point) >= 0 else -1
+
+
 class TestClassify:
     def test_first_boundary_hand_value(self):
         b = LinearBoundary(("c3a", "wc"), np.array([1.0, 1.241]), -8.697)
@@ -336,6 +346,12 @@ class TestClassify:
         for point in ([0.7, 0.1], [-1.0, 2.0], [5.0, -5.0]):
             assert classify(b, point) == classify(scaled, point)
 
+    @pytest.mark.parametrize("point", [[1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]])
+    def test_point_of_another_shape_rejected(self, point):
+        b = LinearBoundary(("c3s", "wc"), np.array([1.0, 387.3]), -233.6)
+        with pytest.raises(DimensionMismatch, match="one 2-D point"):
+            b.decision_value(point)
+
 
 class TestLinearBoundaryConstruction:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -354,6 +370,11 @@ class TestLinearBoundaryConstruction:
         with pytest.raises(ValidationError,
                            match=f"box constraint must be a finite positive number, got {bad!r}$"):
             LinearBoundary(("c3s", "wc"), [1.0, 387.3], bias=-233.6, box_constraint=bad)
+
+    @pytest.mark.parametrize("names", [("c3s", "wc", "air"), ("c3s",), ("c3s", 1)])
+    def test_feature_names_other_than_two_strings_rejected(self, names):
+        with pytest.raises(DimensionMismatch, match="exactly two feature names"):
+            LinearBoundary(names, [1.0, 387.3], bias=-233.6)
 
 
 class TestSimplifyAxisParallel:
