@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import ExpansionSeries
+from .curves import DEFAULT_THRESHOLD, ExpansionSeries
 from .errors import (
     DuplicateId,
     DuplicateTimestamp,
@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .mixtures import MIXTURE_FIELDS, GroupLabel, Mixture
-from .model import ModelBundle, PROVENANCE_DEFAULT, _evaluate, default_bundle
+from .model import ModelBundle, PROVENANCE_DEFAULT, default_bundle
 from .regression import GroupModel, OLSFit
 from .svm import LinearBoundary
 
@@ -51,7 +51,23 @@ def _read_text(path: Path) -> str:
         raise ParseError(f"not UTF-8 text: {exc}", path=str(path)) from exc
 
 
-def _read_rows(path: str | Path, expected_header: tuple[str, ...]) -> list[tuple[int, dict]]:
+def _read_object(path: Path, what: str, **hooks) -> dict:
+    """A file's JSON object. Invalid JSON, a number that Python or one of
+    the ``json.loads`` hooks rejects, and a document that is not an object
+    raise :class:`ParseError`."""
+    try:
+        doc = json.loads(_read_text(path), **hooks)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", path=str(path)) from exc
+    except ValueError as exc:  # a rejected number
+        raise ParseError(str(exc), path=str(path)) from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} document must be a JSON object", path=str(path))
+    return doc
+
+
+def _read_rows(path: str | Path, expected_header: tuple[str, ...]) -> list[tuple[int, list[str]]]:
+    """The (line number, stripped cells) of every non-blank row under the header."""
     path = Path(path)
     reader = csv.reader(_read_text(path).splitlines())
     rows = list(reader)
@@ -72,7 +88,7 @@ def _read_rows(path: str | Path, expected_header: tuple[str, ...]) -> list[tuple
                 f"expected {len(expected_header)} columns, got {len(row)}",
                 path=str(path), line=lineno,
             )
-        out.append((lineno, dict(zip(expected_header, (cell.strip() for cell in row)))))
+        out.append((lineno, [cell.strip() for cell in row]))
     return out
 
 
@@ -97,11 +113,9 @@ def load_mixtures(path: str | Path) -> list[Mixture]:
     complain later. Range violations and duplicate ids are rejected here
     with their row numbers.
     """
-    rows = _read_rows(path, MIXTURE_HEADER)
     mixtures: list[Mixture] = []
     seen: dict[str, int] = {}
-    for lineno, row in rows:
-        mid = row["id"]
+    for lineno, (mid, *cells) in _read_rows(path, MIXTURE_HEADER):
         if not mid:
             raise ParseError("empty mixture id", path=str(path), line=lineno, field="id")
         if mid in seen:
@@ -111,8 +125,8 @@ def load_mixtures(path: str | Path) -> list[Mixture]:
             )
         seen[mid] = lineno
         values = {
-            name: _parse_float(row[name], str(path), lineno, name, optional=True)
-            for name in MIXTURE_FIELDS
+            name: _parse_float(cell, str(path), lineno, name, optional=True)
+            for name, cell in zip(MIXTURE_FIELDS, cells)
         }
         try:
             mixtures.append(Mixture(id=mid, **values))
@@ -128,26 +142,20 @@ def load_series(path: str | Path) -> list[ExpansionSeries]:
     and duplicate timestamps are rejected. The first negative time in
     file order raises :class:`RangeViolation` naming its line.
     """
-    rows = _read_rows(path, SERIES_HEADER)
-    by_id: dict[str, list[tuple[float, float, int]]] = {}
-    order: list[str] = []
-    for lineno, row in rows:
-        mid = row["mixture_id"]
+    by_id: dict[str, list[tuple[float, float, int]]] = {}   # in order of first appearance
+    for lineno, (mid, t_cell, e_cell) in _read_rows(path, SERIES_HEADER):
         if not mid:
             raise ParseError("empty mixture id", path=str(path), line=lineno, field="mixture_id")
-        t = _parse_float(row["t_years"], str(path), lineno, "t_years")
+        t = _parse_float(t_cell, str(path), lineno, "t_years")
         if t < 0:
             raise RangeViolation(f"series {mid!r}: t_years={t} is negative",
                                  path=str(path), line=lineno, field="t_years")
-        e = _parse_float(row["expansion_percent"], str(path), lineno, "expansion_percent")
-        if mid not in by_id:
-            by_id[mid] = []
-            order.append(mid)
-        by_id[mid].append((t, e, lineno))
+        e = _parse_float(e_cell, str(path), lineno, "expansion_percent")
+        by_id.setdefault(mid, []).append((t, e, lineno))
 
     out = []
-    for mid in order:
-        rows_of_mid = np.array(sorted(by_id[mid]))
+    for mid, samples in by_id.items():
+        rows_of_mid = np.array(sorted(samples))
         repeats = np.flatnonzero(np.diff(rows_of_mid[:, 0]) == 0)
         if repeats.size:
             i = int(repeats[0])
@@ -179,12 +187,7 @@ class DatasetManifest:
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", path=str(path)) from exc
-    if not isinstance(doc, dict):
-        raise ParseError("manifest document must be a JSON object", path=str(path))
+    doc = _read_object(path, "manifest")
     for key in ("mixtures_path", "series_path"):
         if key not in doc:
             raise ParseError(f"manifest missing {key!r}", path=str(path), field=key)
@@ -216,10 +219,8 @@ def load_dataset(manifest: DatasetManifest) -> list[tuple[Mixture, ExpansionSeri
                 f"series {series.mixture_id!r} has no mixture row in {manifest.mixtures_path}"
             )
         if manifest.expansion_unit == "fraction":
-            series = ExpansionSeries(
-                mixture_id=series.mixture_id,
-                samples=np.array((series.times, series.values * 100.0)).T,
-            )
+            series = ExpansionSeries.from_columns(
+                series.mixture_id, series.times, series.values * 100.0)
         pairs.append((mixtures[series.mixture_id], series))
     return pairs
 
@@ -341,15 +342,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
     malformed document.
     """
     path = Path(path)
-    try:
-        doc = json.loads(_read_text(path),
-                         parse_constant=_reject_constant, parse_float=_finite_float)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", path=str(path)) from exc
-    except ValueError as exc:  # a rejected number
-        raise ParseError(str(exc), path=str(path)) from exc
-    if not isinstance(doc, dict):
-        raise ParseError("bundle document must be a JSON object", path=str(path))
+    doc = _read_object(path, "bundle", parse_constant=_reject_constant,
+                       parse_float=_finite_float)
     version = str(doc.get("schema_version", ""))
     if version.split(".")[0] != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
@@ -373,7 +367,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
             boundary_first_simplified=_boundary_from_doc(doc.get("boundary_first_simplified")),
             boundary_second=_boundary_from_doc(doc.get("boundary_second")),
             provenance=doc.get("provenance", PROVENANCE_DEFAULT),
-            failure_threshold=doc.get("failure_threshold", 0.5),
+            failure_threshold=doc.get("failure_threshold", DEFAULT_THRESHOLD),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed bundle document: {exc!r}", path=str(path)) from exc
@@ -462,19 +456,29 @@ def generate_synthetic(
                 cement_content=cc,
                 air=rng.uniform(1.0, 6.0),
             )
-            clean = _evaluate(bundle.model_for(group), mix, _SCHEDULE)
+            clean = bundle.model_for(group).expansion(mix, _SCHEDULE)
             above = np.flatnonzero(clean[2:] > STOP_EXPANSION)
             n = int(above[0]) + 3 if above.size else clean.size
             values = clean[:n]
             if noise > 0:
                 values = values * (1.0 + noise * rng.standard_normal(n))
-            samples = np.column_stack((_SCHEDULE[:n], values))
-            pairs.append((mix, ExpansionSeries(mixture_id=mid, samples=samples)))
+            pairs.append((mix, ExpansionSeries.from_columns(mid, _SCHEDULE[:n], values)))
             labels[mid] = group
     return SyntheticDataset(pairs=pairs, labels=labels)
 
 
-# --- plot data ------------------------------------------------------------
+# --- plot data and table writers ----------------------------------------
+
+
+def _write_table(path: str | Path, header: tuple[str, ...], lines) -> None:
+    """Write the comma-joined ``header``, then ``lines``, each ending in a newline."""
+    Path(path).write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
+
+
+def _sample_lines(labels, series_list: list[ExpansionSeries]):
+    """A ``label,t,value`` line per sample of each series, the floats by ``repr``."""
+    return (f"{label},{t!r},{e!r}" for label, series in zip(labels, series_list)
+            for t, e in zip(series.times.tolist(), series.values.tolist()))
 
 
 def emit_plot_data(
@@ -489,28 +493,18 @@ def emit_plot_data(
         labels = [s.mixture_id for s in series_list]
     if len(labels) != len(series_list):
         raise ValidationError("one label per series required")
-    lines = ["series_label,t,value"]
-    for label, series in zip(labels, series_list):
-        for t, e in zip(series.times.tolist(), series.values.tolist()):
-            lines.append(f"{label},{t!r},{e!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(path, ("series_label", "t", "value"), _sample_lines(labels, series_list))
 
 
 def write_mixtures(mixtures: list[Mixture], path: str | Path) -> None:
     """Inverse of :func:`load_mixtures`, mostly for tests and demos."""
-    lines = [",".join(MIXTURE_HEADER)]
-    for m in mixtures:
-        cells = [m.id] + [
-            "" if getattr(m, f) is None else repr(getattr(m, f)) for f in MIXTURE_FIELDS
-        ]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(path, MIXTURE_HEADER, (
+        ",".join([m.id] + ["" if getattr(m, f) is None else repr(getattr(m, f))
+                           for f in MIXTURE_FIELDS])
+        for m in mixtures))
 
 
 def write_series(series_list: list[ExpansionSeries], path: str | Path) -> None:
     """Inverse of :func:`load_series`."""
-    lines = [",".join(SERIES_HEADER)]
-    for series in series_list:
-        for t, e in zip(series.times.tolist(), series.values.tolist()):
-            lines.append(f"{series.mixture_id},{t!r},{e!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(path, SERIES_HEADER,
+                 _sample_lines([s.mixture_id for s in series_list], series_list))

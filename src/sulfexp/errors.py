@@ -140,4 +140,4 @@ class AlreadyFailed(NumericalError):
 
 
 class PredictionOverflow(NumericalError):
-    """A log-linear prediction is too large to represent as a float."""
+    """A prediction is too large to represent as a float."""

@@ -25,8 +25,8 @@ class GroupLabel(enum.Enum):
         return self.value
 
 
-# (field, lower bound, upper bound, lower bound exclusive)
-_FIELD_RANGES = {
+#: field -> (lower bound, upper bound, lower bound exclusive)
+FIELD_RANGES = {
     "wc": (0.0, 1.0, True),
     "c3a": (0.0, 100.0, False),
     "c3s": (0.0, 100.0, False),
@@ -69,7 +69,7 @@ class Mixture:
             object.__setattr__(self, f.name, value)
             if not math.isfinite(value):
                 raise RangeViolation(f"mixture {self.id!r}: {f.name} is not finite", field=f.name)
-            lo, hi, lo_exclusive = _FIELD_RANGES[f.name]
+            lo, hi, lo_exclusive = FIELD_RANGES[f.name]
             if value > hi or value < lo or (lo_exclusive and value == lo):
                 raise RangeViolation(
                     f"mixture {self.id!r}: {f.name}={value} outside "

@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -22,16 +21,8 @@ import numpy as np
 
 from . import clustering, curves, linalg, pca, regression, svm
 from .curves import DEFAULT_ALPHA, DEFAULT_THRESHOLD, ExpansionSeries, SeriesBlock
-from .errors import (
-    AlreadyFailed,
-    EmptyGroup,
-    NegativeTime,
-    NonIncreasing,
-    PredictionOverflow,
-    SulfexpError,
-    ValidationError,
-)
-from .mixtures import MIXTURE_FIELDS, GroupLabel, Mixture
+from .errors import EmptyGroup, NegativeTime, SulfexpError, ValidationError
+from .mixtures import FIELD_RANGES, MIXTURE_FIELDS, GroupLabel, Mixture
 from .regression import GroupModel
 from .svm import LinearBoundary
 
@@ -110,10 +101,10 @@ class ModelBundle:
     or serialization. Construction rejects a ``failure_threshold`` that is
     not a finite positive real number (a bool included), a model stored
     under another group's key, a boundary on a name outside
-    :data:`MIXTURE_FIELDS` and a ``boundary_first_simplified`` that is not
-    axis-parallel (two non-zero weights). Every boundary weight and model
-    coefficient array is read-only, so the routing rule of
-    :func:`classify_mixture` is derived once, at construction.
+    :data:`MIXTURE_FIELDS` or whose decision values overflow a float within
+    :data:`FIELD_RANGES`, and a tilted ``boundary_first_simplified`` (two
+    non-zero weights). All boundary weights and model coefficients are
+    read-only, so :func:`classify_mixture`'s routing rule is derived once.
     """
 
     models: Mapping[GroupLabel, GroupModel]
@@ -134,6 +125,11 @@ class ModelBundle:
             for axis in boundary.feature_names if boundary is not None else ():
                 if axis not in MIXTURE_FIELDS:
                     raise ValidationError(f"{name}: unknown mixture field {axis!r}")
+            # fields are non-negative, so this bounds every decision value numpy computes
+            if boundary is not None and math.isinf(abs(boundary.bias) + sum(
+                    abs(w) * FIELD_RANGES[axis][1]
+                    for axis, w in zip(boundary.feature_names, boundary.weights.tolist()))):
+                raise ValidationError(f"{name}: decision values overflow a float in the field ranges")
         simplified = self.boundary_first_simplified
         if simplified is not None and np.count_nonzero(simplified.weights) != 1:
             raise ValidationError(
@@ -271,33 +267,6 @@ def classify_mixture(mix: Mixture, bundle: ModelBundle | None = None) -> GroupLa
     return route(mix)
 
 
-#: largest log-linear predictor whose exponential is a finite float
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-def _evaluate(model: GroupModel, mix: Mixture, times: np.ndarray | np.float64):
-    """A group model's expansion at ``times`` (an array, or one numpy scalar).
-
-    Every prediction goes through here, so curves, point values and the
-    closed-form failure time share one line ``slope*t + intercept`` from
-    :meth:`GroupModel.time_line`, and numpy's elementwise arithmetic gives
-    a point the same bits as the same time on a curve. Raises
-    :class:`PredictionOverflow` where a log-linear prediction exceeds the
-    largest float.
-    """
-    slope, intercept = model.time_line(mix)
-    value = slope * times + intercept
-    if model.form == "linear":
-        return value
-    peak = value.max() if value.ndim else value
-    if peak > _LOG_FLOAT_MAX:
-        raise PredictionOverflow(
-            f"mixture {mix.id!r}: group {model.group} expansion exp({peak:.6g}) "
-            f"overflows a float"
-        )
-    return np.exp(value)
-
-
 def predict_expansion(
     mix: Mixture,
     group: GroupLabel,
@@ -306,8 +275,9 @@ def predict_expansion(
 ) -> float:
     """Expansion percent of a mixture at time t under its group's model.
 
-    Raises :class:`NegativeTime` for ``t < 0`` and
-    :class:`ValidationError` for a NaN or infinite ``t``.
+    Raises :class:`NegativeTime` for ``t < 0``, :class:`ValidationError`
+    for a NaN or infinite ``t`` and :class:`PredictionOverflow` as
+    :meth:`GroupModel.expansion` does.
     """
     if t < 0:
         raise NegativeTime(f"time must be >= 0, got {t}")
@@ -315,7 +285,7 @@ def predict_expansion(
         raise ValidationError(f"time must be finite, got {t}")
     if bundle is None:
         bundle = _DEFAULT_BUNDLE
-    return float(_evaluate(bundle.model_for(group), mix, np.float64(t)))
+    return float(bundle.model_for(group).expansion(mix, np.float64(t)))
 
 
 def check_grid(horizon: float, step: float) -> None:
@@ -351,7 +321,7 @@ def predict_curve(
     group = classify_mixture(mix, bundle)
     n_steps = int(math.floor(horizon / step + 1e-9))
     times = np.arange(n_steps + 1, dtype=float) * step
-    values = _evaluate(bundle.model_for(group), mix, times)
+    values = bundle.model_for(group).expansion(mix, times)
     return ExpansionSeries.from_columns(mix.id, times, values, group.value)
 
 
@@ -360,32 +330,14 @@ def predicted_failure_time(
     bundle: ModelBundle | None = None,
     group: GroupLabel | None = None,
 ) -> float:
-    """Invert the group model at the failure threshold.
-
-    The linear predictor of every supported model is affine in time, so
-    the crossing solves in closed form (through a logarithm for HN).
-    Raises :class:`NonIncreasing` when the mixture's time coefficient is
-    not positive and :class:`AlreadyFailed` when the model starts at or
-    above the threshold.
-    """
+    """Invert the group model at the failure threshold, in closed form by
+    :meth:`GroupModel.failure_time`, which raises :class:`NonIncreasing`,
+    :class:`AlreadyFailed` or :class:`PredictionOverflow`."""
     if bundle is None:
         bundle = _DEFAULT_BUNDLE
     if group is None:
         group = classify_mixture(mix, bundle)
-    model = bundle.model_for(group)
-    slope, intercept = model.time_line(mix)
-    target = bundle.failure_threshold
-    if model.form == "log-linear":
-        target = math.log(target)
-    if intercept >= target:
-        raise AlreadyFailed(
-            f"mixture {mix.id!r} is predicted at or beyond the threshold already at t = 0"
-        )
-    if slope <= 0:
-        raise NonIncreasing(
-            f"mixture {mix.id!r}: group {group} model is not increasing in time (slope {slope:.4g})"
-        )
-    return (target - intercept) / slope
+    return bundle.model_for(group).failure_time(mix, bundle.failure_threshold)
 
 
 @contextlib.contextmanager
@@ -519,8 +471,6 @@ def fit_pipeline(
             if np.isnan(matrix).any():
                 continue
             m = min(pca.DEFAULT_COMPONENTS, matrix.shape[0] - 1, matrix.shape[1])
-            if m < 1:
-                continue
             centered, _, _ = pca.center_and_scale(matrix)
             picks = pca.select_dominant_variables(pca.principal_components(centered, m), m)
             pca_selected[label] = picks

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +24,12 @@ import numpy as np
 from . import linalg
 from .curves import ExpansionSeries, SeriesBlock
 from .errors import (
+    AlreadyFailed,
     ConstantResponse,
     DimensionMismatch,
     NonFiniteValue,
+    NonIncreasing,
+    PredictionOverflow,
     RankDeficient,
     SingularMatrix,
     TooFewRows,
@@ -56,6 +60,9 @@ GROUP_ROLES: dict[GroupLabel, tuple[str, ...]] = {
     GroupLabel.HN: ("CC*T", "T", CONST_ROLE),
 }
 LOG_RESPONSE_GROUPS = frozenset({GroupLabel.HN})
+
+#: largest log-linear predictor whose exponential is a finite float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def check_roles(roles: tuple[str, ...]) -> None:
@@ -150,8 +157,9 @@ class GroupModel:
 
     :attr:`form` is "log-linear" for :data:`LOG_RESPONSE_GROUPS` (the linear
     predictor models ln of expansion), else "linear". ``variable_roles`` and
-    ``coefficients`` are aligned, constant term last; an unknown role is
-    rejected at construction. ``coefficients`` is stored as a read-only
+    ``coefficients`` are aligned, constant term last; an unknown role, and
+    coefficients other than a 1-D vector of one finite number per role,
+    are rejected at construction. ``coefficients`` is stored as a read-only
     float64 copy, so the terms :meth:`time_line` reads, derived once at
     construction, always match it. ``dropped_rows`` counts
     non-positive-expansion rows excluded before a log fit.
@@ -167,10 +175,11 @@ class GroupModel:
         coeffs = linalg.read_only_copy(self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "variable_roles", tuple(self.variable_roles))
-        if coeffs.shape[0] != len(self.variable_roles):
+        if coeffs.shape != (len(self.variable_roles),):
             raise DimensionMismatch(
                 f"{len(self.variable_roles)} roles but {coeffs.shape[0]} coefficients"
-            )
+                if coeffs.ndim == 1 else
+                f"{self.group} model coefficients must be a 1-D vector, got shape {coeffs.shape}")
         if not np.isfinite(coeffs).all():
             raise NonFiniteValue(
                 f"{self.group} model coefficients must be finite, got {coeffs.tolist()}")
@@ -201,7 +210,8 @@ class GroupModel:
         """Decompose the linear predictor as slope*t + intercept for one mixture.
 
         Every supported role is either proportional to t or constant, so
-        the predictor is exactly affine in time.
+        the predictor is exactly affine in time. A slope or intercept that
+        overflows a float raises :class:`PredictionOverflow`.
         """
         slope = 0.0
         intercept = 0.0
@@ -212,7 +222,54 @@ class GroupModel:
                 slope += c
             else:
                 slope += c * mixture.require(name)[0]
+        if not (math.isfinite(slope) and math.isfinite(intercept)):
+            raise self._overflow(mixture, f"time line {slope:.6g}*t + {intercept:.6g}")
         return slope, intercept
+
+    def _overflow(self, mixture: Mixture, value: str) -> PredictionOverflow:
+        return PredictionOverflow(
+            f"mixture {mixture.id!r}: group {self.group} {value} overflows a float")
+
+    def expansion(self, mixture: Mixture, times: np.ndarray | np.float64):
+        """Expansion percent at ``times``: a numpy scalar, or a non-empty ascending array.
+
+        Curves, point values and :meth:`failure_time` share one line
+        ``slope*t + intercept`` from :meth:`time_line`, and numpy's
+        elementwise arithmetic gives a point the same bits as the same time
+        on a curve. The line is affine, so its values at the first and last
+        time bound it: where a bound is not a finite float, or a log-linear
+        bound exceeds ln of the largest float, this raises
+        :class:`PredictionOverflow` before numpy computes anything.
+        """
+        slope, intercept = self.time_line(mixture)
+        first, last = (float(times[0]), float(times[-1])) if times.ndim else (float(times),) * 2
+        low, high = sorted((slope * first + intercept, slope * last + intercept))
+        log = self.form == "log-linear"
+        limit = _LOG_FLOAT_MAX if log else sys.float_info.max
+        if high > limit or low == -math.inf:
+            bound = high if high > limit else low
+            raise self._overflow(mixture, f"expansion exp({bound:.6g})" if log
+                                 else f"expansion {bound:.6g}")
+        value = slope * times + intercept
+        return np.exp(value) if log else value
+
+    def failure_time(self, mixture: Mixture, threshold: float) -> float:
+        """The time the expansion reaches ``threshold``, solved in closed form
+        from :meth:`time_line` (through a logarithm for a log-linear model).
+
+        Raises :class:`AlreadyFailed` when the model starts at or above the
+        threshold, :class:`NonIncreasing` when the slope is not positive and
+        :class:`PredictionOverflow` where the line is not finite.
+        """
+        slope, intercept = self.time_line(mixture)
+        target = math.log(threshold) if self.form == "log-linear" else threshold
+        if intercept >= target:
+            raise AlreadyFailed(
+                f"mixture {mixture.id!r} is predicted at or beyond the threshold already at t = 0")
+        if slope <= 0:
+            raise NonIncreasing(f"mixture {mixture.id!r}: group {self.group} model is not "
+                                f"increasing in time (slope {slope:.4g})")
+        return (target - intercept) / slope
 
 
 def _as_block(data) -> SeriesBlock:

@@ -156,8 +156,6 @@ def _kkt_solve(X, y, C, on_margin, violating):
     rhs_balance = -C * float(y[violating].sum())
     idx = np.nonzero(on_margin)[0]
     e = idx.size
-    if e == 0:
-        raise SingularMatrix("empty margin set")
     Xe = X[idx]
     ye = y[idx]
     G = (ye[:, None] * Xe) @ (ye[:, None] * Xe).T

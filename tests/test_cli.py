@@ -148,6 +148,17 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "overflows" in err
 
+    def test_overflowing_linear_prediction_exits_3(self, tmp_path):
+        save_bundle(default_bundle(), tmp_path / "bundle.json")
+        doc = json.loads((tmp_path / "bundle.json").read_text())
+        doc["models"]["ML"]["coefficients"] = [1e308, 1e308, 0.0]
+        (tmp_path / "bundle.json").write_text(json.dumps(doc))
+        (tmp_path / "mix.csv").write_text(MIX_HEADER + "m,0.53,6.0,40,,,,\n")
+        proc = sulfexp(tmp_path, "predict", "mix.csv", "--bundle", "bundle.json")
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "numerical failure: mixture 'm': group ML time line inf*t + 0 overflows a float"]
+
     def test_never_failing_mixture_reported(self, tmp_path, capsys):
         # low cement content: HN model never reaches the threshold
         p = tmp_path / "mix.csv"
@@ -190,6 +201,41 @@ class TestMalformedBundle:
         p = tmp_path / "mix.csv"
         p.write_text(MIX_HEADER + "m,0.53,6.0,40,,,,\n")
         return main([command, str(p), "--bundle", str(path)])
+
+    @pytest.mark.parametrize("command", ["classify", "predict"])
+    @pytest.mark.parametrize("value,fragment", [
+        (1.5, "ML model coefficients must be a 1-D vector, got shape ()"),
+        (None, "ML model coefficients must be a 1-D vector, got shape ()"),
+        ([[0.0293], [0.000975], [0.0216]], "got shape (3, 1)"),
+    ], ids=["scalar", "null", "column"])
+    def test_coefficients_other_than_a_vector_exit_2(self, tmp_path, capsys, bundle_doc,
+                                                     command, value, fragment):
+        path, doc = bundle_doc
+        doc["models"]["ML"]["coefficients"] = value
+        assert self._exit_code(tmp_path, path, doc, command) == 2
+        assert_one_error_line(capsys, fragment)
+
+    @pytest.mark.parametrize("command", ["classify", "predict"])
+    def test_boundary_whose_decision_values_overflow_exits_2(self, tmp_path, capsys, bundle_doc,
+                                                              command):
+        path, doc = bundle_doc
+        doc["boundary_second"]["weights"] = [1e308, 387.3]
+        assert self._exit_code(tmp_path, path, doc, command) == 2
+        assert_one_error_line(capsys, "boundary_second: decision values overflow a float")
+
+    def test_missing_group_model_exits_2_when_a_mixture_needs_it(self, tmp_path, capsys,
+                                                                   bundle_doc):
+        path, doc = bundle_doc
+        del doc["models"]["ML"]
+        assert self._exit_code(tmp_path, path, doc, "classify") == 0
+        capsys.readouterr()
+        assert self._exit_code(tmp_path, path, doc, "predict") == 2
+        assert_one_error_line(capsys, "bundle has no model for group ML")
+
+    def test_document_that_is_a_list_exits_2(self, tmp_path, capsys, bundle_doc):
+        path, _ = bundle_doc
+        assert self._exit_code(tmp_path, path, []) == 2
+        assert_one_error_line(capsys, "bundle document must be a JSON object", str(path))
 
     def test_unknown_group_key_exits_2(self, tmp_path, capsys, bundle_doc):
         path, doc = bundle_doc
@@ -376,7 +422,12 @@ class TestFit:
         (b'{"mixtures_path": "m\xff.csv", "series_path": "s.csv"}', "not UTF-8"),
         (b'{"mixtures_path": NaN, "series_path": "s.csv"}', "mixtures_path must be a string"),
         (b'{"mixtures_path": "m.csv", "series_path": 5}', "series_path must be a string"),
-    ], ids=["number", "array", "not-utf8", "nan-path", "int-path"])
+        (b"{nope", "invalid JSON"),
+        (b'{"mixtures_path": "m.csv", "series_path": "s.csv", "expansion_unit": "mm"}',
+         "expansion_unit must be percent or fraction, got 'mm'"),
+        (b'{"mixtures_path": "m.csv", "series_path": "s.csv", "n": ' + b"9" * 5000 + b"}", ""),
+    ], ids=["number", "array", "not-utf8", "nan-path", "int-path", "not-json", "unit-mm",
+            "integer-of-5000-digits"])
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, content, fragment):
         path = tmp_path / "manifest.json"
         path.write_bytes(content)
@@ -684,3 +735,39 @@ class TestNoWarningReachesStderr:
             warnings.simplefilter("error")
             assert main(argv) == 2
         assert_one_error_line(capsys, "series 'x' has non-finite samples")
+
+
+class TestExitCodeContract:
+    """Input errors on paths no other test runs: exit 2 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("argv,content,fragment", [
+        (["classify"], "", "file is empty"),
+        (["predict"], MIX_HEADER + "a,0.5,5\n", "expected 8 columns, got 3"),
+        (["classify"], MIX_HEADER + ",0.5,5,40,,,,\n", "empty mixture id"),
+        (["smooth", "--out", "o.csv"], SERIES_HEADER + ",1,0.1\n", "field=mixture_id"),
+        (["predict"], MIX_HEADER, "no rows in"),
+        (["smooth", "--out", "o.csv"], SERIES_HEADER, "no rows in"),
+        (["cluster"], SERIES_HEADER, "no rows in"),
+    ], ids=["zero-bytes", "column-count", "empty-mixture-id", "empty-series-id",
+            "predict-header-only", "smooth-header-only", "cluster-header-only"])
+    def test_malformed_table(self, tmp_path, capsys, monkeypatch, argv, content, fragment):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.csv").write_text(content)
+        assert main([argv[0], "t.csv", *argv[1:]]) == 2
+        assert_one_error_line(capsys, fragment, "t.csv")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_two_cluster_fit_reports_the_groups_it_has(self, dataset_dir, capsys):
+        tmp_path, _ = dataset_dir
+        argv = ["fit", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "b.json"),
+                "--k", "2"]
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+        assert "cluster sizes: HN=5, ML=11" in report
+        assert "group HN" in report and "group ML" in report
+        assert "group LL" not in report and "boundary" not in report
+        assert main(["--format", "json", *argv]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload["groups"]) == ["HN", "ML"]
+        assert payload["cluster_sizes"] == {"HN": 5, "ML": 11}
+        assert "first_boundary" not in payload

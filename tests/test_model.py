@@ -91,6 +91,18 @@ class TestDefaultBundle:
         with pytest.raises(ValidationError, match=f"^{place}: unknown mixture field 'zzz'$"):
             dataclasses.replace(b, **{place: moved})
 
+    def test_boundary_whose_decision_values_overflow_rejected(self):
+        b = default_bundle()
+        huge = dataclasses.replace(b.boundary_second, weights=[1e308, 387.3])
+        with pytest.raises(ValidationError, match="^boundary_second: decision values overflow"):
+            dataclasses.replace(b, boundary_second=huge)
+        # w/c is at most 1, so the same weight on it overflows nothing
+        wide = dataclasses.replace(b.boundary_second, weights=[1.0, 1e308])
+        mix = Mixture(id="m", wc=1.0, c3a=5.0, c3s=100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classify_mixture(mix, dataclasses.replace(b, boundary_second=wide)) is ML
+
     def test_one_shared_read_only_instance(self):
         b = default_bundle()
         assert b is default_bundle()
@@ -606,6 +618,57 @@ class TestPredictionOverflow:
         # ln(expansion) = 5.52*t - 3.66 stays below ln(float max) ~ 709.78 up to t ~ 129.2
         assert math.isfinite(predict_expansion(self.HOT, HN, t=129.0))
         assert math.isfinite(predict_curve(self.HOT, horizon=100.0).values[-1])
+
+
+def _with_model(group: GroupLabel, coefficients) -> ModelBundle:
+    """The default bundle with ``group``'s model given other coefficients."""
+    models = dict(default_bundle().models)
+    models[group] = regression.GroupModel(group, models[group].variable_roles, coefficients)
+    return dataclasses.replace(default_bundle(), models=models)
+
+
+class TestLinearPredictionOverflow:
+    """Every prediction that is not a finite float raises PredictionOverflow,
+    without a numpy warning, in both model forms."""
+
+    ML_MIX = Mixture(id="m", wc=0.53, c3a=6.0, c3s=40.0)   # routed to ML
+
+    def calls(self, bundle, mix, group):
+        return {
+            "point": lambda: predict_expansion(mix, group, bundle, t=40.0),
+            "curve": lambda: predict_curve(mix, bundle, horizon=40.0),
+            "failure_time": lambda: predicted_failure_time(mix, bundle),
+        }
+
+    @pytest.mark.parametrize("call", ["point", "curve", "failure_time"])
+    def test_overflowing_time_line(self, call):
+        # the slope 1e308*0.53 + 1e308*6 is not a finite float
+        bundle = _with_model(ML, [1e308, 1e308, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PredictionOverflow, match=re.escape(
+                    "mixture 'm': group ML time line inf*t + 0 overflows a float")):
+                self.calls(bundle, self.ML_MIX, ML)[call]()
+
+    @pytest.mark.parametrize("call", ["point", "curve"])
+    def test_overflowing_value_on_a_finite_line(self, call):
+        # slope 5.3e306: finite, but 40 years of it are not
+        bundle = _with_model(ML, [1e307, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PredictionOverflow, match="group ML expansion inf overflows"):
+                self.calls(bundle, self.ML_MIX, ML)[call]()
+        assert predict_expansion(self.ML_MIX, ML, bundle, t=1.0) == 0.53e307
+        assert predicted_failure_time(self.ML_MIX, bundle) == 0.5 / 0.53e307
+
+    def test_log_linear_predictor_below_every_float(self):
+        bundle = _with_model(HN, [0.0, -1e307, 0.0])
+        hn = Mixture(id="h", wc=0.5, c3a=10.0, c3s=40.0, cement_content=0.6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PredictionOverflow, match=re.escape("expansion exp(-inf)")):
+                predict_curve(hn, bundle, horizon=40.0)
+        assert predict_expansion(hn, HN, bundle, t=1.0) == 0.0
 
 
 def _generator_mixture(group: GroupLabel, u: list[float]) -> Mixture:

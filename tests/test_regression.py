@@ -14,6 +14,7 @@ from sulfexp.curves import ExpansionSeries, SeriesBlock
 from sulfexp.dataio import generate_synthetic
 from sulfexp.errors import (
     ConstantResponse,
+    DimensionMismatch,
     MissingField,
     NonFiniteValue,
     RankDeficient,
@@ -414,6 +415,17 @@ class TestGroupModelConstruction:
         with pytest.raises(NonFiniteValue, match="must be finite"):
             GroupModel(group=GroupLabel.ML,
                        variable_roles=("WC*T", "C3A*T", "const"), coefficients=coefficients)
+
+    @pytest.mark.parametrize("coefficients,message", [
+        (1.0, r"LL model coefficients must be a 1-D vector, got shape \(\)"),
+        (None, r"must be a 1-D vector, got shape \(\)"),
+        (True, r"must be a 1-D vector, got shape \(\)"),
+        ([[0.0305]], r"must be a 1-D vector, got shape \(1, 1\)"),
+        ([0.0157, 0.0305], "^1 roles but 2 coefficients$"),
+    ], ids=["scalar", "none", "bool", "column", "too-long"])
+    def test_coefficients_other_than_one_per_role_rejected(self, coefficients, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            GroupModel(group=GroupLabel.LL, variable_roles=("const",), coefficients=coefficients)
 
 
 class TestGroupModelEvaluation:
