@@ -43,6 +43,14 @@ def _load_bundle(args) -> model.ModelBundle:
     return bundle
 
 
+def _load_rows(load, path: str) -> list:
+    """``load(path)``, which must hold at least one row."""
+    rows = load(path)
+    if not rows:
+        raise ValidationError(f"no rows in {path}")
+    return rows
+
+
 def _print_table(header: list[str], rows: list[list[str]]) -> None:
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(header)]
@@ -67,9 +75,7 @@ def _emit(args, payload: dict, header: list[str], rows: list[list[str]]) -> None
 
 def cmd_classify(args) -> int:
     bundle = _load_bundle(args)
-    mixtures = dataio.load_mixtures(args.mixtures)
-    if not mixtures:
-        raise ValidationError(f"no rows in {args.mixtures}")
+    mixtures = _load_rows(dataio.load_mixtures, args.mixtures)
     rows = []
     payload = []
     for mix in mixtures:
@@ -87,11 +93,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model.check_grid(args.horizon, args.step)
+    model.time_grid(args.horizon, args.step)
     bundle = _load_bundle(args)
-    mixtures = dataio.load_mixtures(args.mixtures)
-    if not mixtures:
-        raise ValidationError(f"no rows in {args.mixtures}")
+    mixtures = _load_rows(dataio.load_mixtures, args.mixtures)
     series_out = []
     rows = []
     payload = []
@@ -182,9 +186,7 @@ def _print_fit_report(payload: dict) -> None:
 
 def cmd_smooth(args) -> int:
     curves.check_alpha(args.alpha)
-    series_list = dataio.load_series(args.series)
-    if not series_list:
-        raise ValidationError(f"no rows in {args.series}")
+    series_list = _load_rows(dataio.load_series, args.series)
     smoothed = curves.smooth(curves.SeriesBlock.from_series(series_list), args.alpha)
     out_series = []
     labels = []
@@ -201,9 +203,7 @@ def cmd_cluster(args) -> int:
     curves.check_alpha(args.alpha)
     linalg.check_positive("failure_threshold", args.threshold)
     clustering.check_settings(args.k, args.seed)
-    series_list = dataio.load_series(args.series)
-    if not series_list:
-        raise ValidationError(f"no rows in {args.series}")
+    series_list = _load_rows(dataio.load_series, args.series)
     block = curves.SeriesBlock.from_series(series_list)
     if not args.cluster_raw:
         block = curves.smooth(block, args.alpha)
@@ -294,9 +294,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -288,20 +288,24 @@ def predict_expansion(
     return float(bundle.model_for(group).expansion(mix, np.float64(t)))
 
 
-def check_grid(horizon: float, step: float) -> None:
-    """Reject a prediction grid that is not positive and finite, or that
-    would hold more than :data:`MAX_CURVE_POINTS` points (a step longer
-    than the horizon counts as the horizon)."""
+def time_grid(horizon: float, step: float) -> np.ndarray:
+    """The prediction grid 0, step, ... <= horizon, where a step longer than
+    the horizon counts as the horizon. Raises :class:`ValidationError` for a
+    horizon or step that is not positive and finite, or a grid of more than
+    :data:`MAX_CURVE_POINTS` points, before anything is allocated."""
     if not (math.isfinite(horizon) and math.isfinite(step) and horizon > 0 and step > 0):
         raise ValidationError(
             f"horizon and step must both be positive and finite, got {horizon} and {step}"
         )
     step = min(step, horizon)
-    if horizon / step + 1 > MAX_CURVE_POINTS:
+    steps = horizon / step + 1e-9
+    # the grid holds floor(steps) + 1 points; an infinite ratio fails here, before floor
+    if steps >= MAX_CURVE_POINTS:
         raise ValidationError(
             f"a horizon of {horizon:g} at step {step:g} needs more than "
             f"{MAX_CURVE_POINTS} grid points"
         )
+    return np.arange(math.floor(steps) + 1, dtype=float) * step
 
 
 def predict_curve(
@@ -310,17 +314,11 @@ def predict_curve(
     horizon: float = 40.0,
     step: float = 1.0,
 ) -> ExpansionSeries:
-    """Classify, then sample the predicted curve on the grid 0, step, ... <= horizon.
-
-    :func:`check_grid` checks the grid before anything is allocated.
-    """
-    check_grid(horizon, step)
-    step = min(step, horizon)
+    """Classify, then sample the predicted curve on :func:`time_grid`."""
+    times = time_grid(horizon, step)
     if bundle is None:
         bundle = _DEFAULT_BUNDLE
     group = classify_mixture(mix, bundle)
-    n_steps = int(math.floor(horizon / step + 1e-9))
-    times = np.arange(n_steps + 1, dtype=float) * step
     values = bundle.model_for(group).expansion(mix, times)
     return ExpansionSeries.from_columns(mix.id, times, values, group.value)
 
@@ -385,9 +383,19 @@ def dataset_hash(dataset: list[tuple[Mixture, ExpansionSeries]]) -> str:
 
     Each variable-length section follows its lengths, so the bytes split
     into records one way only. The fingerprint names the set of records:
-    row order does not change it.
+    row order does not change it, and two records that share a mixture id
+    raise :class:`ValidationError`, as :func:`fit_pipeline` does.
     """
-    return _fingerprint(SeriesBlock.from_pairs(sorted(dataset, key=lambda p: p[0].id)))
+    return _fingerprint(_block_by_id(dataset))
+
+
+def _block_by_id(dataset: list[tuple[Mixture, ExpansionSeries]]) -> SeriesBlock:
+    """The records' block in mixture-id order; a repeated id raises :class:`ValidationError`."""
+    dataset = sorted(dataset, key=lambda pair: pair[0].id)
+    for (mix, _), (following, _) in zip(dataset, dataset[1:]):
+        if mix.id == following.id:
+            raise ValidationError(f"mixture id {mix.id!r} appears more than once in the dataset")
+    return SeriesBlock.from_pairs(dataset)
 
 
 def _fingerprint(block: SeriesBlock) -> str:
@@ -434,13 +442,9 @@ def fit_pipeline(
     dataset and when two records share a mixture id.
     """
     config = config or PipelineConfig()
-    dataset = sorted(dataset, key=lambda pair: pair[0].id)
     if not dataset:
         raise ValidationError("the dataset holds no records")
-    for (mix, _), (following, _) in zip(dataset, dataset[1:]):
-        if mix.id == following.id:
-            raise ValidationError(f"mixture id {mix.id!r} appears more than once in the dataset")
-    block = SeriesBlock.from_pairs(dataset)
+    block = _block_by_id(dataset)
 
     with _stage("smoothing"):
         smoothed = curves.smooth(block, config.alpha)

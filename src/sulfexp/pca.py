@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import clustering, linalg
 from .errors import TooFewRows, ValidationError
 
 DEFAULT_COMPONENTS = 3
@@ -45,23 +45,20 @@ class SelectedVariable:
 def center_and_scale(X: np.ndarray, standardize: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Remove column means; optionally scale columns to unit sample std.
 
-    Constant columns cannot be standardized: their scale is forced to 1 and
-    the centered column is left at zero.
+    The z-score is :func:`clustering.standardize_features`, the one the
+    fit's clustering uses: a constant column gets scale 1 and is left at
+    zero, and a mean or spread that overflows a float raises
+    :class:`NonFiniteValue`.
     """
     X = linalg.check_finite(X, "X")
     if X.ndim != 2:
         raise ValidationError(f"X must be 2-D, got ndim={X.ndim}")
     if X.shape[0] < 2:
         raise TooFewRows(f"need >= 2 rows, got {X.shape[0]}")
-    means = X.mean(axis=0)
-    centered = X - means
     if standardize:
-        scales = centered.std(axis=0, ddof=1)
-        scales = np.where(scales > 0, scales, 1.0)
-        centered = centered / scales
-    else:
-        scales = np.ones(X.shape[1])
-    return centered, means, scales
+        return clustering.standardize_features(X)
+    means = X.mean(axis=0)
+    return X - means, means, np.ones(X.shape[1])
 
 
 def principal_components(X: np.ndarray, m: int) -> PCAResult:
