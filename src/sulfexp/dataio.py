@@ -51,6 +51,15 @@ def _read_text(path: Path) -> str:
         raise ParseError(f"not UTF-8 text: {exc}", path=str(path)) from exc
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8; a path that cannot be written raises
+    :class:`ValidationError` naming it."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def _read_object(path: Path, what: str, **hooks) -> dict:
     """A file's JSON object. Invalid JSON, a number that Python or one of
     the ``json.loads`` hooks rejects, and a document that is not an object
@@ -219,8 +228,9 @@ def load_dataset(manifest: DatasetManifest) -> list[tuple[Mixture, ExpansionSeri
                 f"series {series.mixture_id!r} has no mixture row in {manifest.mixtures_path}"
             )
         if manifest.expansion_unit == "fraction":
-            series = ExpansionSeries.from_columns(
-                series.mixture_id, series.times, series.values * 100.0)
+            with np.errstate(over="ignore"):  # from_columns rejects a percent that overflows
+                percent = series.values * 100.0
+            series = ExpansionSeries.from_columns(series.mixture_id, series.times, percent)
         pairs.append((mixtures[series.mixture_id], series))
     return pairs
 
@@ -318,7 +328,7 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         "boundary_first_simplified": _boundary_to_doc(bundle.boundary_first_simplified),
         "boundary_second": _boundary_to_doc(bundle.boundary_second),
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _reject_constant(name: str):
@@ -472,7 +482,7 @@ def generate_synthetic(
 
 def _write_table(path: str | Path, header: tuple[str, ...], lines) -> None:
     """Write the comma-joined ``header``, then ``lines``, each ending in a newline."""
-    Path(path).write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
 def _sample_lines(labels, series_list: list[ExpansionSeries]):

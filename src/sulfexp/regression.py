@@ -259,7 +259,7 @@ class GroupModel:
 
         Raises :class:`AlreadyFailed` when the model starts at or above the
         threshold, :class:`NonIncreasing` when the slope is not positive and
-        :class:`PredictionOverflow` where the line is not finite.
+        :class:`PredictionOverflow` where the line or the time is not finite.
         """
         slope, intercept = self.time_line(mixture)
         target = math.log(threshold) if self.form == "log-linear" else threshold
@@ -269,7 +269,10 @@ class GroupModel:
         if slope <= 0:
             raise NonIncreasing(f"mixture {mixture.id!r}: group {self.group} model is not "
                                 f"increasing in time (slope {slope:.4g})")
-        return (target - intercept) / slope
+        t_fail = (target - intercept) / slope
+        if math.isinf(t_fail):  # a subnormal slope
+            raise self._overflow(mixture, f"failure time {target - intercept:.6g} / {slope:.6g}")
+        return t_fail
 
 
 def _as_block(data) -> SeriesBlock:

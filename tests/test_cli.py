@@ -124,6 +124,7 @@ class TestPredict:
     @pytest.mark.parametrize("grid", [
         ["--horizon", "1e308", "--step", "1e300"],
         ["--horizon", "1e308", "--step", "1e-300"],
+        ["--horizon", str(MAX_CURVE_POINTS + 0.5), "--step", "1"],   # one point too many
     ])
     def test_oversized_grid_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch, grid):
         p = tmp_path / "mix.csv"
@@ -135,6 +136,34 @@ class TestPredict:
         monkeypatch.setattr(np, "arange", no_grid)
         assert main(["predict", str(p), *grid]) == 2
         assert f"more than {MAX_CURVE_POINTS} grid points" in capsys.readouterr().err
+
+    def test_grid_of_exactly_the_cap_accepted(self, tmp_path, capsys):
+        # 0, 1, ..., 99999: exactly MAX_CURVE_POINTS points
+        p = tmp_path / "mix.csv"
+        p.write_text(MIX_HEADER + "1000,0.49,5.0,40,,,,\n")
+        out_file = tmp_path / "curves.csv"
+        assert main(["predict", str(p), "--horizon", str(MAX_CURVE_POINTS - 0.5), "--step", "1",
+                     "--out", str(out_file)]) == 0
+        assert len(out_file.read_text().splitlines()) == 1 + MAX_CURVE_POINTS
+
+    def test_failure_time_beyond_every_float(self, tmp_path, capsys):
+        save_bundle(default_bundle(), tmp_path / "bundle.json")
+        doc = json.loads((tmp_path / "bundle.json").read_text())
+        doc["models"]["LL"]["coefficients"] = [1e-310, 0.0]
+        (tmp_path / "bundle.json").write_text(json.dumps(doc))
+        p = tmp_path / "mix.csv"
+        p.write_text(MIX_HEADER + "l,0.43,4.0,60,,,,\n")
+        argv = ["predict", str(p), "--bundle", str(tmp_path / "bundle.json")]
+        assert main(argv) == 0
+        assert "n/a (PredictionOverflow)" in capsys.readouterr().out
+        assert main(["--format", "json", *argv]) == 0
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        assert payload["predictions"][0]["group"] == "LL"
+        assert payload["predictions"][0]["predicted_failure_time"] is None
 
     def test_empty_table_with_bad_grid_exits_2(self, tmp_path, capsys):
         p = tmp_path / "mix.csv"
@@ -723,6 +752,17 @@ class TestNoWarningReachesStderr:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [message]
 
+    def test_fraction_that_overflows_as_a_percent(self, tmp_path):
+        # 1e307 is a finite fraction, but 1e309 % is not a float
+        self.overflow_dataset(tmp_path)
+        (tmp_path / "series.csv").write_text(SERIES_HEADER + "x,0,0.1\nx,1,1e307\nx,2,0.3\n")
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"mixtures_path": "mixtures.csv", "series_path": "series.csv",
+             "expansion_unit": "fraction"}))
+        proc = sulfexp(tmp_path, "fit", "manifest.json", "--out", "b.json")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: series 'x' has non-finite samples"]
+
     @pytest.mark.parametrize("argv", [
         ["fit", "manifest.json", "--out", "b.json"],
         ["smooth", "series.csv", "--out", "o.csv"],
@@ -756,6 +796,18 @@ class TestExitCodeContract:
         assert main([argv[0], "t.csv", *argv[1:]]) == 2
         assert_one_error_line(capsys, fragment, "t.csv")
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "smooth"])
+    @pytest.mark.parametrize("out", ["missing/out.txt", "."], ids=["no-such-directory",
+                                                                     "a-directory"])
+    def test_unwritable_out(self, dataset_dir, capsys, monkeypatch, command, out):
+        tmp_path, _ = dataset_dir
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mix.csv").write_text(MIX_HEADER + "1000,0.49,5.0,40,,,,\n")
+        source = {"fit": "manifest.json", "predict": "mix.csv", "smooth": "series.csv"}[command]
+        assert main([command, source, "--out", out]) == 2
+        assert_one_error_line(capsys, f"cannot write {out}")
+        assert not (tmp_path / "missing").exists()
 
     def test_two_cluster_fit_reports_the_groups_it_has(self, dataset_dir, capsys):
         tmp_path, _ = dataset_dir

@@ -363,7 +363,7 @@ def outcome(call):
     """A call's result, or its error's type and message."""
     try:
         return call()
-    except (ValidationError, NonIncreasing, AlreadyFailed) as exc:
+    except (ValidationError, NonIncreasing, AlreadyFailed, PredictionOverflow) as exc:
         return type(exc), str(exc)
 
 
@@ -478,6 +478,8 @@ class TestRoutingOracle:
             assert t_fail[0] is AlreadyFailed
         elif slope <= 0:
             assert t_fail[0] is NonIncreasing
+        elif math.isinf((target - intercept) / slope):   # a subnormal slope
+            assert t_fail[0] is PredictionOverflow
         else:
             assert t_fail == (target - intercept) / slope
 
@@ -589,6 +591,14 @@ class TestPredictCurve:
         with pytest.raises(ValidationError, match="grid points"):
             predict_curve(mix, horizon=float(MAX_CURVE_POINTS), step=1.0)
 
+    def test_grid_size_cap_is_exact(self):
+        # 0, 1, ..., 99999: exactly MAX_CURVE_POINTS points; one more is too many
+        mix = Mixture(id="x", wc=0.49, c3a=5.0, c3s=40.0)
+        series = predict_curve(mix, horizon=MAX_CURVE_POINTS - 0.5, step=1.0)
+        assert len(series.samples) == MAX_CURVE_POINTS
+        with pytest.raises(ValidationError, match=f"more than {MAX_CURVE_POINTS} grid"):
+            predict_curve(mix, horizon=MAX_CURVE_POINTS + 0.5, step=1.0)
+
     @pytest.mark.parametrize("horizon,step", [(40.0, 1.0), (40.0, 7.0), (12.5, 0.3)])
     def test_curve_equals_point_predictions_bit_for_bit(self, horizon, step):
         for mix in (
@@ -660,6 +670,14 @@ class TestLinearPredictionOverflow:
                 self.calls(bundle, self.ML_MIX, ML)[call]()
         assert predict_expansion(self.ML_MIX, ML, bundle, t=1.0) == 0.53e307
         assert predicted_failure_time(self.ML_MIX, bundle) == 0.5 / 0.53e307
+
+    def test_failure_time_beyond_every_float(self):
+        # a subnormal slope: (0.5 - 0) / (1e-310 * 0.43) is not a finite float
+        bundle = _with_model(LL, [1e-310, 0.0])
+        ll = Mixture(id="l", wc=0.43, c3a=4.0, c3s=60.0)
+        assert classify_mixture(ll, bundle) is LL
+        with pytest.raises(PredictionOverflow, match="mixture 'l': group LL failure time 0.5 / "):
+            predicted_failure_time(ll, bundle)
 
     def test_log_linear_predictor_below_every_float(self):
         bundle = _with_model(HN, [0.0, -1e307, 0.0])
@@ -805,6 +823,12 @@ class TestDatasetHash:
     def test_empty_dataset_is_stable(self):
         # the tag and N = 0; every other section is empty
         assert dataset_hash([]) == dataset_hash_oracle([]) == "b2:aa9805e7a8a286b6"
+
+    def test_repeated_id_rejected_in_every_order(self):
+        pairs = [record("a", wc=0.5), record("b"), record("a", wc=0.6)]
+        for dataset in (pairs, pairs[::-1]):
+            with pytest.raises(ValidationError, match="mixture id 'a' appears more than once"):
+                dataset_hash(dataset)
 
     def test_unframed_collision_pair_differs(self):
         # joined without framing, both read "0a...0.55x..."

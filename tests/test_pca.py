@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from sulfexp.errors import TooFewRows, ValidationError
+from sulfexp.clustering import standardize_features
+from sulfexp.errors import SulfexpError, TooFewRows, ValidationError
 from sulfexp.pca import (
     PCAResult,
     center_and_scale,
@@ -31,6 +35,18 @@ class TestCenterAndScale:
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             center_and_scale(np.array([[1.0, 2.0]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(X=hnp.arrays(np.float64, st.tuples(st.integers(2, 9), st.integers(1, 8)),
+                        elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_is_the_clustering_z_score_bit_for_bit(self, X):
+        def outcome(standardize):
+            try:
+                return [a.tobytes() for a in standardize(X)]
+            except SulfexpError as exc:   # a mean or spread that overflows
+                return type(exc), str(exc)
+
+        assert outcome(center_and_scale) == outcome(standardize_features)
 
 
 class TestPrincipalComponents:
