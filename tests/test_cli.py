@@ -137,7 +137,7 @@ class TestPredict:
         assert main(["predict", str(p), *grid]) == 2
         assert f"more than {MAX_CURVE_POINTS} grid points" in capsys.readouterr().err
 
-    def test_grid_of_exactly_the_cap_accepted(self, tmp_path, capsys):
+    def test_grid_of_exactly_the_cap_accepted(self, tmp_path):
         # 0, 1, ..., 99999: exactly MAX_CURVE_POINTS points
         p = tmp_path / "mix.csv"
         p.write_text(MIX_HEADER + "1000,0.49,5.0,40,,,,\n")
