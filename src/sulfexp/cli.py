@@ -130,6 +130,7 @@ def cmd_fit(args) -> int:
         smooth_for_clustering=not args.cluster_raw,
         data_driven_variables=args.data_driven_variables,
     )
+    dataio.check_writable(args.out)  # before the fit, not after it
     dataset = dataio.load_dataset(dataio.load_manifest(args.manifest))
     bundle = model.fit_pipeline(dataset, config)
     dataio.save_bundle(bundle, args.out)

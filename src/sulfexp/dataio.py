@@ -9,8 +9,10 @@ serialized with ``repr`` so every save/load round-trip is bit-exact.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,7 +59,24 @@ def _write_text(path: str | Path, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
+        raise _unwritable(path, exc) from exc
+
+
+def _unwritable(path: str | Path, exc: OSError) -> ValidationError:
+    return ValidationError(f"cannot write {path}: {exc}")
+
+
+def check_writable(path: str | Path) -> None:
+    """Raise before any work the error :func:`_write_text` would raise last
+    for a path that is a directory or whose parent is not one."""
+    target = Path(path)
+    if target.is_dir():
+        kind, code = IsADirectoryError, errno.EISDIR
+    elif not target.parent.is_dir():
+        kind, code = FileNotFoundError, errno.ENOENT
+    else:
+        return
+    raise _unwritable(path, kind(code, os.strerror(code), str(path)))
 
 
 def _read_object(path: Path, what: str, **hooks) -> dict:

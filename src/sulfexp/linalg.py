@@ -5,8 +5,9 @@ entries finite). The symmetric linear solve backs the least-squares
 estimator and the SVM's KKT systems. It factors the matrix once with
 LAPACK (``numpy.linalg.eigh``), tests the rank explicitly on the
 eigenvalues, solves every right-hand side and refines the solution once
-with the same factors. Eigenvectors come from ``numpy.linalg.eigh`` too,
-oriented by one shared sign rule.
+with the same factors; the KKT systems, which always pass its input
+checks, call that factored kernel directly. Eigenvectors come from
+``numpy.linalg.eigh`` too, oriented by one shared sign rule.
 """
 
 from __future__ import annotations
@@ -89,11 +90,21 @@ def solve_symmetric(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = A.shape[0]
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise DimensionMismatch(f"dimension mismatch: A is {n}x{n}, b has shape {b.shape}")
+    if n == 0:
+        return np.empty(b.shape)
+    return _solve_factored(A, b, scale)
+
+
+def _solve_factored(A: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
+    """The factored kernel of :func:`solve_symmetric`, with no checks of A.
+
+    A must be a finite, symmetric, non-empty float matrix, ``scale`` its
+    largest magnitude, and b a float vector or matrix of A's row count.
+    The SVM's KKT systems always are, and solve here directly.
+    """
     bound = RESIDUAL_REL_TOL * (1.0 + np.abs(b).max(axis=0, initial=0.0))
     if not np.isfinite(bound).all():
         raise NonFiniteValue("b contains NaN or Inf entries")
-    if n == 0:
-        return np.empty(b.shape)
     if scale == 0.0:
         raise SingularMatrix("zero matrix")
     w, Q = np.linalg.eigh(A)

@@ -1,17 +1,20 @@
 """Soft-margin linear classifier in the primal, for 2-D boundaries.
 
 Minimizes 0.5*|beta|^2 + C * sum_i max(0, 1 - y_i*(x_i.beta + b)) over a
-two-feature plane. Training is one deterministic active-set descent from
-the origin: each round identifies the margin set at the current point,
-aims at that set's KKT solution and takes an exact line search toward it.
-The objective restricted to a ray is convex piecewise quadratic, so the
-line search sorts its breakpoints once and reads the minimizer off the
-cumulative jumps of the derivative (Keerthi & DeCoste, JMLR 2005). Clean
-multipliers certify global optimality of this convex problem, and the
-result is then the KKT solution of the certified margin set. Where that
-step cannot move, the one fallback is the minimum-norm subgradient (a
-bounded least squares over the margin multipliers): zero certifies the
-point, and otherwise its negative is the next direction. No dual.
+two-feature plane. Training is one deterministic active-set descent: each
+round identifies the margin set at the current point, aims at that set's
+KKT solution and takes an exact line search toward it. The objective
+restricted to a ray is convex piecewise quadratic, so the line search
+sorts its breakpoints once and reads the minimizer off the cumulative
+jumps of the derivative. Clean multipliers certify global optimality of
+this convex problem, and the result is then the KKT solution of the
+certified margin set, whatever the start. Where that step cannot move,
+the one fallback is the minimum-norm subgradient (a bounded least
+squares over the margin multipliers): zero certifies the point, and
+otherwise its negative is the next direction. No dual. The descent
+starts from the squared-hinge optimum, found by a few finite Newton
+steps (Keerthi & DeCoste, JMLR 2005); the descent from the origin
+decides wherever the certified point could depend on the start.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ from .errors import (
 )
 
 DEFAULT_BOX_CONSTRAINT = 100.0
+#: finite Newton steps of the warm start; it ends on a repeated active set first
+WARM_START_ROUNDS = 20
+#: the Newton system's regularizer: the norm penalty covers beta, not the bias
+_RIDGE = np.diag([1.0, 1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -166,7 +173,7 @@ def _kkt_solve(X, y, C, on_margin, violating):
     rhs = np.empty(e + 1)
     rhs[:e] = 1.0 - ye * (Xe @ v_c)
     rhs[e] = rhs_balance
-    sol = linalg.solve_symmetric(M, rhs)
+    sol = linalg._solve_factored(M, rhs, float(np.abs(M).max()))
     mu = sol[:e]
     b = float(sol[e])
     beta = v_c + ((mu * ye)[:, None] * Xe).sum(axis=0)
@@ -239,6 +246,14 @@ def _min_norm_subgradient(X, y, C, z, on_margin, violating):
     return g - A @ _bounded_lsq(A, g, C)
 
 
+def _margin_sets(X, y, z):
+    """The margin set and the violators at z, as masks: the points whose
+    margin is 1, and below 1, within 1e-7 of the largest margin."""
+    margins = y * (X @ z[:2] + z[2])
+    tol_id = 1e-7 * (1.0 + float(np.abs(margins).max(initial=0.0)))
+    return np.abs(1.0 - margins) <= tol_id, margins < 1.0 - tol_id
+
+
 def _polish(X, y, C, z, max_rounds=300):
     """Descending active-set refinement to the exact optimum.
 
@@ -250,11 +265,16 @@ def _polish(X, y, C, z, max_rounds=300):
     escape from a non-optimal vertex; clean multipliers certify global
     optimality, and the partition's KKT solution is returned, so the
     answer depends on the certified margin set and not on the path that
-    found it. [[G, y], [y^T, 0]] has rank at most 4 (G = (yX)(yX)^T has
-    rank at most 2), so only one to three margin points are solved for.
+    found it, except where the optimum is flat in the bias (see
+    :func:`_bias_is_flat`): there every bias of an interval is optimal,
+    and the start decides which one is certified. [[G, y], [y^T, 0]] has
+    rank at most 4 (G = (yX)(yX)^T has rank at most 2), so only one to
+    three margin points are solved for.
     Otherwise, or when that step cannot move, a minimum-norm subgradient
     of at most 1e-10 times the gradient scale certifies the point, and a
-    longer one's negative is the next direction. Returns (point, certified).
+    longer one's negative is the next direction; such a point is where the
+    path stopped within that tolerance. Returns (point, certificate), the
+    certificate being "kkt" (clean multipliers), "subgradient" or None.
     """
     obj = _primal_objective(X, y, C, z[:2], z[2])
     kkt_tol = 1e-9 * (1.0 + C)
@@ -273,11 +293,7 @@ def _polish(X, y, C, z, max_rounds=300):
 
     grad_scale = 1.0 + C * float(np.abs(X).sum() + len(y))
     for _ in range(max_rounds):
-        margins = y * (X @ z[:2] + z[2])
-        tol_id = 1e-7 * (1.0 + float(np.abs(margins).max(initial=0.0)))
-        on_margin = np.abs(1.0 - margins) <= tol_id
-        violating = margins < 1.0 - tol_id
-
+        on_margin, violating = _margin_sets(X, y, z)
         moved = False
         if 1 <= on_margin.sum() <= 3:
             try:
@@ -288,7 +304,7 @@ def _polish(X, y, C, z, max_rounds=300):
                     # solution; the multipliers decide what happens next
                     low, high = float(mu.min()), float(mu.max())
                     if low >= -kkt_tol and high <= C + kkt_tol:
-                        return z_c, True
+                        return z_c, "kkt"
                     # release the worst-priced margin constraint
                     released = on_margin.copy()
                     viol = violating.copy()
@@ -306,10 +322,73 @@ def _polish(X, y, C, z, max_rounds=300):
         if not moved:
             g = _min_norm_subgradient(X, y, C, z, on_margin, violating)
             if float(np.linalg.norm(g)) <= 1e-10 * grad_scale:
-                return z, True
+                return z, "subgradient"
             if not try_direction(-g):
-                return z, False
-    return z, False
+                return z, None
+    return z, None
+
+
+def _warm_start(X, y, C):
+    """A start near the optimum: the minimizer of the squared-hinge objective
+    0.5*|beta|^2 + 0.5*C*sum_i max(0, 1 - y_i*(x_i.beta + b))^2.
+
+    Finite Newton (Keerthi & DeCoste, JMLR 2005): from the origin, each
+    step solves (diag(1, 1, 0) + C*A_act^T A_act) z = C*sum_act a_i over
+    the rows a_i = y_i*(x_i, 1) with margin below 1, until the active set
+    repeats, at most :data:`WARM_START_ROUNDS` times. Only the start
+    depends on it, as the descent certifies its own optimum; a singular or
+    overflowing system, or a non-finite result, gives the origin.
+    """
+    A = y[:, None] * np.column_stack([X, np.ones(y.size)])
+    z = np.zeros(3)
+    active = None
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(WARM_START_ROUNDS):
+                now = A @ z < 1.0
+                if active is not None and np.array_equal(now, active):
+                    break
+                active = now
+                rows = A[active]
+                z = np.linalg.solve(_RIDGE + C * (rows.T @ rows), C * rows.sum(axis=0))
+    except (np.linalg.LinAlgError, FloatingPointError):
+        return np.zeros(3)
+    return z if np.isfinite(z).all() else np.zeros(3)
+
+
+def _bias_is_flat(X, y, z):
+    """Whether the objective at z stays optimal over an interval of biases.
+
+    With beta fixed, the hinge sum is piecewise linear in b. Its one-sided
+    derivatives at z are C*(#{S, y = -1} - sum_V y) to the right and
+    -C*(#{S, y = +1} + sum_V y) to the left, S being the margin set and V
+    the violators; at an optimum it is flat exactly where one is zero.
+    """
+    on_margin, violating = _margin_sets(X, y, z)
+    pull = int(y[violating].sum())
+    return pull == int((y[on_margin] < 0).sum()) or pull == -int((y[on_margin] > 0).sum())
+
+
+def _descend(X, y, C):
+    """The (point, certificate) of :func:`_polish`, from the warm start.
+
+    The warm descent's point is kept only where clean multipliers certify
+    it and the bias is not flat: it is then the KKT solution of its margin
+    set, whatever the start. Elsewhere the descent from the origin
+    decides, as the certified point can depend on the path: a flat bias
+    leaves an interval of optimal biases, the subgradient test accepts any
+    point within its tolerance, and a descent that certifies nothing or
+    overflows leaves no point to keep.
+    """
+    start = _warm_start(X, y, C)
+    if start.any():
+        try:
+            z, certificate = _polish(X, y, C, start)
+            if certificate == "kkt" and not _bias_is_flat(X, y, z):
+                return z, certificate
+        except FloatingPointError:
+            pass
+    return _polish(X, y, C, np.zeros(3))
 
 
 def _labeled_points(points, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -334,9 +413,12 @@ def svm_train(
     """Train the soft-margin boundary on labeled 2-D points.
 
     ``labels`` must contain both +1 and -1. Training is deterministic: an
-    exact active-set descent from the origin. The result carries the
-    primal objective and per-point slack values. Raises
-    :class:`NoConvergence` when the descent certified no optimum, and
+    exact active-set descent from the squared-hinge optimum, or from the
+    origin where the certified point could depend on the start (see
+    :func:`_descend`). The result carries the primal objective and
+    per-point slack values. Raises
+    :class:`NonFiniteValue` when the descent overflows a float,
+    :class:`NoConvergence` when it certified no optimum, and
     :class:`OneSidedBoundary` when the certified optimum puts every point
     on one side, a boundary that separates nothing.
     """
@@ -345,9 +427,13 @@ def svm_train(
         raise SingleClass("training data contains a single class")
     linalg.check_positive("box constraint", C)
 
-    z, clean = _polish(X, y, C, np.zeros(3))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            z, certificate = _descend(X, y, C)
+    except FloatingPointError as exc:
+        raise NonFiniteValue(f"svm training on these points overflows a float ({exc})") from None
     beta, b = z[:2], float(z[2])
-    if not clean:
+    if not certificate:
         raise NoConvergence(
             "svm training certified no optimum",
             objective=_primal_objective(X, y, C, beta, b),

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sulfexp import svm
+from sulfexp import model, svm
 from sulfexp.cli import main
 from sulfexp.curves import cluster_features, smooth
 from sulfexp.dataio import (
@@ -808,6 +808,19 @@ class TestExitCodeContract:
         assert main([command, source, "--out", out]) == 2
         assert_one_error_line(capsys, f"cannot write {out}")
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("out", ["missing/out.txt", "."], ids=["no-such-directory",
+                                                                     "a-directory"])
+    def test_unwritable_out_fails_before_the_fit(self, dataset_dir, capsys, monkeypatch, out):
+        tmp_path, _ = dataset_dir
+        monkeypatch.chdir(tmp_path)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_pipeline ran before --out was checked")
+
+        monkeypatch.setattr(model, "fit_pipeline", no_fit)
+        assert main(["fit", "manifest.json", "--out", out]) == 2
+        assert_one_error_line(capsys, f"cannot write {out}")
 
     def test_two_cluster_fit_reports_the_groups_it_has(self, dataset_dir, capsys):
         tmp_path, _ = dataset_dir

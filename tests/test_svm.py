@@ -18,9 +18,11 @@ from sulfexp.errors import (
 from sulfexp.mixtures import GroupLabel
 from sulfexp.svm import (
     LinearBoundary,
+    _bias_is_flat,
     _bounded_lsq,
     _line_minimize,
     _polish,
+    _warm_start,
     simplify_axis_parallel,
     svm_train,
 )
@@ -198,9 +200,9 @@ class TestExactLineSearch:
             assert obj <= other + 1e-12 * abs(other)
 
 
-def paper_scale_boundary_problems():
+def paper_scale_boundary_problems(seed=0, noise=0.03):
     """The two boundary training sets of a generated paper-scale fit."""
-    pairs = generate_synthetic((12, 16, 12), noise=0.03, seed=0).pairs
+    pairs = generate_synthetic((12, 16, 12), noise=noise, seed=seed).pairs
     assignments = fit_pipeline(pairs).diagnostics.assignments
     mixtures = [mix for mix, _ in pairs]
     rest = [mix for mix in mixtures if assignments[mix.id] is not GroupLabel.HN]
@@ -223,6 +225,81 @@ class TestPolishStart:
                 z1, clean1 = _polish(X, y, 100.0, start)
                 assert clean1
                 assert z1.tobytes() == z0.tobytes()
+
+
+#: (seed, noise, boundary, flat in the bias at the optimum): both boundaries
+#: of seed 0, and two second boundaries whose optimal biases fill an interval
+BOUNDARY_CASES = [(0, 0.03, 0, False), (0, 0.03, 1, False), (19, 0.0, 1, True),
+                  (23, 0.03, 1, True)]
+BOUNDARY_IDS = ["first@0", "second@0", "second@19-noise-0", "second@23"]
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("seed,noise,which,flat", BOUNDARY_CASES, ids=BOUNDARY_IDS)
+    def test_boundary_is_the_descent_from_the_origin(self, seed, noise, which, flat):
+        X, y = paper_scale_boundary_problems(seed, noise)[which]
+        boundary = svm_train(X, y, C=100.0)
+        z, certified = _polish(X, y, 100.0, np.zeros(3))
+        assert certified
+        assert boundary.weights.tobytes() == z[:2].tobytes()
+        assert np.float64(boundary.bias).tobytes() == z[2:].tobytes()
+
+    @pytest.mark.parametrize("seed,noise,which,flat", BOUNDARY_CASES, ids=BOUNDARY_IDS)
+    def test_flat_bias_is_recognized_from_either_start(self, seed, noise, which, flat):
+        X, y = paper_scale_boundary_problems(seed, noise)[which]
+        for start in (np.zeros(3), _warm_start(X, y, 100.0)):
+            z, certified = _polish(X, y, 100.0, start)
+            assert certified
+            assert _bias_is_flat(X, y, z) is flat
+
+    def test_subgradient_certified_point_is_the_descent_from_the_origin(self):
+        # far from the origin, the subgradient test certifies where each path stopped
+        X = np.array([[221.0, 1246.4], [220.8, 1246.6]])
+        y = np.array([1.0, -1.0])
+        z, certificate = _polish(X, y, 1e5, _warm_start(X, y, 1e5))
+        z0, certificate0 = _polish(X, y, 1e5, np.zeros(3))
+        assert certificate == certificate0 == "subgradient"
+        assert z.tobytes() != z0.tobytes()
+        boundary = svm_train(X, y, C=1e5)
+        assert boundary.weights.tobytes() == z0[:2].tobytes()
+        assert np.float64(boundary.bias).tobytes() == z0[2:].tobytes()
+
+    def test_at_most_half_the_kkt_solves_of_the_origin_start(self, monkeypatch):
+        problems = [p for seed in range(10) for p in paper_scale_boundary_problems(seed)]
+        solves = [0]
+        kkt_solve = svm._kkt_solve
+
+        def counted_kkt_solve(*args):
+            solves[0] += 1
+            return kkt_solve(*args)
+
+        monkeypatch.setattr(svm, "_kkt_solve", counted_kkt_solve)
+        for X, y in problems:
+            svm_train(X, y, C=100.0)
+        warm, solves[0] = solves[0], 0
+        for X, y in problems:
+            _polish(X, y, 100.0, np.zeros(3))
+        assert 2 * warm <= solves[0]
+
+    def test_overflowing_system_starts_from_the_origin(self):
+        X = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0], [0.5, 0.2]]) * 1e-200
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # C * A^T A overflows in the warm start, but not in the descent
+            assert not _warm_start(X, y, 1e308).any()
+            with pytest.raises(OneSidedBoundary):
+                svm_train(X, y, C=1e308)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("scale", [1e152, 1e154, 1e200, 1e300])
+    def test_points_whose_products_overflow_are_a_typed_error(self, scale):
+        X = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0], [0.5, 0.2]]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="svm training on these points overflows"):
+                svm_train(X, [1, 1, -1, -1])
 
 
 def bounded_lsq_problem(rng, kind, e):
