@@ -2,18 +2,20 @@
 
 Matrices and vectors are plain ``numpy.ndarray`` objects (row-major, all
 entries finite). The symmetric linear solve backs the least-squares
-estimator and the SVM's KKT systems. It factors the matrix once with
-LAPACK (``numpy.linalg.eigh``), tests the rank explicitly on the
-eigenvalues, solves every right-hand side and refines the solution once
-with the same factors; the KKT systems, which always pass its input
-checks, call that factored kernel directly. Eigenvectors come from
-``numpy.linalg.eigh`` too, oriented by one shared sign rule.
+estimator. It factors the matrix once with LAPACK
+(``numpy.linalg.eigh``), tests the rank explicitly on the eigenvalues,
+solves every right-hand side and refines the solution once with the same
+factors. The SVM's KKT systems, of at most 4x4, are solved in Python
+floats by a small elimination kernel with the same tolerances.
+Eigenvectors come from ``numpy.linalg.eigh`` too, oriented by one shared
+sign rule.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -92,16 +94,6 @@ def solve_symmetric(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"dimension mismatch: A is {n}x{n}, b has shape {b.shape}")
     if n == 0:
         return np.empty(b.shape)
-    return _solve_factored(A, b, scale)
-
-
-def _solve_factored(A: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
-    """The factored kernel of :func:`solve_symmetric`, with no checks of A.
-
-    A must be a finite, symmetric, non-empty float matrix, ``scale`` its
-    largest magnitude, and b a float vector or matrix of A's row count.
-    The SVM's KKT systems always are, and solve here directly.
-    """
     bound = RESIDUAL_REL_TOL * (1.0 + np.abs(b).max(axis=0, initial=0.0))
     if not np.isfinite(bound).all():
         raise NonFiniteValue("b contains NaN or Inf entries")
@@ -122,6 +114,74 @@ def _solve_factored(A: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
     if not np.isfinite(residual).all():
         raise NonFiniteValue("the solution of the system overflows a float")
     if not (residual <= bound).all():
+        raise SingularMatrix("solution residual exceeds tolerance; matrix numerically singular")
+    return x
+
+
+def _solve_small(A: list[list[float]], b: list[float]) -> list[float]:
+    """Solve A x = b for a small square system held in lists of Python floats.
+
+    Gaussian elimination with partial pivoting, then one refinement pass
+    with the same factors. Up to 4x4, a few dozen float operations cost
+    less than numpy's call overhead around one eigendecomposition. The
+    tolerances are those of :func:`solve_symmetric`: :class:`SingularMatrix`
+    for a pivot of magnitude below ``RANK_REL_TOL * max|A|`` (so for the
+    zero matrix) and for a refined residual above
+    ``RESIDUAL_REL_TOL * (1 + max|b|)``, and :class:`NonFiniteValue` when
+    the solution or a residual overflows. A and b must be finite and A
+    non-empty. Residuals are ``math.fsum`` sums of the products, which the
+    refinement needs more than anything else; other sums run left to right
+    in plain loops, so the bits do not depend on the Python version's
+    ``sum``.
+    """
+    n = len(b)
+    floor = RANK_REL_TOL * max(map(abs, [v for row in A for v in row]))
+    lu = [list(row) for row in A]
+    order = list(range(n))
+    for k in range(n):
+        p, big = k, abs(lu[k][k])
+        for r in range(k + 1, n):
+            if abs(lu[r][k]) > big:
+                p, big = r, abs(lu[r][k])
+        if big < floor or big == 0.0:
+            raise SingularMatrix(f"pivot magnitude {big:.3e} below threshold {floor:.3e}")
+        lu[k], lu[p] = lu[p], lu[k]
+        order[k], order[p] = order[p], order[k]
+        top = lu[k]
+        for row in lu[k + 1:]:
+            f = row[k] / top[k]
+            row[k] = f
+            for j in range(k + 1, n):
+                row[j] -= f * top[j]
+
+    def substitute(rhs):
+        x = [rhs[i] for i in order]
+        for i in range(n):
+            row = lu[i]
+            for j in range(i):
+                x[i] -= row[j] * x[j]
+        for i in range(n - 1, -1, -1):
+            row = lu[i]
+            known = 0.0
+            for j in range(i + 1, n):
+                known += row[j] * x[j]
+            x[i] = (x[i] - known) / row[i]
+        return x
+
+    negated = [[-a for a in row] for row in A]
+
+    def residual(x):
+        try:
+            return [math.fsum([bi, *map(operator.mul, row, x)]) for row, bi in zip(negated, b)]
+        except (OverflowError, ValueError):  # fsum's overflowing or inf - inf partial sum
+            return [math.inf] * n
+
+    x = substitute(b)
+    x = [xi + di for xi, di in zip(x, substitute(residual(x)))]
+    worst = max(map(abs, residual(x)))
+    if not math.isfinite(worst):
+        raise NonFiniteValue("the solution of the system overflows a float")
+    if not worst <= RESIDUAL_REL_TOL * (1.0 + max(map(abs, b))):
         raise SingularMatrix("solution residual exceeds tolerance; matrix numerically singular")
     return x
 

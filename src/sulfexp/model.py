@@ -11,6 +11,7 @@ default bundle carrying the reference coefficients, and
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import math
 from collections.abc import Mapping
@@ -79,17 +80,38 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PipelineDiagnostics:
-    """Fit-time byproducts that are useful for reports but not for prediction."""
+    """Fit-time byproducts that are useful for reports but not for prediction.
+
+    ``group_fields`` holds each group's mixture fields (rows in id order,
+    columns in :data:`MIXTURE_FIELDS` order). The variable screen of each
+    group, :attr:`pca_selected`, is computed from them on first read: a fit
+    runs it only when ``data_driven_variables`` needs its picks for roles.
+    """
 
     assignments: dict[str, GroupLabel]
     cluster_sizes: dict[GroupLabel, int]
     feature_means: np.ndarray | None
     feature_scales: np.ndarray | None
     mean_failure_times: dict[GroupLabel, float]
-    pca_selected: dict[GroupLabel, list[pca.SelectedVariable]]
     kmeans_objective: float
     kmeans_restart_iterations: tuple[int, ...]   # every k-means restart's, in restart order
     kmeans_restart_converged: tuple[bool, ...]
+    group_fields: dict[GroupLabel, np.ndarray] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def pca_selected(self) -> dict[GroupLabel, list[pca.SelectedVariable]]:
+        """Each group's screening picks (see :func:`_screen_group`), the same
+        lists, flags included, that a fit with ``data_driven_variables``
+        chooses its roles from.
+
+        Group fields lie within :data:`FIELD_RANGES` and every group has at
+        least 2 rows, so the one error the screen can raise is
+        :func:`pca.principal_components`'s centering check, on a field whose
+        spread within a group is at rounding level (50, 50 and the next
+        float above 50, say). A fit that screens raises it; otherwise it
+        comes here, on reading.
+        """
+        return {label: _screen_group(matrix) for label, matrix in self.group_fields.items()}
 
 
 @dataclass(frozen=True)
@@ -366,6 +388,18 @@ def cluster_stage(
         return features, means, scales, clustering.kmeans(points, k=k, seed=seed)
 
 
+def _screen_group(matrix: np.ndarray) -> list[pca.SelectedVariable]:
+    """One group's variable screen: the dominant column of each of its top
+    :data:`pca.DEFAULT_COMPONENTS` standardized principal components (fewer
+    for a group of fewer rows), and no picks when a field is absent."""
+    if np.isnan(matrix).any():
+        return []
+    m = min(pca.DEFAULT_COMPONENTS, matrix.shape[0] - 1, matrix.shape[1])
+    with _stage("variable selection"):
+        centered, _, _ = pca.center_and_scale(matrix)
+        return pca.select_dominant_variables(pca.principal_components(centered, m), m)
+
+
 def dataset_hash(dataset: list[tuple[Mixture, ExpansionSeries]]) -> str:
     """Stable fingerprint of a dataset, for bundle provenance: ``b2:<16 hex>``.
 
@@ -434,8 +468,10 @@ def fit_pipeline(
 
     Smooth each series, extract (failure time, slope) features, k-means
     them into expansion-pattern clusters, name the clusters by ascending
-    mean failure time, screen variables per group, fit each group's
-    regression and train the two boundaries. Records are taken in id order,
+    mean failure time, screen variables per group (for
+    ``data_driven_variables``; otherwise on reading
+    ``diagnostics.pca_selected``), fit each group's regression and train
+    the two boundaries. Records are taken in id order,
     so row order does not change the fit. Every stage reads one
     :class:`~sulfexp.curves.SeriesBlock` of the records, built once, in
     whole-array passes. Raises :class:`ValidationError` for an empty
@@ -465,20 +501,12 @@ def fit_pipeline(
         if rows.size < 2:
             raise EmptyGroup(f"cluster {label} received {rows.size} mixture(s); need >= 2")
 
-    pca_selected: dict[GroupLabel, list[pca.SelectedVariable]] = {}
-    roles_by_group: dict[GroupLabel, tuple[str, ...] | None] = {}
-    with _stage("variable selection"):
-        for label, members in groups.items():
-            pca_selected[label] = []
-            roles_by_group[label] = None
-            matrix = block.fields[members]
-            if np.isnan(matrix).any():
-                continue
-            m = min(pca.DEFAULT_COMPONENTS, matrix.shape[0] - 1, matrix.shape[1])
-            centered, _, _ = pca.center_and_scale(matrix)
-            picks = pca.select_dominant_variables(pca.principal_components(centered, m), m)
-            pca_selected[label] = picks
-            if config.data_driven_variables:
+    group_fields = {label: block.fields[members] for label, members in groups.items()}
+    roles_by_group: dict[GroupLabel, tuple[str, ...] | None] = dict.fromkeys(groups)
+    if config.data_driven_variables:
+        for label, matrix in group_fields.items():
+            picks = _screen_group(matrix)
+            if picks:
                 roles = dict.fromkeys(
                     regression.FIELD_TO_ROLE[MIXTURE_FIELDS[p.column]] for p in picks
                 )
@@ -514,10 +542,10 @@ def fit_pipeline(
         feature_means=f_means,
         feature_scales=f_scales,
         mean_failure_times=dict(zip(cluster_labels, map(float, mean_tfail))),
-        pca_selected=pca_selected,
         kmeans_objective=km.objective,
         kmeans_restart_iterations=km.restart_iterations,
         kmeans_restart_converged=km.restart_converged,
+        group_fields=group_fields,
     )
     return ModelBundle(
         models=models,

@@ -119,13 +119,15 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> OLSFit:
     beta = solution[:, 0].copy()
     inv_diag = np.diagonal(solution[:, 1:])
 
+    # sums of squares are numpy reductions: a BLAS dot product sums in an
+    # order that depends on its thread count, and so would their last bits
     with np.errstate(over="ignore", invalid="ignore"):
         fitted = X @ beta
         residuals = y - fitted
-        rss = float(residuals @ residuals)
+        rss = float((residuals * residuals).sum())
         y_bar = float(y.mean())
         tss = float(((y - y_bar) ** 2).sum())
-        scale = max(1.0, float(y @ y))
+        scale = max(1.0, float((y * y).sum()))
     if not (math.isfinite(rss) and math.isfinite(tss) and math.isfinite(scale)):
         raise NonFiniteValue("a sum of squares of the fit overflows a float")
     if tss <= 1e-14 * scale:

@@ -19,6 +19,7 @@ decides wherever the certified point could depend on the start.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -106,13 +107,23 @@ class LinearBoundary:
         return f"{self.weights[0]:+.6g}*{a} {self.weights[1]:+.6g}*{b} {self.bias:+.6g} = 0"
 
 
-def _primal_objective(X, y, C, beta, b):
-    margins = y * (X @ beta + b)
+def _margins(X, y, z):
+    """y_i*(x_i.beta + b) at the point z = (beta0, beta1, b)."""
+    return y * (X @ z[:2] + z[2])
+
+
+def _objective(C, beta, margins):
+    """The primal objective at a point with weights beta and these margins."""
     return 0.5 * float(beta @ beta) + C * float(np.maximum(0.0, 1.0 - margins).sum())
 
 
-def _line_minimize(X, y, C, z, d):
-    """Exactly minimize the objective along z + tau*d; returns (tau, objective).
+def _primal_objective(X, y, C, beta, b):
+    return _objective(C, beta, y * (X @ beta + b))
+
+
+def _line_minimize(X, y, C, z, d, a):
+    """Exactly minimize the objective along z + tau*d, where ``a`` holds the
+    margins at z; returns (tau, objective, margins) at the minimizer.
 
     The restriction is convex piecewise quadratic in tau. Point i's hinge
     turns on or off at its breakpoint (1 - a_i)/c_i, where a_i and c_i are
@@ -124,7 +135,6 @@ def _line_minimize(X, y, C, z, d):
     vertex or its right end.
     """
     d_beta = d[:2]
-    a = y * (X @ z[:2] + z[2])          # margins at tau = 0
     c = y * (X @ d_beta + d[2])         # margin slopes
     dd = float(d_beta @ d_beta)
     nz = c != 0.0
@@ -148,7 +158,8 @@ def _line_minimize(X, y, C, z, d):
     else:
         tau = float(breaks[min(k, breaks.size - 1)]) if breaks.size else 0.0
     zz = z + tau * d
-    return tau, _primal_objective(X, y, C, zz[:2], zz[2])
+    margins = _margins(X, y, zz)
+    return tau, _objective(C, zz[:2], margins), margins
 
 
 def _kkt_solve(X, y, C, on_margin, violating):
@@ -157,27 +168,33 @@ def _kkt_solve(X, y, C, on_margin, violating):
     Points in ``violating`` contribute full weight C; points in
     ``on_margin`` sit exactly at unit margin with multipliers to be
     determined. Returns the solution point (beta0, beta1, b), the
-    multipliers and the indices of the margin points they belong to.
+    multipliers (a list) and the indices of the margin points they belong to.
+
+    The system [[G, y], [y^T, 0]] has one row per margin point, at most
+    four in all, so it is built and solved in Python floats
+    (:func:`linalg._solve_small`); only the violators' sum is a numpy
+    reduction. A product that overflows raises :class:`FloatingPointError`,
+    as numpy does under the descent's ``errstate``.
     """
-    v_c = C * (y[violating, None] * X[violating]).sum(axis=0)
-    rhs_balance = -C * float(y[violating].sum())
-    idx = np.nonzero(on_margin)[0]
-    e = idx.size
-    Xe = X[idx]
-    ye = y[idx]
-    G = (ye[:, None] * Xe) @ (ye[:, None] * Xe).T
-    M = np.zeros((e + 1, e + 1))
-    M[:e, :e] = G
-    M[:e, e] = ye
-    M[e, :e] = ye
-    rhs = np.empty(e + 1)
-    rhs[:e] = 1.0 - ye * (Xe @ v_c)
-    rhs[e] = rhs_balance
-    sol = linalg._solve_factored(M, rhs, float(np.abs(M).max()))
-    mu = sol[:e]
-    b = float(sol[e])
-    beta = v_c + ((mu * ye)[:, None] * Xe).sum(axis=0)
-    return np.array([beta[0], beta[1], b]), mu, idx
+    y_v = y[violating]
+    v0, v1 = (C * (y_v[:, None] * X[violating]).sum(axis=0)).tolist()
+    idx = np.flatnonzero(on_margin)
+    # (y_i*x_i0, y_i*x_i1, y_i) of each margin point
+    rows = [(yi * x0, yi * x1, yi) for (x0, x1), yi in zip(X[idx].tolist(), y[idx].tolist())]
+    M = [[p0 * q0 + p1 * q1 for q0, q1, _ in rows] + [yp] for p0, p1, yp in rows]
+    M.append([yq for _, _, yq in rows] + [0.0])
+    rhs = [1.0 - (p0 * v0 + p1 * v1) for p0, p1, _ in rows] + [-C * float(y_v.sum())]
+    if not all(map(math.isfinite, itertools.chain(rhs, *M))):
+        raise FloatingPointError("overflow encountered in the KKT system")
+    *mu, b = linalg._solve_small(M, rhs)
+    s0 = s1 = 0.0
+    for m, (p0, p1, _) in zip(mu, rows):
+        s0 += m * p0
+        s1 += m * p1
+    beta0, beta1 = v0 + s0, v1 + s1
+    if not (math.isfinite(beta0) and math.isfinite(beta1)):
+        raise FloatingPointError("overflow encountered in the KKT system")
+    return np.array([beta0, beta1, b]), mu, idx
 
 
 def _bounded_lsq(A, b, C):
@@ -242,14 +259,15 @@ def _min_norm_subgradient(X, y, C, z, on_margin, violating):
     g = np.empty(3)
     g[:2] = z[:2] - C * (y[violating, None] * X[violating]).sum(axis=0)
     g[2] = -C * float(y[violating].sum())
+    if not on_margin.any():
+        return g
     A = y[on_margin] * np.vstack([X[on_margin].T, np.ones(int(on_margin.sum()))])
     return g - A @ _bounded_lsq(A, g, C)
 
 
-def _margin_sets(X, y, z):
-    """The margin set and the violators at z, as masks: the points whose
-    margin is 1, and below 1, within 1e-7 of the largest margin."""
-    margins = y * (X @ z[:2] + z[2])
+def _margin_sets(margins):
+    """The margin set and the violators, as masks over these margins: the
+    points whose margin is 1, and below 1, within 1e-7 of the largest margin."""
     tol_id = 1e-7 * (1.0 + float(np.abs(margins).max(initial=0.0)))
     return np.abs(1.0 - margins) <= tol_id, margins < 1.0 - tol_id
 
@@ -276,24 +294,25 @@ def _polish(X, y, C, z, max_rounds=300):
     path stopped within that tolerance. Returns (point, certificate), the
     certificate being "kkt" (clean multipliers), "subgradient" or None.
     """
-    obj = _primal_objective(X, y, C, z[:2], z[2])
+    margins = _margins(X, y, z)
+    obj = _objective(C, z[:2], margins)
     kkt_tol = 1e-9 * (1.0 + C)
 
     def try_direction(d):
-        nonlocal z, obj
+        nonlocal z, obj, margins
         norm = float(np.linalg.norm(d))
         if norm == 0.0:
             return False
-        tau, new_obj = _line_minimize(X, y, C, z, d / norm)
+        tau, new_obj, new_margins = _line_minimize(X, y, C, z, d / norm, margins)
         if new_obj < obj - 1e-15 * (1.0 + abs(obj)):
             z = z + tau * (d / norm)
-            obj = new_obj
+            obj, margins = new_obj, new_margins
             return True
         return False
 
     grad_scale = 1.0 + C * float(np.abs(X).sum() + len(y))
     for _ in range(max_rounds):
-        on_margin, violating = _margin_sets(X, y, z)
+        on_margin, violating = _margin_sets(margins)
         moved = False
         if 1 <= on_margin.sum() <= 3:
             try:
@@ -302,16 +321,16 @@ def _polish(X, y, C, z, max_rounds=300):
                 if not moved:
                     # the current point is (numerically) this partition's own
                     # solution; the multipliers decide what happens next
-                    low, high = float(mu.min()), float(mu.max())
+                    low, high = min(mu), max(mu)
                     if low >= -kkt_tol and high <= C + kkt_tol:
                         return z_c, "kkt"
                     # release the worst-priced margin constraint
                     released = on_margin.copy()
                     viol = violating.copy()
                     if -low >= high - C:
-                        released[idx[int(np.argmin(mu))]] = False
+                        released[idx[mu.index(low)]] = False
                     else:
-                        j = idx[int(np.argmax(mu))]
+                        j = idx[mu.index(high)]
                         released[j] = False
                         viol[j] = True
                     if released.any():
@@ -364,7 +383,7 @@ def _bias_is_flat(X, y, z):
     -C*(#{S, y = +1} + sum_V y) to the left, S being the margin set and V
     the violators; at an optimum it is flat exactly where one is zero.
     """
-    on_margin, violating = _margin_sets(X, y, z)
+    on_margin, violating = _margin_sets(_margins(X, y, z))
     pull = int(y[violating].sum())
     return pull == int((y[on_margin] < 0).sum()) or pull == -int((y[on_margin] > 0).sum())
 

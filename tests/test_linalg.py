@@ -69,45 +69,55 @@ def distance_to_exact(x, exact):
     return float(max(abs(Fraction(float(a)) - e) for a, e in zip(x, exact)) / scale)
 
 
-def assert_no_farther_than_gauss(systems):
+def assert_no_farther_than_gauss(systems, solve=solve_symmetric):
     """Over a set of systems, the solver's worst and mean distance from the
     exact solution are no larger than the Gaussian reference's."""
     ours, gauss = [], []
     for A, b in systems:
         exact = exact_solve(A, b)
-        ours.append(distance_to_exact(solve_symmetric(A, b), exact))
+        ours.append(distance_to_exact(solve(A, b), exact))
         gauss.append(distance_to_exact(gauss_reference(A, b), exact))
     assert max(ours) <= max(gauss)
     assert sum(ours) <= sum(gauss)
 
 
+def solve_small(A, b):
+    """:func:`linalg._solve_small` on arrays."""
+    return np.array(linalg._solve_small(A.tolist(), b.tolist()))
+
+
 def kkt_systems(counts=(12, 16, 12), seeds=range(8)):
     """Every KKT system the SVM solves in default fits of generated data,
-    keeping those that both solvers accept. They are recorded at the
-    factored kernel, which the SVM calls directly."""
+    keeping those that both solvers accept. They are recorded at the small
+    kernel, which solves nothing else."""
     captured = []
-    real = linalg._solve_factored
+    real = linalg._solve_small
 
-    def record(A, b, scale):
-        if np.ndim(b) == 1:  # the regressions pass a matrix right-hand side
-            captured.append((np.array(A), np.array(b)))
-        return real(A, b, scale)
+    def record(A, b):
+        captured.append((np.array(A), np.array(b)))
+        return real(A, b)
 
-    linalg._solve_factored = record
+    linalg._solve_small = record
     try:
         for seed in seeds:
             fit_pipeline(generate_synthetic(counts, noise=0.03, seed=seed).pairs)
     finally:
-        linalg._solve_factored = real
+        linalg._solve_small = real
     kept = []
     for A, b in captured:
         try:
             gauss_reference(A, b)
-            solve_symmetric(A, b)
+            solve_small(A, b)
         except SingularMatrix:
             continue
         kept.append((A, b))
     return kept
+
+
+def kkt_matrix(X, y):
+    """[[G, y], [y^T, 0]] of margin points X with labels y, G = (yX)(yX)^T."""
+    G = (y[:, None] * X) @ (y[:, None] * X).T
+    return np.block([[G, y[:, None]], [y[None, :], np.zeros((1, 1))]])
 
 
 def symmetric_with_spectrum(rng, eigenvalues):
@@ -214,18 +224,10 @@ class TestSolveSymmetric:
     def test_duplicated_margin_point_raises(self):
         # the KKT matrix of a margin set holding one point twice has two
         # equal rows, and its right-hand side repeats the entry too
-        X = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 1.0]])
-        y = np.array([1.0, 1.0, -1.0])
-        G = (y[:, None] * X) @ (y[:, None] * X).T
-        M = np.block([[G, y[:, None]], [y[None, :], np.zeros((1, 1))]])
+        M = kkt_matrix(np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 1.0]]), np.array([1.0, 1.0, -1.0]))
         rhs = np.array([1.0, 1.0, 1.0, 0.0])
         with pytest.raises(SingularMatrix):
             solve_symmetric(M, rhs)
-
-    def test_no_farther_from_exact_than_gauss_on_kkt_systems(self):
-        systems = kkt_systems()
-        assert len(systems) >= 50
-        assert_no_farther_than_gauss(systems)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -246,6 +248,76 @@ class TestSolveSymmetric:
             return
         bound = linalg.RESIDUAL_REL_TOL * (1.0 + np.abs(b).max(axis=0))
         assert np.all(np.abs(a @ x - b).max(axis=0) <= bound)
+
+
+class TestSolveSmall:
+    def test_hand_elimination_2x2(self):
+        assert linalg._solve_small([[4.0, 1.0], [1.0, 3.0]], [1.0, 2.0]) == pytest.approx(
+            [1.0 / 11.0, 7.0 / 11.0], abs=1e-15)
+
+    def test_pivots_a_zero_diagonal(self):
+        assert linalg._solve_small([[0.0, 1.0], [1.0, 0.0]], [3.0, 4.0]) == [4.0, 3.0]
+
+    def test_matches_solve_symmetric(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            n = int(rng.integers(1, 5))
+            a = symmetric_with_spectrum(rng, rng.uniform(0.1, 10.0, n) * rng.choice([-1, 1], n))
+            b = rng.standard_normal(n)
+            assert np.abs(solve_small(a, b) - solve_symmetric(a, b)).max() <= 1e-12
+
+    @pytest.mark.parametrize("A", [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1e-13]],
+                                   [[1.0, 1.0], [1.0, 1.0]]], ids=["zero", "tiny-pivot", "rank-one"])
+    def test_pivot_below_the_rank_tolerance_raises(self, A):
+        with pytest.raises(SingularMatrix):
+            linalg._solve_small(A, [1.0, 1.0])
+
+    @pytest.mark.parametrize("A,b", [
+        ([[1e-10, 0.0], [0.0, 1e-10]], [1e300, 1.0]),
+        # fsum raises on inf - inf in the residual
+        ([[1.0, 1.0], [1.0, -1.0]], [1.7e308, -1.7e308]),
+        ([[1e-300, 1e-300], [1e-300, -1e-300]], [1e10, 1.0]),
+    ])
+    def test_overflowing_solution_is_a_typed_error(self, A, b):
+        with pytest.raises(NonFiniteValue):
+            linalg._solve_small(A, b)
+
+    def test_no_farther_from_exact_than_gauss_on_kkt_systems(self):
+        systems = kkt_systems()
+        assert len(systems) >= 50
+        assert_no_farther_than_gauss(systems, solve_small)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        e=st.integers(1, 3),
+        duplicate=st.sampled_from([None, "same label", "opposite label"]),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_kkt_systems_are_singular_or_within_residual_bound(self, seed, e, duplicate, log_scale):
+        """A 2x2 to 4x4 KKT system is rejected, or solved within the residual
+        bound. The residual is taken in exact arithmetic, which may exceed the
+        kernel's own float residual by the rounding of a length-(e+1) dot
+        product. A margin set holding one point twice must be rejected."""
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0.0, 1.0, (e, 2)) * 10.0 ** (log_scale + rng.uniform(-1.0, 1.0, 2))
+        y = rng.choice([-1.0, 1.0], e)
+        if duplicate and e >= 2:
+            X[1] = X[0]
+            y[1] = y[0] if duplicate == "same label" else -y[0]
+        M = kkt_matrix(X, y)
+        rhs = rng.standard_normal(e + 1) * 10.0 ** rng.uniform(-2.0, 2.0)
+        try:
+            x = solve_small(M, rhs)
+        except SingularMatrix:
+            return
+        assert not (duplicate and e >= 2)
+        bound = linalg.RESIDUAL_REL_TOL * (1.0 + np.abs(rhs).max())
+        for row, b_i in zip(M, rhs):
+            exact = Fraction(float(b_i)) - sum(Fraction(a) * Fraction(float(v))
+                                               for a, v in zip(row.tolist(), x))
+            rounding = 2 * (e + 2) * np.finfo(float).eps * (abs(b_i) + np.abs(row * x).sum())
+            assert abs(exact) <= bound + rounding
 
 
 class TestDominantEigenpair:

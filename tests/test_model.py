@@ -2,18 +2,23 @@ import copy
 import dataclasses
 import hashlib
 import math
+import os
 import pickle
 import re
 import struct
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sulfexp import clustering, curves, regression, svm
+import regen_golden
+import sulfexp
+from sulfexp import clustering, curves, pca, regression, svm
 from sulfexp.curves import ExpansionSeries, cluster_features, smooth
 from sulfexp.dataio import generate_synthetic, load_bundle, save_bundle
 from sulfexp.errors import (
@@ -1132,6 +1137,97 @@ def test_data_driven_roles_of_golden_datasets(counts, seed):
     bundle = fit_pipeline(pairs, PipelineConfig(data_driven_variables=True))
     roles = tuple(bundle.models[label].variable_roles for label in (HN, ML, LL))
     assert roles == tuple(r + ("const",) for r in DATA_DRIVEN_ROLES[(counts, seed)])
+
+
+def eager_screen(pairs, assignments):
+    """The per-group screen as a fit ran it before it was deferred: center and
+    scale each group's fields, take the top components, pick their columns."""
+    fields = {mix.id: [np.nan if getattr(mix, f) is None else getattr(mix, f)
+                       for f in MIXTURE_FIELDS] for mix, _ in pairs}
+    picks = {}
+    for label in set(assignments.values()):
+        matrix = np.array([fields[mid] for mid in sorted(assignments) if assignments[mid] is label])
+        if np.isnan(matrix).any():
+            picks[label] = []
+            continue
+        m = min(pca.DEFAULT_COMPONENTS, matrix.shape[0] - 1, matrix.shape[1])
+        centered, _, _ = pca.center_and_scale(matrix)
+        picks[label] = pca.select_dominant_variables(pca.principal_components(centered, m), m)
+    return picks
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+#: every golden entry, and the 2-record LL group of (12,16,12)@22 at 10 % noise,
+#: whose one component loads all seven standardized columns alike in exact arithmetic
+SCREEN_CASES = [(counts, seed, 0.03, config) for counts, seed, config in regen_golden.ENTRIES] + [
+    ((12, 16, 12), 22, 0.1, "default"), ((12, 16, 12), 22, 0.1, "data-driven")]
+
+
+class TestDeferredScreen:
+    def test_default_fit_runs_no_pca(self, monkeypatch):
+        calls = count_calls(monkeypatch, pca, "principal_components")
+        bundle = fit_pipeline(generate_synthetic((12, 16, 12), noise=0.03, seed=0).pairs)
+        assert calls == []
+        assert len(bundle.diagnostics.pca_selected) == 3
+        assert len(calls) == 3
+        bundle.diagnostics.pca_selected
+        assert len(calls) == 3  # read once, then kept
+
+    def test_data_driven_fit_screens_in_the_fit(self, monkeypatch):
+        calls = count_calls(monkeypatch, pca, "principal_components")
+        fit_pipeline(generate_synthetic((12, 16, 12), noise=0.03, seed=0).pairs,
+                     PipelineConfig(data_driven_variables=True))
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("counts,seed,noise,config", SCREEN_CASES, ids=[
+        f"{regen_golden.dataset_key(counts, seed, config)}~{noise}"
+        for counts, seed, noise, config in SCREEN_CASES])
+    def test_picks_equal_the_eager_screen(self, counts, seed, noise, config):
+        pairs = generate_synthetic(counts, noise=noise, seed=seed).pairs
+        diagnostics = fit_pipeline(pairs, PipelineConfig(**regen_golden.CONFIGS[config])).diagnostics
+        expected = eager_screen(pairs, diagnostics.assignments)
+        assert diagnostics.pca_selected == expected
+
+    def test_screen_error_comes_on_reading(self):
+        # one HN record's c2s one float above the others': the column's spread
+        # is rounding, and its z-scores fail the centering check
+        ds = generate_synthetic((12, 16, 12), noise=0.03, seed=0)
+        hn = sorted(mid for mid, label in ds.labels.items() if label is HN)
+        pairs = [(dataclasses.replace(mix, c2s=np.nextafter(50.0, 100.0) if mix.id == hn[0] else 50.0)
+                  if mix.id in hn else mix, series) for mix, series in ds.pairs]
+        message = r"^variable selection: X must be centered"
+        with pytest.raises(ValidationError, match=message):
+            fit_pipeline(pairs, PipelineConfig(data_driven_variables=True))
+        bundle = fit_pipeline(pairs)
+        assert bundle.boundary_first == fit_pipeline(ds.pairs).boundary_first
+        with pytest.raises(ValidationError, match=message):
+            bundle.diagnostics.pca_selected
+
+
+def test_bundle_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the k = 2 ML group of this fit has 10 360 regression rows, enough for
+    # OpenBLAS to split a dot product over threads
+    script = (
+        "import sys\n"
+        "from sulfexp import PipelineConfig, fit_pipeline, generate_synthetic, save_bundle\n"
+        "pairs = generate_synthetic((390, 520, 390), noise=0.03, seed=0).pairs\n"
+        "save_bundle(fit_pipeline(pairs, PipelineConfig(k=2)), sys.argv[1])\n"
+    )
+    src = str(Path(sulfexp.__file__).resolve().parents[1])
+    saved = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"bundle-{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True, timeout=120)
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
 
 
 class TestValidateHoldout:

@@ -191,9 +191,10 @@ class TestExactLineSearch:
         z = rng.normal(size=3) * rng.uniform(0.0, 5.0)
         d = np.array([0.0, 0.0, 1.0]) if bias_only else rng.normal(size=3)
         d /= np.linalg.norm(d)
-        tau, obj = _line_minimize(X, y, C, z, d)
+        tau, obj, margins = _line_minimize(X, y, C, z, d, y * (X @ z[:2] + z[2]))
         zz = z + tau * d
         assert obj == primal_objective(X, y, C, zz[:2], zz[2])
+        assert np.array_equal(margins, y * (X @ zz[:2] + zz[2]))
         for t in scan_line_candidates(X, y, C, z, d):
             zt = z + t * d
             other = primal_objective(X, y, C, zt[:2], zt[2])
@@ -357,9 +358,9 @@ class TestDescentWorkBound:
             margin_sets.append(int(on_margin.sum()))
             return kkt_solve(X, y, C, on_margin, violating)
 
-        def counted_line_minimize(X, y, C, z, d):
+        def counted_line_minimize(X, y, C, z, d, margins):
             starts.add(z.tobytes())  # each round's line searches start from its point
-            return line_minimize(X, y, C, z, d)
+            return line_minimize(X, y, C, z, d, margins)
 
         monkeypatch.setattr(svm, "_kkt_solve", counted_kkt_solve)
         monkeypatch.setattr(svm, "_line_minimize", counted_line_minimize)
