@@ -83,9 +83,8 @@ class PipelineDiagnostics:
     """Fit-time byproducts that are useful for reports but not for prediction.
 
     ``group_fields`` holds each group's mixture fields (rows in id order,
-    columns in :data:`MIXTURE_FIELDS` order). The variable screen of each
-    group, :attr:`pca_selected`, is computed from them on first read: a fit
-    runs it only when ``data_driven_variables`` needs its picks for roles.
+    columns in :data:`MIXTURE_FIELDS` order), which :attr:`pca_selected`
+    screens on first read.
     """
 
     assignments: dict[str, GroupLabel]
@@ -102,7 +101,7 @@ class PipelineDiagnostics:
     def pca_selected(self) -> dict[GroupLabel, list[pca.SelectedVariable]]:
         """Each group's screening picks (see :func:`_screen_group`), the same
         lists, flags included, that a fit with ``data_driven_variables``
-        chooses its roles from.
+        chooses its roles from. Only such a fit runs the screen itself.
 
         Group fields lie within :data:`FIELD_RANGES` and every group has at
         least 2 rows, so the one error the screen can raise is
