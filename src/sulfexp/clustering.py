@@ -252,6 +252,8 @@ def kmeans(
 def standardize_features(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Z-score each feature column; constant columns get scale 1.
 
+    A column whose sample std is at the rounding level of its mean (at
+    most 4 eps times it) counts as constant, as its spread is rounding.
     Returns (scaled points, means, scales) so new points can be projected
     into the same feature space. Raises :class:`NonFiniteValue` when a
     column's mean or spread overflows a float.
@@ -262,5 +264,5 @@ def standardize_features(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         scales = pts.std(axis=0, ddof=1) if pts.shape[0] > 1 else np.ones(pts.shape[1])
     if not (np.isfinite(means).all() and np.isfinite(scales).all()):
         raise NonFiniteValue("the mean or spread of a feature overflows a float")
-    scales = np.where(scales > 0, scales, 1.0)
+    scales = np.where(scales > 4.0 * np.finfo(float).eps * np.abs(means), scales, 1.0)
     return (pts - means) / scales, means, scales

@@ -103,12 +103,14 @@ class PipelineDiagnostics:
         lists, flags included, that a fit with ``data_driven_variables``
         chooses its roles from. Only such a fit runs the screen itself.
 
-        Group fields lie within :data:`FIELD_RANGES` and every group has at
-        least 2 rows, so the one error the screen can raise is
+        Group fields lie within :data:`FIELD_RANGES`, every group has at
+        least 2 rows, and a field whose spread within a group is at
+        rounding level (50, 50 and the next float above 50, say) is
+        constant to the z-score. So the one error the screen can raise is
         :func:`pca.principal_components`'s centering check, on a field whose
-        spread within a group is at rounding level (50, 50 and the next
-        float above 50, say). A fit that screens raises it; otherwise it
-        comes here, on reading.
+        spread is real but at most about 1e-8 of its mean, where the
+        mean's rounding shows in the z-scores. A fit that screens raises
+        it; otherwise it comes here, on reading.
         """
         return {label: _screen_group(matrix) for label, matrix in self.group_fields.items()}
 

@@ -13,8 +13,8 @@ the one fallback is the minimum-norm subgradient (a bounded least
 squares over the margin multipliers): zero certifies the point, and
 otherwise its negative is the next direction. No dual. The descent
 starts from the squared-hinge optimum, found by a few finite Newton
-steps (Keerthi & DeCoste, JMLR 2005); the descent from the origin
-decides wherever the certified point could depend on the start.
+steps (Keerthi & DeCoste, JMLR 2005); that descent decides wherever it
+certifies, and the descent from the origin only where it does not.
 """
 
 from __future__ import annotations
@@ -115,10 +115,6 @@ def _margins(X, y, z):
 def _objective(C, beta, margins):
     """The primal objective at a point with weights beta and these margins."""
     return 0.5 * float(beta @ beta) + C * float(np.maximum(0.0, 1.0 - margins).sum())
-
-
-def _primal_objective(X, y, C, beta, b):
-    return _objective(C, beta, y * (X @ beta + b))
 
 
 def _line_minimize(X, y, C, z, d, a):
@@ -281,13 +277,9 @@ def _polish(X, y, C, z, max_rounds=300):
     already solves its partition's system, a negative (or above-C)
     multiplier names the constraint to release, which is the classical
     escape from a non-optimal vertex; clean multipliers certify global
-    optimality, and the partition's KKT solution is returned, so the
-    answer depends on the certified margin set and not on the path that
-    found it, except where the optimum is flat in the bias (see
-    :func:`_bias_is_flat`): there every bias of an interval is optimal,
-    and the start decides which one is certified. [[G, y], [y^T, 0]] has
-    rank at most 4 (G = (yX)(yX)^T has rank at most 2), so only one to
-    three margin points are solved for.
+    optimality, and the partition's KKT solution is returned.
+    [[G, y], [y^T, 0]] has rank at most 4 (G = (yX)(yX)^T has rank at
+    most 2), so only one to three margin points are solved for.
     Otherwise, or when that step cannot move, a minimum-norm subgradient
     of at most 1e-10 times the gradient scale certifies the point, and a
     longer one's negative is the next direction; such a point is where the
@@ -375,35 +367,19 @@ def _warm_start(X, y, C):
     return z if np.isfinite(z).all() else np.zeros(3)
 
 
-def _bias_is_flat(X, y, z):
-    """Whether the objective at z stays optimal over an interval of biases.
-
-    With beta fixed, the hinge sum is piecewise linear in b. Its one-sided
-    derivatives at z are C*(#{S, y = -1} - sum_V y) to the right and
-    -C*(#{S, y = +1} + sum_V y) to the left, S being the margin set and V
-    the violators; at an optimum it is flat exactly where one is zero.
-    """
-    on_margin, violating = _margin_sets(_margins(X, y, z))
-    pull = int(y[violating].sum())
-    return pull == int((y[on_margin] < 0).sum()) or pull == -int((y[on_margin] > 0).sum())
-
-
 def _descend(X, y, C):
     """The (point, certificate) of :func:`_polish`, from the warm start.
 
-    The warm descent's point is kept only where clean multipliers certify
-    it and the bias is not flat: it is then the KKT solution of its margin
-    set, whatever the start. Elsewhere the descent from the origin
-    decides, as the certified point can depend on the path: a flat bias
-    leaves an interval of optimal biases, the subgradient test accepts any
-    point within its tolerance, and a descent that certifies nothing or
-    overflows leaves no point to keep.
+    The warm descent decides wherever it certifies its point. The descent
+    from the origin runs only where the warm start is the origin, or where
+    the warm descent certifies nothing or overflows, as some inputs are
+    certified from the origin alone.
     """
     start = _warm_start(X, y, C)
     if start.any():
         try:
             z, certificate = _polish(X, y, C, start)
-            if certificate == "kkt" and not _bias_is_flat(X, y, z):
+            if certificate:
                 return z, certificate
         except FloatingPointError:
             pass
@@ -433,10 +409,9 @@ def svm_train(
 
     ``labels`` must contain both +1 and -1. Training is deterministic: an
     exact active-set descent from the squared-hinge optimum, or from the
-    origin where the certified point could depend on the start (see
-    :func:`_descend`). The result carries the primal objective and
-    per-point slack values. Raises
-    :class:`NonFiniteValue` when the descent overflows a float,
+    origin where that descent certifies nothing (see :func:`_descend`).
+    The result carries the primal objective and per-point slack values.
+    Raises :class:`NonFiniteValue` when the descent overflows a float,
     :class:`NoConvergence` when it certified no optimum, and
     :class:`OneSidedBoundary` when the certified optimum puts every point
     on one side, a boundary that separates nothing.
@@ -455,7 +430,7 @@ def svm_train(
     if not certificate:
         raise NoConvergence(
             "svm training certified no optimum",
-            objective=_primal_objective(X, y, C, beta, b),
+            objective=_objective(C, beta, _margins(X, y, z)),
         )
 
     decision = X @ beta + b
@@ -466,14 +441,14 @@ def svm_train(
             f"the optimal boundary in the ({feature_names[0]}, {feature_names[1]}) plane puts "
             f"all {y.size} points on its {'+1' if positive[0] else '-1'} side "
             f"({n_pos} labelled +1, {y.size - n_pos} labelled -1)")
-    slacks = np.maximum(0.0, 1.0 - y * decision)
+    margins = y * decision
     return LinearBoundary(
         feature_names=feature_names,
         weights=beta,
         bias=b,
         box_constraint=C,
-        objective=_primal_objective(X, y, C, beta, b),
-        slacks=slacks,
+        objective=_objective(C, beta, margins),
+        slacks=np.maximum(0.0, 1.0 - margins),
     )
 
 

@@ -38,12 +38,14 @@ CONFIGS = {
     "data-driven": {"data_driven_variables": True},
     "k2": {"k": 2},
 }
-#: (HN, ML, LL) counts and generator seed of every golden dataset
+#: (HN, ML, LL) counts and generator seed of every golden dataset; the
+#: second boundary of (12, 16, 12)@23 has an optimum flat in the bias
 DATASETS = (
     ((12, 16, 12), 0),
     ((12, 16, 12), 1),
     ((12, 16, 12), 2),
     ((12, 16, 12), 3),
+    ((12, 16, 12), 23),
     ((120, 160, 120), 0),
 )
 #: (counts, seed, configuration) of every golden entry: each dataset with the

@@ -321,6 +321,19 @@ class TestStandardizeFeatures:
         assert scales[0] == 1.0
         assert np.allclose(scaled[:, 0], 0.0)
 
+    def test_rounding_level_spread_is_constant(self):
+        # one value a float above the others: the sample std is rounding
+        pts = np.array([[50.0, 1.0], [50.0, 2.0], [np.nextafter(50.0, 100.0), 3.0]])
+        scaled, means, scales = standardize_features(pts)
+        assert scales[0] == 1.0
+        assert np.abs(scaled[:, 0]).max() < 1e-13
+
+    def test_small_real_spread_is_standardized(self):
+        pts = np.array([[50.0, 1.0], [50.0, 2.0], [50.0 * (1.0 + 1e-9), 3.0]])
+        scaled, _, scales = standardize_features(pts)
+        assert scales[0] == pts[:, 0].std(ddof=1)
+        assert scaled[:, 0].std(ddof=1) == pytest.approx(1.0, rel=1e-6)
+
 
 class TestOverflowIsAnErrorNotAWarning:
     def test_standardize_rejects_an_overflowing_spread(self):

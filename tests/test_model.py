@@ -1194,20 +1194,20 @@ class TestDeferredScreen:
         expected = eager_screen(pairs, diagnostics.assignments)
         assert diagnostics.pca_selected == expected
 
-    def test_screen_error_comes_on_reading(self):
+    def test_rounding_level_spread_screens(self):
         # one HN record's c2s one float above the others': the column's spread
-        # is rounding, and its z-scores fail the centering check
+        # is rounding, so the z-score leaves it constant
         ds = generate_synthetic((12, 16, 12), noise=0.03, seed=0)
         hn = sorted(mid for mid, label in ds.labels.items() if label is HN)
         pairs = [(dataclasses.replace(mix, c2s=np.nextafter(50.0, 100.0) if mix.id == hn[0] else 50.0)
                   if mix.id in hn else mix, series) for mix, series in ds.pairs]
-        message = r"^variable selection: X must be centered"
-        with pytest.raises(ValidationError, match=message):
-            fit_pipeline(pairs, PipelineConfig(data_driven_variables=True))
+        driven = fit_pipeline(pairs, PipelineConfig(data_driven_variables=True))
         bundle = fit_pipeline(pairs)
         assert bundle.boundary_first == fit_pipeline(ds.pairs).boundary_first
-        with pytest.raises(ValidationError, match=message):
-            bundle.diagnostics.pca_selected
+        picks = bundle.diagnostics.pca_selected
+        assert picks == driven.diagnostics.pca_selected
+        assert picks == eager_screen(pairs, bundle.diagnostics.assignments)
+        assert len(picks[HN]) == 3
 
 
 def test_bundle_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):

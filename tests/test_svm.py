@@ -18,7 +18,6 @@ from sulfexp.errors import (
 from sulfexp.mixtures import GroupLabel
 from sulfexp.svm import (
     LinearBoundary,
-    _bias_is_flat,
     _bounded_lsq,
     _line_minimize,
     _polish,
@@ -228,16 +227,18 @@ class TestPolishStart:
                 assert z1.tobytes() == z0.tobytes()
 
 
-#: (seed, noise, boundary, flat in the bias at the optimum): both boundaries
-#: of seed 0, and two second boundaries whose optimal biases fill an interval
-BOUNDARY_CASES = [(0, 0.03, 0, False), (0, 0.03, 1, False), (19, 0.0, 1, True),
-                  (23, 0.03, 1, True)]
-BOUNDARY_IDS = ["first@0", "second@0", "second@19-noise-0", "second@23"]
+#: (seed, noise, boundary): both boundaries of seed 0
+BOUNDARY_CASES = [(0, 0.03, 0), (0, 0.03, 1)]
+BOUNDARY_IDS = ["first@0", "second@0"]
+#: two second boundaries whose optimal biases fill an interval, so the
+#: warm and the origin descent may certify different biases
+FLAT_BIAS_CASES = [(19, 0.0, 1), (23, 0.03, 1)]
+FLAT_BIAS_IDS = ["second@19-noise-0", "second@23"]
 
 
 class TestWarmStart:
-    @pytest.mark.parametrize("seed,noise,which,flat", BOUNDARY_CASES, ids=BOUNDARY_IDS)
-    def test_boundary_is_the_descent_from_the_origin(self, seed, noise, which, flat):
+    @pytest.mark.parametrize("seed,noise,which", BOUNDARY_CASES, ids=BOUNDARY_IDS)
+    def test_boundary_is_the_descent_from_the_origin(self, seed, noise, which):
         X, y = paper_scale_boundary_problems(seed, noise)[which]
         boundary = svm_train(X, y, C=100.0)
         z, certified = _polish(X, y, 100.0, np.zeros(3))
@@ -245,25 +246,38 @@ class TestWarmStart:
         assert boundary.weights.tobytes() == z[:2].tobytes()
         assert np.float64(boundary.bias).tobytes() == z[2:].tobytes()
 
-    @pytest.mark.parametrize("seed,noise,which,flat", BOUNDARY_CASES, ids=BOUNDARY_IDS)
-    def test_flat_bias_is_recognized_from_either_start(self, seed, noise, which, flat):
+    @pytest.mark.parametrize("seed,noise,which", FLAT_BIAS_CASES, ids=FLAT_BIAS_IDS)
+    def test_flat_bias_optimum_equals_the_origin_descent(self, seed, noise, which):
         X, y = paper_scale_boundary_problems(seed, noise)[which]
-        for start in (np.zeros(3), _warm_start(X, y, 100.0)):
-            z, certified = _polish(X, y, 100.0, start)
-            assert certified
-            assert _bias_is_flat(X, y, z) is flat
+        boundary = svm_train(X, y, C=100.0)
+        z, certified = _polish(X, y, 100.0, np.zeros(3))
+        assert certified
+        assert boundary.objective == pytest.approx(
+            primal_objective(X, y, 100.0, z[:2], z[2]), rel=1e-10)
 
-    def test_subgradient_certified_point_is_the_descent_from_the_origin(self):
-        # far from the origin, the subgradient test certifies where each path stopped
+    def test_subgradient_certified_warm_point_is_kept(self):
+        # two points 0.2*(1, -1) apart, far from the origin: with C this large
+        # the optimum is the hard margin, |beta|^2 / 2 = 2 / |x_0 - x_1|^2 = 25;
+        # the descent from the origin stops at 37.21
         X = np.array([[221.0, 1246.4], [220.8, 1246.6]])
         y = np.array([1.0, -1.0])
-        z, certificate = _polish(X, y, 1e5, _warm_start(X, y, 1e5))
-        z0, certificate0 = _polish(X, y, 1e5, np.zeros(3))
-        assert certificate == certificate0 == "subgradient"
-        assert z.tobytes() != z0.tobytes()
-        boundary = svm_train(X, y, C=1e5)
-        assert boundary.weights.tobytes() == z0[:2].tobytes()
-        assert np.float64(boundary.bias).tobytes() == z0[2:].tobytes()
+        optimum = 2.0 / float(np.sum((X[0] - X[1]) ** 2))
+        assert _polish(X, y, 1e5, _warm_start(X, y, 1e5))[1] == "subgradient"
+        assert svm_train(X, y, C=1e5).objective == pytest.approx(optimum, rel=1e-6)
+
+    def test_origin_decides_where_the_warm_descent_certifies_nothing(self):
+        X = np.array([[-7.501955742347753, -428.1567581428835],
+                      [-7.47782417035477, -428.20153710657775],
+                      [-7.490316016568041, -428.17952313230563],
+                      [-7.482626742955739, -428.1751048647716]])
+        y = np.array([1.0, -1.0, -1.0, 1.0])
+        C = 391258.50514739705
+        assert _polish(X, y, C, _warm_start(X, y, C))[1] is None
+        z, certificate = _polish(X, y, C, np.zeros(3))
+        assert certificate
+        boundary = svm_train(X, y, C=C)
+        assert boundary.weights.tobytes() == z[:2].tobytes()
+        assert np.float64(boundary.bias).tobytes() == z[2:].tobytes()
 
     def test_at_most_half_the_kkt_solves_of_the_origin_start(self, monkeypatch):
         problems = [p for seed in range(10) for p in paper_scale_boundary_problems(seed)]
