@@ -333,6 +333,7 @@ class TestBoundedLeastSquares:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), e=st.integers(0, 40), log_c=st.floats(-2.0, 4.0),
            kind=st.sampled_from(["generic", "rank one", "margin rows"]))
+    @example(seed=288542, e=11, log_c=0.0, kind="margin rows")
     def test_matches_scipy_bvls(self, seed, e, log_c, kind):
         rng = np.random.default_rng(seed)
         C = 10.0 ** log_c
@@ -344,7 +345,11 @@ class TestBoundedLeastSquares:
             return
         with warnings.catch_warnings():  # the oracle may warn about a rank-deficient A
             warnings.simplefilter("ignore")
-            oracle = lsq_linear(A, b, bounds=(0.0, C), method="bvls").x
+            # scipy's default cap of e iterations can stop BVLS short of the
+            # optimum on margin rows (the example above); status 0 means it did
+            fit = lsq_linear(A, b, bounds=(0.0, C), method="bvls", max_iter=10 * e)
+        assert fit.status != 0
+        oracle = fit.x
         # the minimizing x need not be unique, but the residual A x - b is
         scale = np.abs(b).sum() + C * np.abs(A).sum()
         assert np.linalg.norm((A @ x - b) - (A @ oracle - b)) <= 1e-9 * scale
