@@ -6,7 +6,11 @@ seeded deterministically from (seed, restart index) and initialized by
 sampling k distinct data points, so identical inputs always produce
 identical output. All restarts run together in one Lloyd loop; each does
 the same arithmetic, in the same order, as the per-restart steps
-:func:`assign_step` and :func:`update_step`.
+:func:`assign_step` and :func:`update_step`. The loop lays its squared
+distances out as (restarts, k, points), so each pass runs along the
+points, and it computes no objective: each restart's final objective is
+computed once, to pick the best one, and only that restart's objective
+trace is rebuilt, from its centroid history.
 """
 
 from __future__ import annotations
@@ -107,13 +111,32 @@ def _starts(n: int, k: int, seed: int, restarts: int) -> np.ndarray:
 
 
 def _nearest_batch(pts: np.ndarray, cts: np.ndarray) -> np.ndarray:
-    """``_nearest`` for every restart's centroids (R, k, d) at once: (R, n)."""
+    """``_nearest`` for every restart's centroids (R, k, d) at once: (R, n).
+
+    The squared distances are laid out (R, k, n), so every pass runs along
+    the points.
+    """
+    restarts, k, d = cts.shape
     # squares summed over the coordinates in order, as _nearest's einsum sums them
-    d2 = 0.0
-    for j in range(pts.shape[1]):
-        t = pts[None, :, None, j] - cts[:, None, :, j]
-        d2 = d2 + t * t
-    return np.argmin(d2, axis=2)
+    d2 = np.subtract(pts[:, 0], cts[:, :, 0, None])
+    np.multiply(d2, d2, out=d2)
+    t = np.empty_like(d2)
+    for j in range(1, d):
+        np.subtract(pts[:, j], cts[:, :, j, None], out=t)
+        np.multiply(t, t, out=t)
+        d2 += t
+    # the first nearest centroid, as argmin picks it: a strict < keeps the earlier
+    # index. A NaN distance needs a NaN centroid, a 1-D mean whose pairwise sum
+    # overflows both ways; only centroid 0 gets such members, as they are +inf
+    # from every centroid, and then both pick 0 for every point.
+    nearest = np.zeros((restarts, pts.shape[0]), dtype=np.intp)
+    closer = np.empty(nearest.shape, dtype=bool)
+    low = d2[:, 0]
+    for c in range(1, k):
+        np.less(d2[:, c], low, out=closer)
+        np.copyto(nearest, c, where=closer)
+        np.minimum(low, d2[:, c], out=low)
+    return nearest
 
 
 def _means_batch(pts: np.ndarray, assignments: np.ndarray, cts: np.ndarray) -> np.ndarray:
@@ -146,28 +169,29 @@ def _lloyd_batch(points, centroids, max_iter):
     """Lloyd iterations of R restarts at once, from starting centroids (R, k, d), updated in place.
 
     A restart leaves the active set once an assignment pass changes
-    nothing. Returns the final centroids and assignments, each restart's
-    objective trace, its iteration count and whether it converged.
+    nothing. Returns the final centroids and assignments, the centroid
+    history (R, passes + 1, k, d), each restart's iteration count and
+    whether it converged. Restart r's history holds its own centroids up
+    to entry ``iterations[r]``. No objective is computed here.
     """
     assignments = _nearest_batch(points, centroids)
-    traces = [[obj] for obj in _objectives(points, assignments, centroids)]
-    iterations = np.zeros(len(traces), dtype=int)
-    converged = np.zeros(len(traces), dtype=bool)
-    active = np.arange(len(traces))
+    history = [centroids.copy()]
+    iterations = np.zeros(len(centroids), dtype=int)
+    converged = np.zeros(len(centroids), dtype=bool)
+    active = np.arange(len(centroids))
     for _ in range(max_iter):
         iterations[active] += 1
         cts = _means_batch(points, assignments[active], centroids[active])
         new_assignments = _nearest_batch(points, cts)
-        for r, obj in zip(active, _objectives(points, new_assignments, cts)):
-            traces[r].append(obj)
         centroids[active] = cts
+        history.append(centroids.copy())
         unchanged = (new_assignments == assignments[active]).all(axis=1)
         assignments[active] = new_assignments
         converged[active[unchanged]] = True
         active = active[~unchanged]
         if not active.size:
             break
-    return centroids, assignments, traces, iterations, converged
+    return centroids, assignments, np.stack(history, axis=1), iterations, converged
 
 
 def check_integer(name: str, value) -> None:
@@ -202,7 +226,9 @@ def kmeans(
     restarts). ``iterations`` and ``converged`` are the chosen restart's:
     ``converged`` is True when an assignment pass produced no change before
     ``max_iter``. ``restart_iterations`` and ``restart_converged`` hold
-    every restart's, in restart order. All-identical points with
+    every restart's, in restart order. ``objective_trace`` is the chosen
+    restart's objective after each pass, rebuilt from its centroid history
+    with the loop's own arithmetic. All-identical points with
     k > 1 are not an error: the surplus clusters come back empty and are
     listed in ``empty_clusters``. Points whose squared distances overflow a
     float raise :class:`NonFiniteValue`.
@@ -215,25 +241,32 @@ def kmeans(
 
     starts = _starts(n, k, seed, restarts)
     chunk = max(1, _CHUNK_ELEMENTS // (n * max(k, pts.shape[1])))
-    finals, traces, iterations, converged = [], [], [], []
+    finals, objectives, histories, iterations, converged = [], [], [], [], []
     # points too large for their squared distances are rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, restarts, chunk):
-            cts, assignments, chunk_traces, chunk_iterations, chunk_converged = _lloyd_batch(
+            cts, assignments, history, chunk_iterations, chunk_converged = _lloyd_batch(
                 pts, pts[starts[lo:lo + chunk]], max_iter,
             )
             finals += zip(cts, assignments)
-            traces += chunk_traces
+            objectives += _objectives(pts, assignments, cts)
+            histories += list(history)
             iterations += chunk_iterations.tolist()
             converged += chunk_converged.tolist()
 
-    best = 0
-    for r in range(1, restarts):
-        if traces[r][-1] < traces[best][-1] - 1e-15:
-            best = r
-    objective = traces[best][-1]
-    if not math.isfinite(objective):
-        raise NonFiniteValue("squared distances between the points overflow a float")
+        best = 0
+        for r in range(1, restarts):
+            if objectives[r] < objectives[best] - 1e-15:
+                best = r
+        objective = objectives[best]
+        if not math.isfinite(objective):
+            raise NonFiniteValue("squared distances between the points overflow a float")
+        # the chosen restart's objective after each pass, rebuilt from its centroid history
+        history = histories[best][:iterations[best] + 1]
+        trace = []
+        for lo in range(0, len(history), chunk):
+            part = history[lo:lo + chunk]
+            trace += _objectives(pts, _nearest_batch(pts, part), part)
     centroids, assignments = finals[best]
     present = np.unique(assignments)
     return KMeansResult(
@@ -242,7 +275,7 @@ def kmeans(
         objective=objective,
         iterations=iterations[best],
         converged=converged[best],
-        objective_trace=tuple(traces[best]),
+        objective_trace=tuple(trace),
         empty_clusters=tuple(c for c in range(k) if c not in present),
         restart_iterations=tuple(iterations),
         restart_converged=tuple(converged),

@@ -523,16 +523,18 @@ def fit_pipeline(
     boundary_first = boundary_first_simplified = boundary_second = None
     if len(groups) == 3:
         with _stage("boundaries"):
+            hn = km.assignments == cluster_labels.index(GroupLabel.HN)
+            ml = km.assignments == cluster_labels.index(GroupLabel.ML)
             pts_first = block.require(FIRST_AXES)
-            y_first = np.array([1.0 if label is GroupLabel.HN else -1.0 for label in row_labels])
+            y_first = np.where(hn, 1.0, -1.0)
             boundary_first = svm.svm_train(
                 pts_first, y_first, C=config.box_constraint, feature_names=FIRST_AXES,
             )
             boundary_first_simplified = svm.simplify_axis_parallel(boundary_first, pts_first, y_first)
 
-            rest = [i for i, label in enumerate(row_labels) if label is not GroupLabel.HN]
+            rest = np.flatnonzero(~hn)
             pts_second = block.require(SECOND_AXES, rest)
-            y_second = np.array([1.0 if row_labels[i] is GroupLabel.ML else -1.0 for i in rest])
+            y_second = np.where(ml[rest], 1.0, -1.0)
             boundary_second = svm.svm_train(
                 pts_second, y_second, C=config.box_constraint, feature_names=SECOND_AXES,
             )

@@ -128,15 +128,21 @@ def _line_minimize(X, y, C, z, d, a):
     breakpoints once and summing the jumps gives the right derivative at
     every breakpoint; the first one that is non-negative bounds the
     interval holding the minimizer, which is that interval's quadratic
-    vertex or its right end.
+    vertex or its right end. numpy's default ``argsort`` orders the
+    breakpoints, and where the sorted ones hold a tie they are sorted again
+    with ``kind="stable"``: the permutation is always the stable one, so
+    tied jumps sum in index order whatever sort kernel the CPU runs.
     """
     d_beta = d[:2]
     c = y * (X @ d_beta + d[2])         # margin slopes
     dd = float(d_beta @ d_beta)
     nz = c != 0.0
-    breaks = (1.0 - a[nz]) / c[nz]
-    order = np.argsort(breaks, kind="stable")
-    breaks = breaks[order]
+    unsorted = (1.0 - a[nz]) / c[nz]
+    order = np.argsort(unsorted)
+    breaks = unsorted[order]
+    if (breaks[1:] == breaks[:-1]).any():
+        order = np.argsort(unsorted, kind="stable")
+        breaks = unsorted[order]
     # offsets[j] is the derivative minus tau*dd on the interval just left of
     # breaks[j] (the last one: right of every breakpoint); left of all
     # breakpoints exactly the points with c_i > 0 are active

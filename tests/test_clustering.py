@@ -248,7 +248,10 @@ def kmeans_problems(draw):
 
 
 class TestKernelsMatchPublicSteps:
-    @pytest.mark.parametrize("counts,seed", [((12, 16, 12), 0), ((12, 16, 12), 5), ((40, 50, 40), 2)])
+    # n = 1300 runs all 16 restarts in one chunk, for about 10 passes
+    @pytest.mark.parametrize("counts,seed", [
+        ((12, 16, 12), 0), ((12, 16, 12), 5), ((40, 50, 40), 2), ((390, 520, 390), 0),
+    ])
     def test_kmeans_equals_public_step_loop_bit_for_bit(self, counts, seed):
         pairs = generate_synthetic(counts, noise=0.03, seed=seed).pairs
         features = np.array([curves.cluster_features(curves.smooth(s, 0.3), 0.5) for _, s in pairs])

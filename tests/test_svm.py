@@ -171,6 +171,49 @@ def scan_line_candidates(X, y, C, z, d):
     return taus
 
 
+def line_minimize_by_stable_sort(X, y, C, z, d, a):
+    """``_line_minimize`` with its breakpoints ordered by the stable sort alone."""
+    c = y * (X @ d[:2] + d[2])
+    dd = float(d[:2] @ d[:2])
+    nz = c != 0.0
+    breaks = (1.0 - a[nz]) / c[nz]
+    order = np.argsort(breaks, kind="stable")
+    breaks = breaks[order]
+    q0 = float(z[:2] @ d[:2]) - C * float(c[c > 0].sum())
+    offsets = q0 + np.concatenate(([0.0], np.cumsum(C * np.abs(c[nz][order]))))
+    k = int(np.searchsorted(offsets[1:] + breaks * dd, 0.0))
+    if dd > 0:
+        tau = -offsets[k] / dd
+        if k < breaks.size:
+            tau = min(tau, float(breaks[k]))
+    elif k + 1 < breaks.size and offsets[k + 1] == 0.0:
+        tau = 0.5 * (float(breaks[k]) + float(breaks[k + 1]))
+    else:
+        tau = float(breaks[min(k, breaks.size - 1)]) if breaks.size else 0.0
+    zz = z + tau * d
+    margins = y * (X @ zz[:2] + zz[2])
+    return tau, primal_objective(X, y, C, zz[:2], zz[2]), margins
+
+
+@st.composite
+def tied_line_problems(draw):
+    """A ray over integer points, some repeated under the same or the opposite
+    label, so that breakpoints tie, with a C whose jumps round."""
+    coordinate = st.integers(-2, 2)
+    base = draw(st.lists(st.tuples(coordinate, coordinate, st.sampled_from([-1.0, 1.0])),
+                         min_size=4, max_size=20))
+    repeats = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), st.sampled_from([-1.0, 1.0])),
+                            min_size=4, max_size=40))
+    rows = base + [(*base[i][:2], base[i][2] * flip) for i, flip in repeats]
+    rows = draw(st.permutations(rows))
+    X = np.array([row[:2] for row in rows], dtype=float)
+    y = np.array([row[2] for row in rows])
+    z = np.array(draw(st.tuples(coordinate, coordinate, coordinate)), dtype=float)
+    d = np.array(draw(st.tuples(coordinate, coordinate, coordinate).filter(any)), dtype=float)
+    C = draw(st.sampled_from([0.1, 1.0 / 3.0, 0.7, 1.0, 10.0]))
+    return X, y, C, z, d
+
+
 class TestExactLineSearch:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -198,6 +241,16 @@ class TestExactLineSearch:
             zt = z + t * d
             other = primal_objective(X, y, C, zt[:2], zt[2])
             assert obj <= other + 1e-12 * abs(other)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(problem=tied_line_problems())
+    def test_tied_breakpoints_keep_the_stable_order(self, problem):
+        X, y, C, z, d = problem
+        a = y * (X @ z[:2] + z[2])
+        got = _line_minimize(X, y, C, z, d, a)
+        expected = line_minimize_by_stable_sort(X, y, C, z, d, a)
+        for value, oracle in zip(got, expected):
+            assert np.asarray(value).tobytes() == np.asarray(oracle).tobytes()
 
 
 def paper_scale_boundary_problems(seed=0, noise=0.03):
