@@ -49,7 +49,8 @@ class ExpansionSeries:
     The ``samples`` property rebuilds the pairs as a tuple of Python
     floats. Negative expansion values are legal measurement noise; they
     are kept, not clamped. Equality compares the id and both arrays, not
-    ``group``.
+    ``group``. A copy or an unpickled series is built again through
+    :meth:`from_columns`, so its arrays are read-only too.
     """
 
     mixture_id: str
@@ -90,23 +91,41 @@ class ExpansionSeries:
         series._set_columns(mixture_id, columns, group)
         return series
 
+    @classmethod
+    def _on_grid(cls, mixture_id: str, times: np.ndarray, values: np.ndarray,
+                 group: str | None) -> "ExpansionSeries":
+        """The series of a shared ``times`` grid, read-only and already
+        checked by :func:`check_times`, and of fresh ``values`` of an affine
+        line (or its exp) on it, which the series takes over. Only
+        ``values`` is checked here: a grid time past the largest float
+        gives the line a non-finite value there, so finite values mean
+        finite times too."""
+        if not np.isfinite(values).all():
+            raise NonFiniteValue(f"series {mixture_id!r} has non-finite samples")
+        values.flags.writeable = False
+        series = cls.__new__(cls)
+        series._store(mixture_id, times, values.view(), group)
+        return series
+
     def _set_columns(self, mixture_id: str, columns: np.ndarray, group: str | None) -> None:
         """Check and store a (2, n) array of times over values that this
         series owns."""
         if not np.isfinite(columns).all():
             raise NonFiniteValue(f"series {mixture_id!r} has non-finite samples")
         columns.flags.writeable = False
-        times, values = columns[0], columns[1]
-        increasing = not np.count_nonzero(times[1:] <= times[:-1])
-        # strictly increasing times are all non-negative when the first one is
-        if (times.size and times[0] < 0) if increasing else np.count_nonzero(times < 0):
-            raise ValidationError(f"series {mixture_id!r} has negative times")
-        if not increasing:
-            raise ValidationError(f"series {mixture_id!r} times not strictly increasing")
+        check_times(mixture_id, columns[0])
+        self._store(mixture_id, columns[0], columns[1], group)
+
+    def _store(self, mixture_id: str, times: np.ndarray, values: np.ndarray,
+               group: str | None) -> None:
         object.__setattr__(self, "mixture_id", mixture_id)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "group", group)
+
+    def __reduce__(self):  # a copy is built again, with read-only arrays
+        return (ExpansionSeries.from_columns,
+                (self.mixture_id, self.times, self.values, self.group))
 
     __hash__ = None
 
@@ -125,6 +144,17 @@ class ExpansionSeries:
 
     def __len__(self) -> int:
         return self.times.shape[0]
+
+
+def check_times(mixture_id: str, times: np.ndarray) -> None:
+    """Reject ``times`` that are negative or not strictly increasing, as
+    the times of series ``mixture_id``."""
+    increasing = not np.count_nonzero(times[1:] <= times[:-1])
+    # strictly increasing times are all non-negative when the first one is
+    if (times.size and times[0] < 0) if increasing else np.count_nonzero(times < 0):
+        raise ValidationError(f"series {mixture_id!r} has negative times")
+    if not increasing:
+        raise ValidationError(f"series {mixture_id!r} times not strictly increasing")
 
 
 @dataclass(frozen=True)

@@ -505,9 +505,15 @@ def _write_table(path: str | Path, header: tuple[str, ...], lines) -> None:
 
 
 def _sample_lines(labels, series_list: list[ExpansionSeries]):
-    """A ``label,t,value`` line per sample of each series, the floats by ``repr``."""
-    return (f"{label},{t!r},{e!r}" for label, series in zip(labels, series_list)
-            for t, e in zip(series.times.tolist(), series.values.tolist()))
+    """A ``label,t,value`` line per sample of each series, the floats by
+    ``repr``. Each distinct ``times`` array (predicted curves share their
+    grid) is formatted once."""
+    formatted = {}   # id of a times array -> its reprs; series_list keeps every array alive
+    for label, series in zip(labels, series_list):
+        times = formatted.get(id(series.times))
+        if times is None:
+            times = formatted[id(series.times)] = list(map(repr, series.times.tolist()))
+        yield from (f"{label},{t},{e!r}" for t, e in zip(times, series.values.tolist()))
 
 
 def emit_plot_data(

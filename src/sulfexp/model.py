@@ -38,6 +38,9 @@ _DATASET_HASH_TAG = f"sulfexp-dataset-{DATASET_HASH_SCHEME}".encode()
 #: most points a predicted curve's time grid may hold
 MAX_CURVE_POINTS = 100_000
 
+#: most grids :func:`time_grid` keeps, each of at most :data:`MAX_CURVE_POINTS` floats
+TIME_GRID_CACHE_SIZE = 8
+
 #: order in which ascending mean failure time maps onto group labels
 LABELS_BY_FAILURE_TIME = (GroupLabel.HN, GroupLabel.ML, GroupLabel.LL)
 
@@ -181,7 +184,8 @@ class _Route:
 
     The HN test is the simplified first boundary's threshold on its one
     non-zero axis, oriented by that weight's sign, or else the raw first
-    boundary; the second boundary splits the rest.
+    boundary; the second boundary splits the rest. Fields are read
+    directly; :meth:`Mixture.require` runs only to raise for a missing one.
     """
 
     __slots__ = ("hn_field", "hn_threshold", "hn_above", "first", "second")
@@ -200,16 +204,28 @@ class _Route:
 
     def __call__(self, mix: Mixture) -> GroupLabel:
         if self.hn_field is not None:
-            value = mix.require(self.hn_field)[0]
+            value = getattr(mix, self.hn_field)
+            if value is None:
+                mix.require(self.hn_field)
             is_hn = value > self.hn_threshold if self.hn_above else value < self.hn_threshold
         else:
-            is_hn = self.first.decision_value(mix.require(*self.first.feature_names)) >= 0
+            is_hn = self.first.decision_value(_point(mix, self.first.feature_names)) >= 0
         if is_hn:
             return GroupLabel.HN
         second = self.second
-        if second.decision_value(mix.require(*second.feature_names)) >= 0:
+        if second.decision_value(_point(mix, second.feature_names)) >= 0:
             return GroupLabel.ML
         return GroupLabel.LL
+
+
+def _point(mix: Mixture, names: tuple[str, str]) -> tuple:
+    """The fields ``names`` of ``mix``: :meth:`Mixture.require`'s values and
+    :class:`MissingField`, without its name checks (a bundle's boundaries
+    name mixture fields only)."""
+    point = getattr(mix, names[0]), getattr(mix, names[1])
+    if None in point:
+        mix.require(*names)
+    return point
 
 
 def _build_default_bundle() -> ModelBundle:
@@ -313,13 +329,25 @@ def predict_expansion(
 
 def time_grid(horizon: float, step: float) -> np.ndarray:
     """The prediction grid 0, step, ... <= horizon, where a step longer than
-    the horizon counts as the horizon. Raises :class:`ValidationError` for a
-    horizon or step that is not positive and finite, or a grid of more than
-    :data:`MAX_CURVE_POINTS` points, before anything is allocated."""
+    the horizon counts as the horizon.
+
+    Every call checks ``horizon`` and ``step`` and raises
+    :class:`ValidationError` for one that is not positive and finite, or
+    for a grid of more than :data:`MAX_CURVE_POINTS` points, before
+    anything is allocated. Both are then taken as Python floats, so an
+    exact number (an int, a ``Fraction``, a ``Decimal``) gives the float64
+    grid of its float. The grid itself is computed once per (points, step)
+    and checked for negative or out-of-order times as a series' times are,
+    and the last :data:`TIME_GRID_CACHE_SIZE` grids are kept: every call on
+    one returns the same read-only array, which every curve sampled on it
+    shares. A grid whose last point overflows a float is returned as it is;
+    a curve on it fails its values' finiteness check.
+    """
     if not (math.isfinite(horizon) and math.isfinite(step) and horizon > 0 and step > 0):
         raise ValidationError(
             f"horizon and step must both be positive and finite, got {horizon} and {step}"
         )
+    horizon, step = float(horizon), float(step)
     step = min(step, horizon)
     steps = horizon / step + 1e-9
     # the grid holds floor(steps) + 1 points; an infinite ratio fails here, before floor
@@ -328,7 +356,17 @@ def time_grid(horizon: float, step: float) -> np.ndarray:
             f"a horizon of {horizon:g} at step {step:g} needs more than "
             f"{MAX_CURVE_POINTS} grid points"
         )
-    return np.arange(math.floor(steps) + 1, dtype=float) * step
+    return _grid(math.floor(steps) + 1, step)
+
+
+@functools.lru_cache(maxsize=TIME_GRID_CACHE_SIZE)
+def _grid(points: int, step: float) -> np.ndarray:
+    """``points`` multiples of ``step`` from 0, as a view of a read-only
+    owner, so that its write flag cannot be set again either."""
+    grid = np.arange(points, dtype=float) * step
+    curves.check_times("time grid", grid)
+    grid.flags.writeable = False
+    return grid.view()
 
 
 def predict_curve(
@@ -337,13 +375,19 @@ def predict_curve(
     horizon: float = 40.0,
     step: float = 1.0,
 ) -> ExpansionSeries:
-    """Classify, then sample the predicted curve on :func:`time_grid`."""
+    """Classify, then sample the predicted curve on :func:`time_grid`.
+
+    The series' ``times`` is that shared read-only grid, not a copy; its
+    ``values``, one :meth:`GroupModel.expansion` call over the grid, are
+    checked finite and stored read-only. They equal
+    :func:`predict_expansion` at the grid times, bit for bit.
+    """
     times = time_grid(horizon, step)
     if bundle is None:
         bundle = _DEFAULT_BUNDLE
     group = classify_mixture(mix, bundle)
     values = bundle.model_for(group).expansion(mix, times)
-    return ExpansionSeries.from_columns(mix.id, times, values, group.value)
+    return ExpansionSeries._on_grid(mix.id, times, values, group.value)
 
 
 def predicted_failure_time(

@@ -223,7 +223,10 @@ class GroupModel:
             elif name is None:
                 slope += c
             else:
-                slope += c * mixture.require(name)[0]
+                value = getattr(mixture, name)
+                if value is None:
+                    mixture.require(name)
+                slope += c * value
         if not (math.isfinite(slope) and math.isfinite(intercept)):
             raise self._overflow(mixture, f"time line {slope:.6g}*t + {intercept:.6g}")
         return slope, intercept

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -147,6 +149,20 @@ class TestSeriesArrays:
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(series([0.0], [0.1]))
+
+    @pytest.mark.parametrize("duplicate", [
+        lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy])
+    def test_copies_are_read_only(self, duplicate):
+        s = ExpansionSeries(mixture_id="p", samples=[[0.0, 0.1], [1.5, -0.2]], group="ML")
+        again = duplicate(s)
+        assert again == s and again.group == "ML"
+        assert again.times.tobytes() == s.times.tobytes()
+        assert again.values.tobytes() == s.values.tobytes()
+        for array in (again.times, again.values):
+            with pytest.raises(ValueError):
+                array[0] = 5.0
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
 
     def test_replace_takes_new_samples(self):
         s = ExpansionSeries(mixture_id="r", samples=[[0.0, 0.1], [1.0, 0.2]], group="LL")

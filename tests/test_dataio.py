@@ -26,7 +26,7 @@ from sulfexp.errors import (
     ValidationError,
 )
 from sulfexp.mixtures import GroupLabel, Mixture
-from sulfexp.model import fit_pipeline, default_bundle, predict_expansion
+from sulfexp.model import fit_pipeline, default_bundle, predict_curve, predict_expansion
 
 
 class TestLoadMixtures:
@@ -318,6 +318,19 @@ class TestEmitPlotData:
         with pytest.raises(ValidationError):
             emit_plot_data([], tmp_path / "plot.csv")
         assert not (tmp_path / "plot.csv").exists()
+
+    def test_curves_on_a_shared_grid(self, tmp_path):
+        # the grid is formatted once per array; the bytes are those of a repr per sample
+        series_list = [predict_curve(Mixture(id=f"c{i}", wc=0.4 + i / 50, c3a=4.0 + i,
+                                             c3s=40.0, cement_content=0.6),
+                                     horizon=12.5, step=0.3) for i in range(6)]
+        series_list.append(ExpansionSeries(mixture_id="own", samples=((0.0, 0.1), (0.3, 1 / 3))))
+        assert series_list[0].times is series_list[5].times
+        out = tmp_path / "plot.csv"
+        emit_plot_data(series_list, out)
+        expected = ["series_label,t,value"] + [
+            f"{s.mixture_id},{t!r},{e!r}" for s in series_list for t, e in s.samples]
+        assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
 
     def test_values_round_trip_full_precision(self, tmp_path):
         value = 1.0 / 3.0

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import decimal
+import fractions
 import hashlib
 import math
 import os
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 import regen_golden
 import sulfexp
-from sulfexp import clustering, curves, pca, regression, svm
+from sulfexp import clustering, curves, model, pca, regression, svm
 from sulfexp.curves import ExpansionSeries, cluster_features, smooth
 from sulfexp.dataio import generate_synthetic, load_bundle, save_bundle
 from sulfexp.errors import (
@@ -39,6 +41,7 @@ from sulfexp.model import (
     FIRST_AXES,
     MAX_CURVE_POINTS,
     SECOND_AXES,
+    TIME_GRID_CACHE_SIZE,
     ModelBundle,
     PipelineConfig,
     classify_mixture,
@@ -49,6 +52,7 @@ from sulfexp.model import (
     predict_expansion,
     predicted_failure_time,
     refit_r2_report,
+    time_grid,
     validate_holdout,
 )
 from sulfexp.svm import LinearBoundary
@@ -616,6 +620,154 @@ class TestPredictCurve:
             assert group.value == mix.id.upper()
             assert series.values.tolist() == [
                 predict_expansion(mix, group, t=t) for t in series.times.tolist()]
+
+
+def _rejects_writes(array: np.ndarray) -> bool:
+    try:
+        array[0] = 5.0
+    except ValueError:
+        try:
+            array.flags.writeable = True
+        except ValueError:
+            return True
+    return False
+
+
+class TestTimeGrid:
+    def test_grid_and_curves_are_read_only(self):
+        grid = time_grid(40.0, 1.0)
+        assert _rejects_writes(grid)
+        curve = predict_curve(Mixture(id="x", wc=0.49, c3a=5.0, c3s=40.0), horizon=40.0, step=1.0)
+        assert _rejects_writes(curve.times) and _rejects_writes(curve.values)
+        assert curve.times is time_grid(40.0, 1.0)
+        assert grid.tolist() == list(map(float, range(41)))
+
+    @pytest.mark.parametrize("horizon,step,match", [
+        (0.0, 1.0, "positive and finite"), (40.0, -1.0, "positive and finite"),
+        (math.nan, 1.0, "positive and finite"), (40.0, math.inf, "positive and finite"),
+        (MAX_CURVE_POINTS + 0.5, 1.0, "grid points"), (1.0, 1e-300, "grid points")])
+    def test_bad_grid_raises_on_every_call(self, horizon, step, match):
+        time_grid(40.0, 1.0)
+        for _ in range(3):
+            with pytest.raises(ValidationError, match=match):
+                time_grid(horizon, step)
+            with pytest.raises(ValidationError, match=match):
+                predict_curve(Mixture(id="x", wc=0.49, c3a=5.0, c3s=40.0),
+                              horizon=horizon, step=step)
+
+    @pytest.mark.parametrize("horizon,step,exact_horizon,exact_step", [
+        (40.0, 0.5, 40, fractions.Fraction(1, 2)),
+        (40.0, 1.0, decimal.Decimal("40"), decimal.Decimal("1")),
+        (12.5, 0.3, np.float64(12.5), np.float64(0.3)),
+        (1e20, 1e20, 10**20, 10**20),
+        (7.0, 7.0, 7, 100),
+    ])
+    def test_exact_numbers_give_the_float_grid(self, horizon, step, exact_horizon, exact_step):
+        expected = time_grid(horizon, step)
+        grid = time_grid(exact_horizon, exact_step)
+        assert grid.dtype == np.float64
+        assert grid.tobytes() == expected.tobytes()
+
+    def test_cache_holds_at_most_its_size(self):
+        model._grid.cache_clear()
+        sizes = [MAX_CURVE_POINTS, 2, 41, 50_001, MAX_CURVE_POINTS - 1, 3, 1000, 99, 7, 12,
+                 77_777, 4]
+        assert len(sizes) > TIME_GRID_CACHE_SIZE + 1
+        grids = {}
+        for points in sizes:
+            grids[points] = time_grid(points - 1.0, 1.0)
+            assert grids[points].size == points
+            assert model._grid.cache_info().currsize <= TIME_GRID_CACHE_SIZE
+        assert model._grid.cache_info().maxsize == TIME_GRID_CACHE_SIZE
+        assert model._grid.cache_info().currsize == TIME_GRID_CACHE_SIZE
+        first = sizes[0]   # evicted by now, then built again with the same bits
+        assert time_grid(first - 1.0, 1.0) is not grids[first]
+        assert time_grid(first - 1.0, 1.0).tobytes() == grids[first].tobytes()
+
+
+def curve_oracle(mix: Mixture, bundle, horizon: float, step: float) -> ExpansionSeries:
+    """:func:`predict_curve` built anew: a fresh grid,
+    :func:`route_oracle`'s group and a series copied by ``from_columns``."""
+    if not (math.isfinite(horizon) and math.isfinite(step) and horizon > 0 and step > 0):
+        raise ValidationError(
+            f"horizon and step must both be positive and finite, got {horizon} and {step}")
+    step = min(step, horizon)
+    steps = horizon / step + 1e-9
+    if steps >= MAX_CURVE_POINTS:
+        raise ValidationError(f"a horizon of {horizon:g} at step {step:g} needs more than "
+                              f"{MAX_CURVE_POINTS} grid points")
+    grid = np.arange(math.floor(steps) + 1, dtype=float) * step
+    group = route_oracle(mix, bundle)
+    group_model = bundle.models[group]
+    time_line_oracle(group_model, mix)   # its MissingField, read through Mixture.require
+    return ExpansionSeries.from_columns(mix.id, grid, group_model.expansion(mix, grid),
+                                        group.value)
+
+
+#: the largest float, and a step at which a grid's last point overflows it
+_FMAX = sys.float_info.max
+GRID_PAIRS = [
+    (40.0, 1.0), (40.0, 7.0), (12.5, 0.3), (40.0, 50.0), (200.0, 1.0), (1e20, 1e20),
+    (MAX_CURVE_POINTS - 0.5, 1.0), (0.0, 1.0), (40.0, -1.0), (math.nan, 1.0),
+    (40.0, math.inf), (MAX_CURVE_POINTS + 0.5, 1.0), (_FMAX, _FMAX / (3 - 5e-10)),
+]
+
+
+@st.composite
+def candidates(draw):
+    """A mixture and a bundle: a random pair of :func:`mixtures_and_bundles`,
+    a mixture of the generator's regions or an HN mixture whose curve
+    overflows past about 129 years, routed by the default bundle."""
+    kind = draw(st.sampled_from(["random", "generated", "hot"]))
+    if kind == "random":
+        return draw(mixtures_and_bundles())
+    if kind == "hot":
+        return TestPredictionOverflow.HOT, default_bundle()
+    group = draw(st.sampled_from([HN, ML, LL]))
+    u = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    return _generator_mixture(group, u), default_bundle()
+
+
+class TestCurveOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=candidates(), grid=st.one_of(
+        st.sampled_from(GRID_PAIRS), st.tuples(st.floats(0.5, 60.0), st.floats(0.05, 5.0))))
+    def test_matches_a_fresh_grid_and_a_copied_series(self, drawn, grid):
+        mix, bundle = drawn
+        horizon, step = grid
+        with warnings.catch_warnings():
+            if math.isinf(horizon * 3):   # the overflowing grid warns as it is computed
+                warnings.simplefilter("ignore", RuntimeWarning)
+            expected = outcome(lambda: curve_oracle(mix, bundle, horizon, step))
+            for _ in range(2):   # the first call may build the grid, the second reads it
+                curve = outcome(lambda: predict_curve(mix, bundle, horizon, step))
+                if not isinstance(expected, ExpansionSeries):
+                    assert curve == expected
+                    continue
+                assert (curve.mixture_id, curve.group) == (expected.mixture_id, expected.group)
+                assert curve.times.tobytes() == expected.times.tobytes()
+                assert curve.values.tobytes() == expected.values.tobytes()
+                assert _rejects_writes(curve.times) and _rejects_writes(curve.values)
+
+    def test_error_texts(self):
+        ll = Mixture(id="l", wc=0.43, c3a=4.0, c3s=60.0)
+        flat = _with_model(LL, [0.0, 0.0305])   # 0 * inf is NaN on an overflowing grid
+        cases = [
+            (TestPredictionOverflow.HOT, default_bundle(), 200.0, 1.0, PredictionOverflow),
+            (ll, default_bundle(), _FMAX, _FMAX / (3 - 5e-10), PredictionOverflow),
+            (ll, flat, _FMAX, _FMAX / (3 - 5e-10), NonFiniteValue),
+            (Mixture(id="h", wc=0.5, c3a=10.0), default_bundle(), 40.0, 1.0, MissingField),
+            (Mixture(id="c", c3a=5.0), default_bundle(), 40.0, 1.0, MissingField),
+            (ll, default_bundle(), 40.0, 0.0, ValidationError),
+            (ll, dataclasses.replace(default_bundle(), boundary_second=None), 40.0, 1.0,
+             ValidationError),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for mix, bundle, horizon, step, error in cases:
+                expected = outcome(lambda: curve_oracle(mix, bundle, horizon, step))
+                assert expected[0] is error
+                assert outcome(lambda: predict_curve(mix, bundle, horizon, step)) == expected
 
 
 class TestPredictionOverflow:
