@@ -81,7 +81,7 @@ def cmd_classify(args) -> int:
     for mix in mixtures:
         group = model.classify_mixture(mix, bundle)
         first, second = (
-            boundary.decision_value(mix.require(*boundary.feature_names)) if boundary
+            boundary.value_at(*mix.require(*boundary.feature_names)) if boundary
             else float("nan") for boundary in (bundle.boundary_first, bundle.boundary_second))
         rows.append([mix.id, group.value, f"{first:.6g}", f"{second:.6g}"])
         payload.append({"id": mix.id, "group": group.value,

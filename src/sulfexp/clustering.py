@@ -268,7 +268,7 @@ def kmeans(
             part = history[lo:lo + chunk]
             trace += _objectives(pts, _nearest_batch(pts, part), part)
     centroids, assignments = finals[best]
-    present = np.unique(assignments)
+    counts = np.bincount(assignments, minlength=k)
     return KMeansResult(
         centroids=centroids.copy(),
         assignments=assignments.copy(),
@@ -276,7 +276,7 @@ def kmeans(
         iterations=iterations[best],
         converged=converged[best],
         objective_trace=tuple(trace),
-        empty_clusters=tuple(c for c in range(k) if c not in present),
+        empty_clusters=tuple(np.flatnonzero(counts == 0).tolist()),
         restart_iterations=tuple(iterations),
         restart_converged=tuple(converged),
     )

@@ -151,7 +151,8 @@ class ModelBundle:
             for axis in boundary.feature_names if boundary is not None else ():
                 if axis not in MIXTURE_FIELDS:
                     raise ValidationError(f"{name}: unknown mixture field {axis!r}")
-            # fields are non-negative, so this bounds every decision value numpy computes
+            # fields are non-negative, so this bounds every term and partial sum of
+            # LinearBoundary.value_at, x0 * w0 + x1 * w1 + bias
             if boundary is not None and math.isinf(abs(boundary.bias) + sum(
                     abs(w) * FIELD_RANGES[axis][1]
                     for axis, w in zip(boundary.feature_names, boundary.weights.tolist()))):
@@ -185,7 +186,9 @@ class _Route:
     The HN test is the simplified first boundary's threshold on its one
     non-zero axis, oriented by that weight's sign, or else the raw first
     boundary; the second boundary splits the rest. Fields are read
-    directly; :meth:`Mixture.require` runs only to raise for a missing one.
+    directly, as Python floats, and a raw boundary is evaluated by
+    :meth:`LinearBoundary.value_at` on them, with no array built;
+    :meth:`Mixture.require` runs only to raise for a missing one.
     """
 
     __slots__ = ("hn_field", "hn_threshold", "hn_above", "first", "second")
@@ -209,11 +212,12 @@ class _Route:
                 mix.require(self.hn_field)
             is_hn = value > self.hn_threshold if self.hn_above else value < self.hn_threshold
         else:
-            is_hn = self.first.decision_value(_point(mix, self.first.feature_names)) >= 0
+            first = self.first
+            is_hn = first.value_at(*_point(mix, first.feature_names)) >= 0
         if is_hn:
             return GroupLabel.HN
         second = self.second
-        if second.decision_value(_point(mix, second.feature_names)) >= 0:
+        if second.value_at(*_point(mix, second.feature_names)) >= 0:
             return GroupLabel.ML
         return GroupLabel.LL
 
@@ -293,7 +297,10 @@ def classify_mixture(mix: Mixture, bundle: ModelBundle | None = None) -> GroupLa
     zero counts as HN. To route by the raw boundary, pass
     ``dataclasses.replace(bundle, boundary_first_simplified=None)``.
     Non-HN mixtures go to ML when the second boundary's decision value is
-    >= 0, else LL. The simplified threshold is ``-bias / weight`` on the
+    >= 0, else LL. A decision value is the Python-float sum
+    ``x0 * w0 + x1 * w1 + bias`` of :meth:`LinearBoundary.value_at`,
+    rounded left to right, so a mixture takes the same route on every host
+    and BLAS kernel. The simplified threshold is ``-bias / weight`` on the
     boundary's one non-zero axis, and a negative weight turns the test
     into ``value < threshold``. Each bundle derives this rule once, at
     construction. A partial bundle raises :class:`ValidationError`.
@@ -363,7 +370,8 @@ def time_grid(horizon: float, step: float) -> np.ndarray:
 def _grid(points: int, step: float) -> np.ndarray:
     """``points`` multiples of ``step`` from 0, as a view of a read-only
     owner, so that its write flag cannot be set again either."""
-    grid = np.arange(points, dtype=float) * step
+    with np.errstate(over="ignore"):  # an overflowing last point fails the curve's check
+        grid = np.arange(points, dtype=float) * step
     curves.check_times("time grid", grid)
     grid.flags.writeable = False
     return grid.view()

@@ -49,10 +49,12 @@ class LinearBoundary:
 
     Points with positive decision value fall on the +1 side. ``weights``
     is stored as a read-only float64 copy, so a change to the array passed
-    in does not reach the boundary. ``slacks`` and ``objective`` are
-    carried along as training diagnostics and do not participate in
-    equality. A ``box_constraint``, when given, must be a finite positive
-    number, and ``feature_names`` must be exactly two strings.
+    in does not reach the boundary. The weights and bias are also kept as
+    Python floats, outside the fields, for :meth:`value_at`. ``slacks``
+    and ``objective`` are carried along as training diagnostics and do not
+    participate in equality. A ``box_constraint``, when given, must be a
+    finite positive number, and ``feature_names`` must be exactly two
+    strings.
     """
 
     feature_names: tuple[str, str]
@@ -80,6 +82,8 @@ class LinearBoundary:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "bias", bias)
+        # not a field: equality, repr, replace and pickling never see it
+        object.__setattr__(self, "_terms", (*w.tolist(), bias))
 
     def __reduce__(self):  # a copy is built again, with read-only weights
         return (LinearBoundary, (self.feature_names, self.weights, self.bias,
@@ -95,12 +99,24 @@ class LinearBoundary:
             and self.box_constraint == other.box_constraint
         )
 
+    def value_at(self, x0: float, x1: float) -> float:
+        """The decision value at the Python floats (x0, x1) as one sum,
+        ``x0 * w0 + x1 * w1 + bias``, rounded left to right.
+
+        Each product and sum is one IEEE-754 double operation with no fused
+        multiply-add and no BLAS call, so the bits are the same on every
+        host and BLAS kernel.
+        """
+        w0, w1, bias = self._terms
+        return x0 * w0 + x1 * w1 + bias
+
     def decision_value(self, point) -> float:
-        """``point @ weights + bias`` for one point of the boundary's plane."""
+        """:meth:`value_at` for one point of the boundary's plane, given as
+        any two-element array-like; it is read as float64 first."""
         point = np.asarray(point, float)
         if point.shape != (2,):
             raise DimensionMismatch(f"boundary expects one 2-D point, got shape {point.shape}")
-        return float(point @ self.weights + self.bias)
+        return self.value_at(*point.tolist())
 
     def equation(self) -> str:
         a, b = self.feature_names

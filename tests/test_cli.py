@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -721,6 +722,75 @@ class TestEveryFailedRecordIsNamed:
         assert_one_error_line(
             capsys, f"error: {prefix}series 'syn0006' has 2 samples; smoothing needs >= 3 "
                     "(and 1 more: 'syn0021')")
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+class TestRoutingBitsIgnoreTheBlasKernel:
+    """``classify`` and ``predict`` print the same bytes under the default
+    OpenBLAS kernel, which may fuse a 2-term dot into a multiply-add, and
+    under Nehalem's, which cannot."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("kernels")
+        candidates = generate_synthetic((100, 100, 100), noise=0.03, seed=5)
+        write_mixtures([m for m, _ in candidates.pairs], tmp / "mixtures.csv")
+        training = generate_synthetic((12, 16, 12), noise=0.03, seed=0)
+        save_bundle(model.fit_pipeline(training.pairs), tmp / "fitted.json")
+        return tmp
+
+    @pytest.mark.parametrize("bundle", [[], ["--bundle", "fitted.json"]], ids=["default", "fitted"])
+    @pytest.mark.parametrize("argv", [
+        ["--format", "json", "classify", "mixtures.csv"],
+        ["predict", "mixtures.csv"],
+        ["--format", "json", "predict", "mixtures.csv", "--raw-first-boundary"],
+    ], ids=["classify", "predict", "predict-raw"])
+    def test_same_stdout_on_both_kernels(self, tables, argv, bundle):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONWARNINGS", "SULFEXP_SEED", "OPENBLAS_CORETYPE")}
+        env["PYTHONPATH"] = str(SRC)
+        outputs = []
+        for kernel in ({}, {"OPENBLAS_CORETYPE": "Nehalem"}):
+            proc = subprocess.run([sys.executable, "-m", "sulfexp.cli", *argv, *bundle],
+                                  cwd=tables, env={**env, **kernel}, capture_output=True,
+                                  timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            outputs.append(proc.stdout)
+        assert outputs[0].count(b"\n") > 300
+        assert outputs[0] == outputs[1]
+
+
+class TestFitLeavesNumpyMaUnimported:
+    """A fit counts its k-means clusters with ``np.bincount``: numpy's
+    ``unique`` would import ``numpy.ma``, ~16 ms per process."""
+
+    def test_cli_fit(self, dataset_dir):
+        tmp_path, _ = dataset_dir
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONWARNINGS", "SULFEXP_SEED")}
+        env["PYTHONPATH"] = str(SRC)
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "sulfexp.cli", "fit", "manifest.json",
+             "--out", "b.json"], cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "sulfexp.model" in imported
+        assert "numpy.ma" not in imported
+
+    def test_fit_pipeline(self):
+        script = (
+            "import sys\n"
+            "from sulfexp.dataio import generate_synthetic\n"
+            "from sulfexp.model import fit_pipeline\n"
+            "for counts in ((12, 16, 12), (120, 160, 120)):\n"
+            "    fit_pipeline(generate_synthetic(counts, noise=0.03, seed=0).pairs)\n"
+            "print('numpy.ma' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 class TestNoWarningReachesStderr:

@@ -181,7 +181,7 @@ class TestReadOnlyArrays:
         b = LinearBoundary(("c3s", "wc"), w, -233.6)
         w[1] = 0.0
         assert b.weights.tolist() == [1.0, 387.3]
-        assert b.decision_value([50.0, 0.5]) == float(np.array([50.0, 0.5]) @ [1.0, 387.3] - 233.6)
+        assert b.decision_value([50.0, 0.5]) == 50.0 * 1.0 + 0.5 * 387.3 + -233.6
 
     def test_group_model_does_not_alias_its_coefficients(self):
         c = np.array([0.0293, 0.000975, 0.0216])
@@ -300,18 +300,17 @@ class TestFirstBoundaryRoute:
             assert classify_mixture(mix, simplified_only) is classify_mixture(mix)
 
     def test_points_exactly_on_a_raw_boundary_take_its_non_negative_side(self):
-        # each bias puts the mixture exactly on the line under numpy's
-        # point @ weights; a sum of Python float products differs from it in
-        # the last bit on some of these points and would move them off
+        # each bias puts the mixture exactly on the line under the decision
+        # value's sum x0*w0 + x1*w1 + bias; numpy's point @ weights, fused on
+        # some BLAS kernels, differs from it in the last bit on some of these
+        # points and would move them off
         rng = np.random.default_rng(6)
         for _ in range(1000):
             mix = Mixture(id="on", wc=rng.uniform(0.01, 1.0), c3a=rng.uniform(0, 100),
                           c3s=rng.uniform(0, 100))
-            w_first, w_second = rng.uniform(-50, 50, 2), rng.uniform(-50, 50, 2)
-            first = LinearBoundary(FIRST_AXES, w_first,
-                                   -float(np.array([mix.c3a, mix.wc]) @ w_first))
-            second = LinearBoundary(SECOND_AXES, w_second,
-                                    -float(np.array([mix.c3s, mix.wc]) @ w_second))
+            (a0, a1), (b0, b1) = rng.uniform(-50, 50, 2).tolist(), rng.uniform(-50, 50, 2).tolist()
+            first = LinearBoundary(FIRST_AXES, [a0, a1], -(mix.c3a * a0 + mix.wc * a1))
+            second = LinearBoundary(SECOND_AXES, [b0, b1], -(mix.c3s * b0 + mix.wc * b1))
             raw = dataclasses.replace(default_bundle(), boundary_first=first,
                                       boundary_first_simplified=None, boundary_second=second)
             assert classify_mixture(mix, raw) is HN
@@ -443,6 +442,47 @@ def mixtures_and_bundles(draw):
     elif variant == "no first":
         bundle = dataclasses.replace(bundle, boundary_first=None, boundary_first_simplified=None)
     return mix, bundle
+
+
+class TestPortableDecisionValue:
+    """A decision value is one Python-float sum, x0*w0 + x1*w1 + bias, rounded
+    left to right: no fused multiply-add, whatever BLAS kernel numpy runs."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(x0=st.one_of(spread(0.0, 100.0), spread(-1e3, 1e3)), x1=spread(0.01, 1.0),
+           w0=finite, w1=nonzero, bias=st.floats(-1e3, 1e3))
+    def test_is_the_left_to_right_sum(self, x0, x1, w0, w1, bias):
+        boundary = LinearBoundary(SECOND_AXES, [w0, w1], bias)
+        expected = (x0 * w0 + x1 * w1 + bias).hex()
+        assert boundary.value_at(x0, x1).hex() == expected
+        assert boundary.decision_value([x0, x1]).hex() == expected
+        assert boundary.decision_value(np.array([x0, x1], dtype=np.float64)).hex() == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(c3a=spread(0.0, 100.0), c3s=spread(0.0, 100.0), wc=spread(0.01, 1.0),
+           w0=nonzero, w1=nonzero)
+    def test_a_zero_sum_routes_to_the_non_negative_side(self, c3a, c3s, wc, w0, w1):
+        mix = Mixture(id="on", wc=wc, c3a=c3a, c3s=c3s)
+        first = LinearBoundary(FIRST_AXES, [w0, w1], -(c3a * w0 + wc * w1))
+        second = LinearBoundary(SECOND_AXES, [w1, w0], -(c3s * w1 + wc * w0))
+        assert first.decision_value([c3a, wc]) == 0.0 == second.decision_value([c3s, wc])
+        raw = dataclasses.replace(default_bundle(), boundary_first=first,
+                                  boundary_first_simplified=None, boundary_second=second)
+        assert classify_mixture(mix, raw) is HN
+        simplified = dataclasses.replace(default_bundle(), boundary_second=second)
+        assert classify_mixture(mix, simplified) is (HN if c3a > 8.0 else ML)
+
+    def test_private_terms_stay_out_of_the_fields(self):
+        boundary = LinearBoundary(SECOND_AXES, [1.0, 387.3], -233.6, box_constraint=100.0)
+        assert boundary._terms == (1.0, 387.3, -233.6)
+        assert all(type(term) is float for term in boundary._terms)
+        assert "_terms" not in repr(boundary)
+        for copied in (copy.deepcopy(boundary), pickle.loads(pickle.dumps(boundary)),
+                       dataclasses.replace(boundary)):
+            assert copied == boundary and copied._terms == boundary._terms
+        moved = dataclasses.replace(boundary, bias=-200.0)
+        assert moved._terms == (1.0, 387.3, -200.0)
+        assert moved.value_at(50.0, 0.5) == 50.0 * 1.0 + 0.5 * 387.3 + -200.0
 
 
 class TestRoutingOracle:
@@ -667,6 +707,21 @@ class TestTimeGrid:
         grid = time_grid(exact_horizon, exact_step)
         assert grid.dtype == np.float64
         assert grid.tobytes() == expected.tobytes()
+
+    def test_an_overflowing_grid_raises_no_numpy_warning(self):
+        # the grid has four points, and the last, 3 * step, is past the largest float
+        horizon, step = sys.float_info.max, sys.float_info.max / (3 - 5e-10)
+        mixtures = {"LL": Mixture(id="l", wc=0.43, c3a=4.0, c3s=60.0),
+                    "ML": Mixture(id="m", wc=0.53, c3a=6.0, c3s=40.0),
+                    "HN": TestPredictionOverflow.HOT}
+        model._grid.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for group, mix in mixtures.items():
+                with pytest.raises(PredictionOverflow, match=f"group {group} expansion"):
+                    predict_curve(mix, horizon=horizon, step=step)
+            grid = time_grid(horizon, step)
+        assert grid.size == 4 and math.isinf(grid[-1]) and _rejects_writes(grid)
 
     def test_cache_holds_at_most_its_size(self):
         model._grid.cache_clear()
