@@ -5,12 +5,14 @@ centroid index; empty clusters keep their previous centroid. Restarts are
 seeded deterministically from (seed, restart index) and initialized by
 sampling k distinct data points, so identical inputs always produce
 identical output. All restarts run together in one Lloyd loop; each does
-the same arithmetic, in the same order, as the per-restart steps
-:func:`assign_step` and :func:`update_step`. The loop lays its squared
-distances out as (restarts, k, points), so each pass runs along the
-points, and it computes no objective: each restart's final objective is
-computed once, to pick the best one, and only that restart's objective
-trace is rebuilt, from its centroid history.
+the same arithmetic, in the same order, as a loop of one restart would:
+squared distances summed over the coordinates in order, the nearest
+centroid taken as ``argmin`` takes it, and each centroid moved to its
+members' ``mean``. The tests keep that one-restart loop as the kernels'
+oracle. The loop lays its squared distances out as (restarts, k, points),
+so each pass runs along the points, and it computes no objective: each
+restart's final objective is computed once, to pick the best one, and
+only that restart's objective trace is rebuilt, from its centroid history.
 """
 
 from __future__ import annotations
@@ -54,47 +56,14 @@ def _as_points(points: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _nearest(pts: np.ndarray, cts: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - cts[None, :, :]
-    d2 = np.einsum("nkd,nkd->nk", diff, diff)
-    return np.argmin(d2, axis=1)
-
-
 def _means(pts: np.ndarray, assignments: np.ndarray, cts: np.ndarray) -> np.ndarray:
+    """Each centroid moved to the ``mean`` of its points; an empty cluster stays put."""
     cts = cts.copy()
     for k in range(cts.shape[0]):
         members = pts[assignments == k]
         if members.shape[0]:
             cts[k] = members.mean(axis=0)
     return cts
-
-
-def assign_step(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Assign each point to its nearest centroid (squared Euclidean).
-
-    Exact distance ties resolve to the smallest centroid index.
-    """
-    pts = _as_points(points)
-    cts = _as_points(centroids)
-    if cts.shape[0] < 1:
-        raise ValidationError("need at least one centroid")
-    if pts.shape[1] != cts.shape[1]:
-        raise DimensionMismatch(
-            f"points have dimension {pts.shape[1]} but centroids have {cts.shape[1]}"
-        )
-    return _nearest(pts, cts)
-
-
-def update_step(points: np.ndarray, assignments: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Move each centroid to the mean of its points; empty clusters stay put."""
-    pts = _as_points(points)
-    cts = _as_points(centroids)
-    assignments = np.asarray(assignments, dtype=int)
-    if assignments.shape[0] != pts.shape[0]:
-        raise DimensionMismatch("one assignment per point required")
-    if assignments.size and (assignments.min() < 0 or assignments.max() >= cts.shape[0]):
-        raise ValidationError("assignment index out of range")
-    return _means(pts, assignments, cts)
 
 
 @functools.lru_cache(maxsize=32)
@@ -111,13 +80,14 @@ def _starts(n: int, k: int, seed: int, restarts: int) -> np.ndarray:
 
 
 def _nearest_batch(pts: np.ndarray, cts: np.ndarray) -> np.ndarray:
-    """``_nearest`` for every restart's centroids (R, k, d) at once: (R, n).
+    """The nearest centroid of each point, for every restart's centroids
+    (R, k, d) at once: (R, n).
 
     The squared distances are laid out (R, k, n), so every pass runs along
     the points.
     """
     restarts, k, d = cts.shape
-    # squares summed over the coordinates in order, as _nearest's einsum sums them
+    # squares summed over the coordinates in order, as einsum("nkd,nkd->nk") sums them
     d2 = np.subtract(pts[:, 0], cts[:, :, 0, None])
     np.multiply(d2, d2, out=d2)
     t = np.empty_like(d2)

@@ -14,6 +14,7 @@ names every other one it rejects.
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -96,11 +97,16 @@ class ExpansionSeries:
                  group: str | None) -> "ExpansionSeries":
         """The series of a shared ``times`` grid, read-only and already
         checked by :func:`check_times`, and of fresh ``values`` of an affine
-        line (or its exp) on it, which the series takes over. Only
-        ``values`` is checked here: a grid time past the largest float
-        gives the line a non-finite value there, so finite values mean
-        finite times too."""
-        if not np.isfinite(values).all():
+        line (or its exp) on it, which the series takes over.
+
+        Only the first and last value are checked. The precondition is
+        that of :meth:`GroupModel.expansion`'s bound check: on ascending
+        times, every value of the line lies between its two end values,
+        and exp of it is finite where exp of its larger end is. So finite
+        ends mean finite values, and a grid time past the largest float
+        gives the line a non-finite last value, so they mean finite times
+        too."""
+        if not (math.isfinite(values[0]) and math.isfinite(values[-1])):
             raise NonFiniteValue(f"series {mixture_id!r} has non-finite samples")
         values.flags.writeable = False
         series = cls.__new__(cls)
@@ -118,10 +124,8 @@ class ExpansionSeries:
 
     def _store(self, mixture_id: str, times: np.ndarray, values: np.ndarray,
                group: str | None) -> None:
-        object.__setattr__(self, "mixture_id", mixture_id)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "group", group)
+        # one step past the frozen dataclass's __setattr__
+        self.__dict__.update(mixture_id=mixture_id, times=times, values=values, group=group)
 
     def __reduce__(self):  # a copy is built again, with read-only arrays
         return (ExpansionSeries.from_columns,

@@ -348,7 +348,7 @@ def time_grid(horizon: float, step: float) -> np.ndarray:
     and the last :data:`TIME_GRID_CACHE_SIZE` grids are kept: every call on
     one returns the same read-only array, which every curve sampled on it
     shares. A grid whose last point overflows a float is returned as it is;
-    a curve on it fails its values' finiteness check.
+    a curve on it fails :meth:`GroupModel.expansion`'s bound check.
     """
     if not (math.isfinite(horizon) and math.isfinite(step) and horizon > 0 and step > 0):
         raise ValidationError(

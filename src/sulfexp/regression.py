@@ -241,18 +241,27 @@ class GroupModel:
         Curves, point values and :meth:`failure_time` share one line
         ``slope*t + intercept`` from :meth:`time_line`, and numpy's
         elementwise arithmetic gives a point the same bits as the same time
-        on a curve. The line is affine, so its values at the first and last
-        time bound it: where a bound is not a finite float, or a log-linear
-        bound exceeds ln of the largest float, this raises
-        :class:`PredictionOverflow` before numpy computes anything.
+        on a curve. Where a bound, the line's value at the first or the last
+        time, is not a finite float (NaN included, as ``0 * inf`` on a grid
+        whose last time overflows), or a log-linear bound exceeds ln of the
+        largest float, this raises :class:`PredictionOverflow` before numpy
+        computes anything.
+
+        Past that check every value is finite. The times ascend and
+        rounding is monotone, so each ``fl(fl(slope*t) + intercept)`` lies
+        between the two bounds, and numpy's ``exp`` overflows only above
+        ln of the largest float. :meth:`ExpansionSeries._on_grid` relies on
+        this and checks a curve at its two ends only.
         """
         slope, intercept = self.time_line(mixture)
         first, last = (float(times[0]), float(times[-1])) if times.ndim else (float(times),) * 2
-        low, high = sorted((slope * first + intercept, slope * last + intercept))
+        low, high = slope * first + intercept, slope * last + intercept
+        if slope < 0:
+            low, high = high, low
         log = self.form == "log-linear"
         limit = _LOG_FLOAT_MAX if log else sys.float_info.max
-        if high > limit or low == -math.inf:
-            bound = high if high > limit else low
+        if not (-math.inf < low and high <= limit):  # a NaN bound fails its comparison
+            bound = low if high <= limit else high
             raise self._overflow(mixture, f"expansion exp({bound:.6g})" if log
                                  else f"expansion {bound:.6g}")
         value = slope * times + intercept

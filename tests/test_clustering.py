@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sulfexp.errors import DimensionMismatch, NonFiniteValue, TooFewPoints, ValidationError
+from sulfexp.errors import NonFiniteValue, TooFewPoints, ValidationError
 from sulfexp import clustering, curves
-from sulfexp.clustering import KMeansResult, assign_step, kmeans, standardize_features, update_step
+from sulfexp.clustering import KMeansResult, kmeans, standardize_features
 from sulfexp.dataio import generate_synthetic
 
 
@@ -29,39 +29,71 @@ def brute_force_objective(points: np.ndarray, k: int) -> float:
     return best
 
 
+def assign_step(points, centroids):
+    """Each point's nearest centroid by squared distance; a tie goes to the smallest index."""
+    diff = points[:, None, :] - centroids[None, :, :]
+    return np.argmin(np.einsum("nkd,nkd->nk", diff, diff), axis=1)
+
+
+def update_step(points, assignments, centroids):
+    """Each centroid moved to the mean of its points; an empty cluster stays put."""
+    centroids = centroids.copy()
+    for c in range(centroids.shape[0]):
+        members = points[assignments == c]
+        if members.shape[0]:
+            centroids[c] = members.mean(axis=0)
+    return centroids
+
+
+def nearest_kernel(points, centroids):
+    """The batched Lloyd loop's assignment pass, on one restart."""
+    return clustering._nearest_batch(points, centroids[None])[0]
+
+
+def means_kernel(points, assignments, centroids):
+    """The batched Lloyd loop's update pass, on one restart."""
+    return clustering._means_batch(points, assignments[None], centroids[None])[0]
+
+
 class TestAssignStep:
+    """The assignment pass and its oracle, by inspection."""
+
     def test_nearest_by_inspection(self):
-        a = assign_step(np.array([[0.0], [10.0]]), np.array([[1.0], [9.0]]))
-        assert a.tolist() == [0, 1]
+        for step in (assign_step, nearest_kernel):
+            a = step(np.array([[0.0], [10.0]]), np.array([[1.0], [9.0]]))
+            assert a.tolist() == [0, 1]
 
     def test_tie_goes_to_smallest_index(self):
-        a = assign_step(np.array([[5.0]]), np.array([[4.0], [6.0]]))
-        assert a.tolist() == [0]
+        for step in (assign_step, nearest_kernel):
+            a = step(np.array([[5.0]]), np.array([[4.0], [6.0]]))
+            assert a.tolist() == [0]
 
     def test_zero_distance_match(self):
-        a = assign_step(np.array([[0.0, 0.0], [3.0, 4.0]]), np.array([[0.0, 0.0], [3.0, 4.0]]))
-        assert a.tolist() == [0, 1]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            assign_step(np.array([[0.0, 1.0]]), np.array([[1.0]]))
+        for step in (assign_step, nearest_kernel):
+            a = step(np.array([[0.0, 0.0], [3.0, 4.0]]), np.array([[0.0, 0.0], [3.0, 4.0]]))
+            assert a.tolist() == [0, 1]
 
 
 class TestUpdateStep:
+    """The update pass and its oracle, by inspection."""
+
     def test_mean_and_empty_cluster(self):
         pts = np.array([[0.0], [2.0]])
-        out = update_step(pts, np.array([0, 0]), np.array([[5.0], [9.0]]))
-        assert out.tolist() == [[1.0], [9.0]]
+        for step in (update_step, means_kernel):
+            out = step(pts, np.array([0, 0]), np.array([[5.0], [9.0]]))
+            assert out.tolist() == [[1.0], [9.0]]
 
     def test_single_point_clusters(self):
         pts = np.array([[1.0], [7.0]])
-        out = update_step(pts, np.array([0, 1]), np.array([[0.0], [0.0]]))
-        assert out.tolist() == [[1.0], [7.0]]
+        for step in (update_step, means_kernel):
+            out = step(pts, np.array([0, 1]), np.array([[0.0], [0.0]]))
+            assert out.tolist() == [[1.0], [7.0]]
 
     def test_all_points_one_cluster(self):
         pts = np.array([[1.0], [3.0]])
-        out = update_step(pts, np.array([1, 1]), np.array([[-4.0], [0.0]]))
-        assert out.tolist() == [[-4.0], [2.0]]
+        for step in (update_step, means_kernel):
+            out = step(pts, np.array([1, 1]), np.array([[-4.0], [0.0]]))
+            assert out.tolist() == [[-4.0], [2.0]]
 
 
 class TestKMeans:
@@ -179,7 +211,7 @@ def objective(points, assignments, centroids):
 
 
 def kmeans_by_public_steps(points, k, seed, max_iter=300, restarts=16):
-    """Multi-restart Lloyd's loop over the public, checked step functions, restart by restart."""
+    """Multi-restart Lloyd's loop over the one-restart steps above, restart by restart."""
     best, restart_iterations, restart_converged = None, [], []
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])

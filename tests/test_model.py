@@ -751,7 +751,8 @@ def curve_oracle(mix: Mixture, bundle, horizon: float, step: float) -> Expansion
     if steps >= MAX_CURVE_POINTS:
         raise ValidationError(f"a horizon of {horizon:g} at step {step:g} needs more than "
                               f"{MAX_CURVE_POINTS} grid points")
-    grid = np.arange(math.floor(steps) + 1, dtype=float) * step
+    with np.errstate(over="ignore"):   # an overflowing last time is the line's to reject
+        grid = np.arange(math.floor(steps) + 1, dtype=float) * step
     group = route_oracle(mix, bundle)
     group_model = bundle.models[group]
     time_line_oracle(group_model, mix)   # its MissingField, read through Mixture.require
@@ -791,8 +792,7 @@ class TestCurveOracle:
         mix, bundle = drawn
         horizon, step = grid
         with warnings.catch_warnings():
-            if math.isinf(horizon * 3):   # the overflowing grid warns as it is computed
-                warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             expected = outcome(lambda: curve_oracle(mix, bundle, horizon, step))
             for _ in range(2):   # the first call may build the grid, the second reads it
                 curve = outcome(lambda: predict_curve(mix, bundle, horizon, step))
@@ -806,11 +806,11 @@ class TestCurveOracle:
 
     def test_error_texts(self):
         ll = Mixture(id="l", wc=0.43, c3a=4.0, c3s=60.0)
-        flat = _with_model(LL, [0.0, 0.0305])   # 0 * inf is NaN on an overflowing grid
+        flat = _with_model(LL, [0.0, 0.0305])   # 0 * inf is a NaN bound on an overflowing grid
         cases = [
             (TestPredictionOverflow.HOT, default_bundle(), 200.0, 1.0, PredictionOverflow),
             (ll, default_bundle(), _FMAX, _FMAX / (3 - 5e-10), PredictionOverflow),
-            (ll, flat, _FMAX, _FMAX / (3 - 5e-10), NonFiniteValue),
+            (ll, flat, _FMAX, _FMAX / (3 - 5e-10), PredictionOverflow),
             (Mixture(id="h", wc=0.5, c3a=10.0), default_bundle(), 40.0, 1.0, MissingField),
             (Mixture(id="c", c3a=5.0), default_bundle(), 40.0, 1.0, MissingField),
             (ll, default_bundle(), 40.0, 0.0, ValidationError),
@@ -818,7 +818,7 @@ class TestCurveOracle:
              ValidationError),
         ]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             for mix, bundle, horizon, step, error in cases:
                 expected = outcome(lambda: curve_oracle(mix, bundle, horizon, step))
                 assert expected[0] is error

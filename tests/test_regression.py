@@ -1,9 +1,10 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import regen_golden
@@ -17,6 +18,7 @@ from sulfexp.errors import (
     DimensionMismatch,
     MissingField,
     NonFiniteValue,
+    PredictionOverflow,
     RankDeficient,
     TooFewRows,
     ValidationError,
@@ -26,6 +28,7 @@ from sulfexp.regression import (
     CONST_ROLE,
     FIELD_TO_ROLE,
     GROUP_ROLES,
+    _LOG_FLOAT_MAX,
     GroupModel,
     design_rows,
     fit_group_model,
@@ -441,3 +444,69 @@ class TestGroupModelEvaluation:
         assert intercept == pytest.approx(0.0216)
         assert slope * 20.0 + intercept == pytest.approx(
             0.0293 * (0.481 * 20.0) + 0.000975 * (5.1 * 20.0) + 0.0216)
+
+
+def ulps_from(x: float, k: int) -> float:
+    """``x`` moved ``k`` floats up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def accepted_lines(draw):
+    """A form, a slope, an ascending grid and an intercept that puts the
+    line's larger end (or, for a linear model, perhaps its smaller end)
+    within a few floats of the largest value the form allows."""
+    log = draw(st.booleans())
+    if draw(st.booleans()):
+        times = np.arange(draw(st.integers(1, 200)), dtype=float) * draw(st.floats(1e-3, 1e3))
+    else:
+        times = np.array(sorted(draw(st.lists(
+            st.floats(0.0, 1e4), min_size=1, max_size=60, unique=True))))
+    scale = 1.0 if log else draw(st.sampled_from([1.0, 1e100, 1e300, 1e305]))
+    slope = draw(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))) * scale
+    k = draw(st.integers(-4, 4))
+    if log:
+        edge, at_high = ulps_from(_LOG_FLOAT_MAX, k), True
+    else:
+        at_high = draw(st.booleans())
+        edge = ulps_from(sys.float_info.max, min(k, 0)) * (1.0 if at_high else -1.0)
+    # the larger end is the last time for a rising line, the first for a falling one
+    t_edge = times[-1] if (slope >= 0) == at_high else times[0]
+    intercept = edge - slope * float(t_edge)
+    assume(math.isfinite(intercept))
+    return log, slope, intercept, times
+
+
+class TestEndBoundsBoundTheCurve:
+    """What ``ExpansionSeries._on_grid``'s end check rests on: a line that
+    ``GroupModel.expansion`` accepts has a finite value at every time."""
+
+    MIX = Mixture(id="x", wc=0.5)
+
+    @staticmethod
+    def model(log: bool, slope: float, intercept: float) -> GroupModel:
+        return GroupModel(group=GroupLabel.HN if log else GroupLabel.ML,
+                          variable_roles=("T", CONST_ROLE), coefficients=[slope, intercept])
+
+    # a falling log-linear curve that starts at ln of the largest float, the float
+    # below it and the float above it, which alone overflows
+    @settings(max_examples=500, deadline=None)
+    @given(line=accepted_lines())
+    @example(line=(True, -1.0, _LOG_FLOAT_MAX, np.arange(41.0)))
+    @example(line=(True, -1.0, ulps_from(_LOG_FLOAT_MAX, -1), np.arange(41.0)))
+    @example(line=(True, -1.0, ulps_from(_LOG_FLOAT_MAX, 1), np.arange(41.0)))
+    def test_accepted_ends_mean_every_value_is_finite(self, line):
+        log, slope, intercept, times = line
+        bounds = [slope * float(t) + intercept for t in (times[0], times[-1])]
+        limit = _LOG_FLOAT_MAX if log else sys.float_info.max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                values = self.model(log, slope, intercept).expansion(self.MIX, times)
+            except PredictionOverflow:
+                assert max(bounds) > limit or min(bounds) == -math.inf
+                return
+        assert max(bounds) <= limit
+        assert np.isfinite(values).all()
