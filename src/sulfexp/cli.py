@@ -93,7 +93,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model.time_grid(args.horizon, args.step)
+    # the curves end at the grid's last time, which is the horizon only where the step divides it
+    last = float(model.time_grid(args.horizon, args.step)[-1])
     bundle = _load_bundle(args)
     mixtures = _load_rows(dataio.load_mixtures, args.mixtures)
     series_out = []
@@ -115,7 +116,7 @@ def cmd_predict(args) -> int:
     if args.out:
         dataio.emit_plot_data(series_out, args.out)
     _emit(args, {"predictions": payload},
-          ["id", "group", f"expansion@{args.horizon:g}y", "failure_time_years"], rows)
+          ["id", "group", f"expansion@{last:g}y", "failure_time_years"], rows)
     return 0
 
 

@@ -13,8 +13,14 @@ the one fallback is the minimum-norm subgradient (a bounded least
 squares over the margin multipliers): zero certifies the point, and
 otherwise its negative is the next direction. No dual. The descent
 starts from the squared-hinge optimum, found by a few finite Newton
-steps (Keerthi & DeCoste, JMLR 2005); that descent decides wherever it
-certifies, and the descent from the origin only where it does not.
+steps (Keerthi & DeCoste, JMLR 2005), or from the origin where that
+system is singular.
+
+The descent runs on the points minus their mean m. The objective does
+not penalize the bias, so this is an exact change of variables: the
+same weights, and the bias b' - w.m of the centered optimum b'. Far
+from the origin the bias would otherwise dwarf the weights, and the
+tolerances, which scale with the coordinates, would meet rounding.
 """
 
 from __future__ import annotations
@@ -389,25 +395,6 @@ def _warm_start(X, y, C):
     return z if np.isfinite(z).all() else np.zeros(3)
 
 
-def _descend(X, y, C):
-    """The (point, certificate) of :func:`_polish`, from the warm start.
-
-    The warm descent decides wherever it certifies its point. The descent
-    from the origin runs only where the warm start is the origin, or where
-    the warm descent certifies nothing or overflows, as some inputs are
-    certified from the origin alone.
-    """
-    start = _warm_start(X, y, C)
-    if start.any():
-        try:
-            z, certificate = _polish(X, y, C, start)
-            if certificate:
-                return z, certificate
-        except FloatingPointError:
-            pass
-    return _polish(X, y, C, np.zeros(3))
-
-
 def _labeled_points(points, labels) -> tuple[np.ndarray, np.ndarray]:
     """Check finite (n, 2) points with one +1/-1 label each; return both as arrays."""
     X = linalg.check_finite(points, "points")
@@ -429,10 +416,11 @@ def svm_train(
 ) -> LinearBoundary:
     """Train the soft-margin boundary on labeled 2-D points.
 
-    ``labels`` must contain both +1 and -1. Training is deterministic: an
-    exact active-set descent from the squared-hinge optimum, or from the
-    origin where that descent certifies nothing (see :func:`_descend`).
-    The result carries the primal objective and per-point slack values.
+    ``labels`` must contain both +1 and -1. Training is deterministic: one
+    exact active-set descent from the squared-hinge optimum, on the points
+    minus their mean m. The boundary is mapped back to the raw plane, its
+    bias as ``b' - (w0*m0 + w1*m1)`` in Python floats. The result carries
+    the primal objective and per-point slack values in the raw plane.
     Raises :class:`NonFiniteValue` when the descent overflows a float,
     :class:`NoConvergence` when it certified no optimum, and
     :class:`OneSidedBoundary` when the certified optimum puts every point
@@ -445,15 +433,19 @@ def svm_train(
 
     try:
         with np.errstate(over="raise", invalid="raise"):
-            z, certificate = _descend(X, y, C)
+            m = X.mean(axis=0)
+            centered = X - m
+            z, certificate = _polish(centered, y, C, _warm_start(centered, y, C))
     except FloatingPointError as exc:
         raise NonFiniteValue(f"svm training on these points overflows a float ({exc})") from None
-    beta, b = z[:2], float(z[2])
+    beta = z[:2]
     if not certificate:
         raise NoConvergence(
             "svm training certified no optimum",
-            objective=_objective(C, beta, _margins(X, y, z)),
+            objective=_objective(C, beta, _margins(centered, y, z)),
         )
+    (w0, w1, b), (m0, m1) = z.tolist(), m.tolist()
+    b -= w0 * m0 + w1 * m1
 
     decision = X @ beta + b
     positive = decision >= 0

@@ -105,6 +105,19 @@ class TestPredict:
         assert lines[0] == "series_label,t,value"
         assert len(lines) == 1 + 5 + 5
 
+    @pytest.mark.parametrize("grid,last", [
+        (["--horizon", "10", "--step", "3"], 9.0),     # 0, 3, 6, 9
+        (["--horizon", "40", "--step", "10"], 40.0),
+        ([], 40.0),                                    # the default grid, step 1 to 40
+    ])
+    def test_header_names_the_time_of_the_values(self, tmp_path, capsys, grid, last):
+        p = tmp_path / "mix.csv"
+        p.write_text(MIX_HEADER + "1000,0.49,5.0,40,,,,\n")
+        assert main(["predict", str(p), *grid]) == 0
+        header, _, row = capsys.readouterr().out.splitlines()
+        assert header.split()[2] == f"expansion@{last:g}y"
+        assert row.split()[2] == f"{0.0157 * 0.49 * last + 0.0305:.6g}"
+
     def test_zero_step_exits_2(self, tmp_path, capsys):
         p = tmp_path / "mix.csv"
         p.write_text(MIX_HEADER + "1000,0.49,5.0,40,,,,\n")

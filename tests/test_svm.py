@@ -280,6 +280,8 @@ class TestPolishStart:
                 assert z1.tobytes() == z0.tobytes()
 
 
+#: two points 0.2*(1, -1) apart, far from the origin
+TWO_POINTS = np.array([[221.0, 1246.4], [220.8, 1246.6]])
 #: (seed, noise, boundary): both boundaries of seed 0
 BOUNDARY_CASES = [(0, 0.03, 0), (0, 0.03, 1)]
 BOUNDARY_IDS = ["first@0", "second@0"]
@@ -289,15 +291,24 @@ FLAT_BIAS_CASES = [(19, 0.0, 1), (23, 0.03, 1)]
 FLAT_BIAS_IDS = ["second@19-noise-0", "second@23"]
 
 
+def descent_from_the_origin(X, y, C):
+    """``_polish`` from the origin on the points minus their mean, mapped back
+    to the raw plane: (weights, bias, certificate)."""
+    m = X.mean(axis=0)
+    z, certificate = _polish(X - m, y, C, np.zeros(3))
+    (w0, w1, b), (m0, m1) = z.tolist(), m.tolist()
+    return z[:2], b - (w0 * m0 + w1 * m1), certificate
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("seed,noise,which", BOUNDARY_CASES, ids=BOUNDARY_IDS)
     def test_boundary_is_the_descent_from_the_origin(self, seed, noise, which):
         X, y = paper_scale_boundary_problems(seed, noise)[which]
         boundary = svm_train(X, y, C=100.0)
-        z, certified = _polish(X, y, 100.0, np.zeros(3))
+        weights, bias, certified = descent_from_the_origin(X, y, 100.0)
         assert certified
-        assert boundary.weights.tobytes() == z[:2].tobytes()
-        assert np.float64(boundary.bias).tobytes() == z[2:].tobytes()
+        assert boundary.weights.tobytes() == weights.tobytes()
+        assert np.float64(boundary.bias).tobytes() == np.float64(bias).tobytes()
 
     @pytest.mark.parametrize("seed,noise,which", FLAT_BIAS_CASES, ids=FLAT_BIAS_IDS)
     def test_flat_bias_optimum_equals_the_origin_descent(self, seed, noise, which):
@@ -309,28 +320,27 @@ class TestWarmStart:
             primal_objective(X, y, 100.0, z[:2], z[2]), rel=1e-10)
 
     def test_subgradient_certified_warm_point_is_kept(self):
-        # two points 0.2*(1, -1) apart, far from the origin: with C this large
-        # the optimum is the hard margin, |beta|^2 / 2 = 2 / |x_0 - x_1|^2 = 25;
-        # the descent from the origin stops at 37.21
-        X = np.array([[221.0, 1246.4], [220.8, 1246.6]])
-        y = np.array([1.0, -1.0])
-        optimum = 2.0 / float(np.sum((X[0] - X[1]) ** 2))
-        assert _polish(X, y, 1e5, _warm_start(X, y, 1e5))[1] == "subgradient"
-        assert svm_train(X, y, C=1e5).objective == pytest.approx(optimum, rel=1e-6)
+        # two points 0.2*(1, -1) apart, far from the origin: below C = 2 / |d|^2 = 25,
+        # d = x_0 - x_1, both stay inside the margin, no point sits on it and only
+        # the minimum-norm subgradient certifies the optimum 2C - C^2 |d|^2 / 2
+        X, y = TWO_POINTS, np.array([1.0, -1.0])
+        centered = X - X.mean(axis=0)
+        z, certificate = _polish(centered, y, 10.0, _warm_start(centered, y, 10.0))
+        assert certificate == "subgradient"
+        assert svm_train(X, y, C=10.0).weights.tobytes() == z[:2].tobytes()
 
-    def test_origin_decides_where_the_warm_descent_certifies_nothing(self):
+    def test_former_origin_case_is_certified_by_the_warm_descent(self):
+        # on the raw points the warm descent certified nothing here, and the
+        # descent from the origin reached 27693.863221773616
         X = np.array([[-7.501955742347753, -428.1567581428835],
                       [-7.47782417035477, -428.20153710657775],
                       [-7.490316016568041, -428.17952313230563],
                       [-7.482626742955739, -428.1751048647716]])
         y = np.array([1.0, -1.0, -1.0, 1.0])
         C = 391258.50514739705
-        assert _polish(X, y, C, _warm_start(X, y, C))[1] is None
-        z, certificate = _polish(X, y, C, np.zeros(3))
-        assert certificate
-        boundary = svm_train(X, y, C=C)
-        assert boundary.weights.tobytes() == z[:2].tobytes()
-        assert np.float64(boundary.bias).tobytes() == z[2:].tobytes()
+        centered = X - X.mean(axis=0)
+        assert _polish(centered, y, C, _warm_start(centered, y, C))[1]
+        assert svm_train(X, y, C=C).objective <= 27693.863221773616
 
     def test_at_most_half_the_kkt_solves_of_the_origin_start(self, monkeypatch):
         problems = [p for seed in range(10) for p in paper_scale_boundary_problems(seed)]
@@ -358,6 +368,97 @@ class TestWarmStart:
             assert not _warm_start(X, y, 1e308).any()
             with pytest.raises(OneSidedBoundary):
                 svm_train(X, y, C=1e308)
+
+
+def margin_rounding(X, boundary):
+    """Per point of X, a bound on the rounding of x_i.w + b: a few ulps of its
+    largest term, which far from the origin is far above the sum."""
+    return 4.0 * np.finfo(float).eps * (np.abs(X * boundary.weights).sum(axis=1)
+                                        + abs(boundary.bias))
+
+
+def bias_is_flat(boundary, X, y):
+    """Whether the optimum stays optimal as the bias moves one way.
+
+    Each one-sided derivative of the objective in the bias is C times a count:
+    minus the violators' label sum plus the margin points that moving b
+    would push into violation. The optimal bias is an interval exactly
+    when one of the two counts is zero.
+    """
+    margins = y * (X @ boundary.weights + boundary.bias)
+    tol = 1e-7 * (1.0 + np.abs(margins).max())
+    on, viol = np.abs(1.0 - margins) <= tol, margins < 1.0 - tol
+    pull = int(y[viol].sum())
+    return -pull + int((on & (y < 0)).sum()) == 0 or pull + int((on & (y > 0)).sum()) == 0
+
+
+def train_or_one_sided(X, y, C):
+    try:
+        return svm_train(X, y, C=C)
+    except OneSidedBoundary:
+        return None
+
+
+class TestCentering:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 39),
+           log_spread=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           shift=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+           log_c=st.floats(-1.0, 4.0))
+    def test_translated_points_give_the_translated_boundary(
+            self, seed, n, log_spread, shift, log_c):
+        rng = np.random.default_rng(seed)
+        X, y = random_problem(rng, n)
+        X = X * 10.0 ** np.array(log_spread)
+        s, C = np.array(shift), 10.0 ** log_c
+        near, far = train_or_one_sided(X, y, C), train_or_one_sided(X + s, y, C)
+        if near is None or far is None:
+            # a one-sided optimum has no translated twin unless the bias is free
+            other, points = (far, X + s) if near is None else (near, X)
+            assert other is None or bias_is_flat(other, points, y)
+            return
+        # the weights: 1e-8 of the largest; the objective: 1e-10 relative, plus
+        # the rounding of margins evaluated up to 1e4 from the origin
+        rounding = margin_rounding(X, near) + margin_rounding(X + s, far)
+        assert np.abs(far.weights - near.weights).max() <= 1e-8 * np.abs(near.weights).max()
+        assert abs(far.objective - near.objective) <= (
+            1e-10 * near.objective + C * float(rounding.sum()))
+        if not bias_is_flat(near, X, y):
+            here = X @ near.weights + near.bias
+            there = (X + s) @ far.weights + far.bias
+            assert np.abs(there - here).max() <= (
+                1e-8 * (1.0 + np.abs(here).max()) + 2.0 * float(rounding.max()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+           angle=st.floats(0.0, 2.0 * math.pi), log_gap=st.floats(-3.0, 0.0),
+           shift=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+           log_c=st.floats(-1.0, 5.0))
+    def test_separable_set_is_certified(self, seed, sizes, angle, log_gap, shift, log_c):
+        rng = np.random.default_rng(seed)
+        u = np.array([math.cos(angle), math.sin(angle)])
+        gap, C = 10.0 ** log_gap, 10.0 ** log_c
+        along = np.concatenate([0.5 * gap + rng.uniform(0.0, 1.0, sizes[0]),
+                                -0.5 * gap - rng.uniform(0.0, 1.0, sizes[1])])
+        across = rng.uniform(-1.0, 1.0, along.size)
+        X = np.outer(along, u) + np.outer(across, [-u[1], u[0]]) + np.array(shift)
+        y = np.repeat([1.0, -1.0], sizes)
+        # never NoConvergence; a boundary is no worse than the planted separator
+        boundary = train_or_one_sided(X, y, C)
+        if boundary is not None:
+            planted = LinearBoundary(("x0", "x1"), 2.0 / gap * u, -2.0 / gap * float(u @ shift))
+            bound = primal_objective(X, y, C, planted.weights, planted.bias)
+            assert boundary.objective <= (
+                bound * (1.0 + 1e-10) + C * float(margin_rounding(X, planted).sum()))
+
+    @pytest.mark.parametrize("C", [1.0, 10.0, 100.0, 1e3, 1e4, 1e5])
+    def test_two_points_reach_the_closed_form(self, C):
+        # with d = x_0 - x_1 the optimum is 2C - C^2 |d|^2 / 2 up to C = 2 / |d|^2,
+        # where both points sit on the margin, and the hard margin 2 / |d|^2 above
+        y = np.array([1.0, -1.0])
+        d2 = float(np.sum((TWO_POINTS[0] - TWO_POINTS[1]) ** 2))
+        optimum = 2.0 * C - C * C * d2 / 2.0 if C <= 2.0 / d2 else 2.0 / d2
+        assert svm_train(TWO_POINTS, y, C=C).objective == pytest.approx(optimum, rel=1e-10)
 
 
 class TestOverflow:
