@@ -30,6 +30,7 @@ from .model import (
     ModelBundle,
     PipelineConfig,
     classify_mixture,
+    dataset_hash,
     fit_pipeline,
     default_bundle,
     predict_curve,
@@ -52,7 +53,7 @@ __all__ = [
     "LinearBoundary", "svm_train", "simplify_axis_parallel",
     "GroupLabel", "Mixture",
     "ModelBundle", "PipelineConfig", "HoldoutReport",
-    "default_bundle", "classify_mixture", "predict_expansion", "predict_curve",
+    "default_bundle", "classify_mixture", "predict_expansion", "predict_curve", "dataset_hash",
     "predicted_failure_time", "fit_pipeline", "validate_holdout", "refit_r2_report",
     "DatasetManifest", "SyntheticDataset",
     "load_mixtures", "load_series", "load_manifest", "load_dataset",

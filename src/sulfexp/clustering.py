@@ -11,8 +11,7 @@ centroid taken as ``argmin`` takes it, and each centroid moved to its
 members' ``mean``. The tests keep that one-restart loop as the kernels'
 oracle. The loop lays its squared distances out as (restarts, k, points),
 so each pass runs along the points, and it computes no objective: each
-restart's final objective is computed once, to pick the best one, and
-only that restart's objective trace is rebuilt, from its centroid history.
+restart's final objective is computed once, to pick the best one.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ class KMeansResult:
     objective: float               # sum of squared distances to assigned centroid
     iterations: int
     converged: bool
-    objective_trace: tuple[float, ...] = ()
     empty_clusters: tuple[int, ...] = ()
     restart_iterations: tuple[int, ...] = ()    # every restart's, in restart order
     restart_converged: tuple[bool, ...] = ()
@@ -139,13 +137,10 @@ def _lloyd_batch(points, centroids, max_iter):
     """Lloyd iterations of R restarts at once, from starting centroids (R, k, d), updated in place.
 
     A restart leaves the active set once an assignment pass changes
-    nothing. Returns the final centroids and assignments, the centroid
-    history (R, passes + 1, k, d), each restart's iteration count and
-    whether it converged. Restart r's history holds its own centroids up
-    to entry ``iterations[r]``. No objective is computed here.
+    nothing. Returns the final centroids and assignments, each restart's
+    iteration count and whether it converged. No objective is computed here.
     """
     assignments = _nearest_batch(points, centroids)
-    history = [centroids.copy()]
     iterations = np.zeros(len(centroids), dtype=int)
     converged = np.zeros(len(centroids), dtype=bool)
     active = np.arange(len(centroids))
@@ -154,14 +149,13 @@ def _lloyd_batch(points, centroids, max_iter):
         cts = _means_batch(points, assignments[active], centroids[active])
         new_assignments = _nearest_batch(points, cts)
         centroids[active] = cts
-        history.append(centroids.copy())
         unchanged = (new_assignments == assignments[active]).all(axis=1)
         assignments[active] = new_assignments
         converged[active[unchanged]] = True
         active = active[~unchanged]
         if not active.size:
             break
-    return centroids, assignments, np.stack(history, axis=1), iterations, converged
+    return centroids, assignments, iterations, converged
 
 
 def check_integer(name: str, value) -> None:
@@ -196,10 +190,8 @@ def kmeans(
     restarts). ``iterations`` and ``converged`` are the chosen restart's:
     ``converged`` is True when an assignment pass produced no change before
     ``max_iter``. ``restart_iterations`` and ``restart_converged`` hold
-    every restart's, in restart order. ``objective_trace`` is the chosen
-    restart's objective after each pass, rebuilt from its centroid history
-    with the loop's own arithmetic. All-identical points with
-    k > 1 are not an error: the surplus clusters come back empty and are
+    every restart's, in restart order. All-identical points with k > 1 are
+    not an error: the surplus clusters come back empty and are
     listed in ``empty_clusters``. Points whose squared distances overflow a
     float raise :class:`NonFiniteValue`.
     """
@@ -211,32 +203,25 @@ def kmeans(
 
     starts = _starts(n, k, seed, restarts)
     chunk = max(1, _CHUNK_ELEMENTS // (n * max(k, pts.shape[1])))
-    finals, objectives, histories, iterations, converged = [], [], [], [], []
+    finals, objectives, iterations, converged = [], [], [], []
     # points too large for their squared distances are rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, restarts, chunk):
-            cts, assignments, history, chunk_iterations, chunk_converged = _lloyd_batch(
+            cts, assignments, chunk_iterations, chunk_converged = _lloyd_batch(
                 pts, pts[starts[lo:lo + chunk]], max_iter,
             )
             finals += zip(cts, assignments)
             objectives += _objectives(pts, assignments, cts)
-            histories += list(history)
             iterations += chunk_iterations.tolist()
             converged += chunk_converged.tolist()
 
-        best = 0
-        for r in range(1, restarts):
-            if objectives[r] < objectives[best] - 1e-15:
-                best = r
-        objective = objectives[best]
-        if not math.isfinite(objective):
-            raise NonFiniteValue("squared distances between the points overflow a float")
-        # the chosen restart's objective after each pass, rebuilt from its centroid history
-        history = histories[best][:iterations[best] + 1]
-        trace = []
-        for lo in range(0, len(history), chunk):
-            part = history[lo:lo + chunk]
-            trace += _objectives(pts, _nearest_batch(pts, part), part)
+    best = 0
+    for r in range(1, restarts):
+        if objectives[r] < objectives[best] - 1e-15:
+            best = r
+    objective = objectives[best]
+    if not math.isfinite(objective):
+        raise NonFiniteValue("squared distances between the points overflow a float")
     centroids, assignments = finals[best]
     counts = np.bincount(assignments, minlength=k)
     return KMeansResult(
@@ -245,7 +230,6 @@ def kmeans(
         objective=objective,
         iterations=iterations[best],
         converged=converged[best],
-        objective_trace=tuple(trace),
         empty_clusters=tuple(np.flatnonzero(counts == 0).tolist()),
         restart_iterations=tuple(iterations),
         restart_converged=tuple(converged),

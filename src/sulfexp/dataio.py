@@ -272,13 +272,33 @@ def _boundary_to_doc(boundary: LinearBoundary | None):
     }
 
 
-def _boundary_from_doc(doc) -> LinearBoundary | None:
+def _number(value, path: Path, field: str, kind=(int, float)):
+    """A JSON number (``kind=int``: an integer), else :class:`ParseError` naming the field."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is int else "a number"
+        raise ParseError(f"expected {noun}, got {json.dumps(value)}", path=str(path), field=field)
+    return value
+
+
+def _numbers(values, path: Path, field: str) -> np.ndarray:
+    """A bundle array as float64, its shape left to the constructor; a string or a
+    bool in it, which numpy reads as a number, raises :class:`ParseError`."""
+    for value in values if isinstance(values, list) else (values,):
+        if isinstance(value, list):
+            _numbers(value, path, field)
+        elif isinstance(value, (str, bool)):
+            _number(value, path, field)  # raises
+    return np.array(values, dtype=float)
+
+
+def _boundary_from_doc(doc, path: Path, name: str) -> LinearBoundary | None:
+    doc = doc.get(name)
     if doc is None:
         return None
     return LinearBoundary(
         feature_names=tuple(doc["feature_names"]),
-        weights=np.array(doc["weights"], dtype=float),
-        bias=doc["bias"],
+        weights=_numbers(doc["weights"], path, f"{name}.weights"),
+        bias=_number(doc["bias"], path, f"{name}.bias"),
         box_constraint=doc.get("box_constraint"),
     )
 
@@ -309,23 +329,25 @@ def _check_derived(doc: dict, key: str, derived, path: Path, field: str) -> None
                          path=str(path), field=field)
 
 
-def _model_from_doc(doc, path: Path) -> GroupModel:
+def _model_from_doc(doc, path: Path, name: str) -> GroupModel:
+    coefficients = _numbers(doc["coefficients"], path, f"{name}.coefficients")
     fit = None
     if "fit" in doc:
+        stats, field = doc["fit"], f"{name}.fit"
         fit = OLSFit(
-            coefficients=np.array(doc["coefficients"], dtype=float),
-            r_squared=doc["fit"]["r_squared"],
-            residual_std=doc["fit"]["residual_std"],
-            t_statistics=np.array(doc["fit"]["t_statistics"], dtype=float),
-            n_observations=doc["fit"]["n_observations"],
+            coefficients=coefficients,
+            r_squared=_number(stats["r_squared"], path, f"{field}.r_squared"),
+            residual_std=_number(stats["residual_std"], path, f"{field}.residual_std"),
+            t_statistics=_numbers(stats["t_statistics"], path, f"{field}.t_statistics"),
+            n_observations=_number(stats["n_observations"], path, f"{field}.n_observations", int),
         )
     model = GroupModel(
         group=GroupLabel(doc["group"]),
         variable_roles=tuple(doc["variable_roles"]),
-        coefficients=np.array(doc["coefficients"], dtype=float),
+        coefficients=coefficients,
         fit=fit,
     )
-    _check_derived(doc, "form", model.form, path, f"models.{model.group}.form")
+    _check_derived(doc, "form", model.form, path, f"{name}.form")
     return model
 
 
@@ -367,8 +389,9 @@ def load_bundle(path: str | Path) -> ModelBundle:
     Any schema of major version :data:`SCHEMA_VERSION` loads; the bundle
     keeps no version. ``partial`` and each ``form`` are derived, and a
     stored value that differs raises :class:`ParseError` naming the field,
-    as do ``NaN``, ``Infinity``, a number that overflows a float and any
-    malformed document.
+    as do a weight, bias, coefficient or fit statistic that is not a JSON
+    number, an ``n_observations`` that is not an integer, ``NaN``,
+    ``Infinity``, a number that overflows a float and any malformed document.
     """
     path = Path(path)
     doc = _read_object(path, "bundle", parse_constant=_reject_constant,
@@ -391,10 +414,11 @@ def load_bundle(path: str | Path) -> ModelBundle:
                          path=str(path), field="models")
     try:
         bundle = ModelBundle(
-            models={GroupLabel(k): _model_from_doc(v, path) for k, v in models.items()},
-            boundary_first=_boundary_from_doc(doc.get("boundary_first")),
-            boundary_first_simplified=_boundary_from_doc(doc.get("boundary_first_simplified")),
-            boundary_second=_boundary_from_doc(doc.get("boundary_second")),
+            models={GroupLabel(k): _model_from_doc(v, path, f"models.{k}")
+                    for k, v in models.items()},
+            boundary_first=_boundary_from_doc(doc, path, "boundary_first"),
+            boundary_first_simplified=_boundary_from_doc(doc, path, "boundary_first_simplified"),
+            boundary_second=_boundary_from_doc(doc, path, "boundary_second"),
             provenance=doc.get("provenance", PROVENANCE_DEFAULT),
             failure_threshold=doc.get("failure_threshold", DEFAULT_THRESHOLD),
         )

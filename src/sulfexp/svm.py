@@ -8,13 +8,13 @@ restricted to a ray is convex piecewise quadratic, so the line search
 sorts its breakpoints once and reads the minimizer off the cumulative
 jumps of the derivative. Clean multipliers certify global optimality of
 this convex problem, and the result is then the KKT solution of the
-certified margin set, whatever the start. Where that step cannot move,
-the one fallback is the minimum-norm subgradient (a bounded least
-squares over the margin multipliers): zero certifies the point, and
-otherwise its negative is the next direction. No dual. The descent
-starts from the squared-hinge optimum, found by a few finite Newton
-steps (Keerthi & DeCoste, JMLR 2005), or from the origin where that
-system is singular.
+certified margin set, whatever the start. Where that step cannot move
+and the multipliers are not clean, the one escape is the minimum-norm
+subgradient (a bounded least squares over the margin multipliers): zero
+certifies the point, and otherwise its negative is the next direction.
+No dual. The descent starts from the squared-hinge optimum, found by a
+few finite Newton steps (Keerthi & DeCoste, JMLR 2005), or from the
+origin where that system is singular.
 
 The descent runs on the points minus their mean m. The objective does
 not penalize the bias, so this is an exact change of variables: the
@@ -191,8 +191,8 @@ def _kkt_solve(X, y, C, on_margin, violating):
 
     Points in ``violating`` contribute full weight C; points in
     ``on_margin`` sit exactly at unit margin with multipliers to be
-    determined. Returns the solution point (beta0, beta1, b), the
-    multipliers (a list) and the indices of the margin points they belong to.
+    determined. Returns the solution point (beta0, beta1, b) and the
+    margin points' multipliers (a list), in index order.
 
     The system [[G, y], [y^T, 0]] has one row per margin point, at most
     four in all, so it is built and solved in Python floats
@@ -218,7 +218,7 @@ def _kkt_solve(X, y, C, on_margin, violating):
     beta0, beta1 = v0 + s0, v1 + s1
     if not (math.isfinite(beta0) and math.isfinite(beta1)):
         raise FloatingPointError("overflow encountered in the KKT system")
-    return np.array([beta0, beta1, b]), mu, idx
+    return np.array([beta0, beta1, b]), mu
 
 
 def _bounded_lsq(A, b, C):
@@ -302,14 +302,13 @@ def _polish(X, y, C, z, max_rounds=300):
     Each round identifies the margin set at the current point, targets the
     KKT solution of that partition and takes an exact line search toward
     it, so the objective strictly decreases. When the current point
-    already solves its partition's system, a negative (or above-C)
-    multiplier names the constraint to release, which is the classical
-    escape from a non-optimal vertex; clean multipliers certify global
+    already solves its partition's system, clean multipliers certify global
     optimality, and the partition's KKT solution is returned.
     [[G, y], [y^T, 0]] has rank at most 4 (G = (yX)(yX)^T has rank at
     most 2), so only one to three margin points are solved for.
-    Otherwise, or when that step cannot move, a minimum-norm subgradient
-    of at most 1e-10 times the gradient scale certifies the point, and a
+    Otherwise (no such system, a step that cannot move, multipliers that
+    are not clean) the minimum-norm subgradient is the one escape: one of
+    at most 1e-10 times the gradient scale certifies the point, and a
     longer one's negative is the next direction; such a point is where the
     path stopped within that tolerance. Returns (point, certificate), the
     certificate being "kkt" (clean multipliers), "subgradient" or None.
@@ -333,37 +332,22 @@ def _polish(X, y, C, z, max_rounds=300):
     grad_scale = 1.0 + C * float(np.abs(X).sum() + len(y))
     for _ in range(max_rounds):
         on_margin, violating = _margin_sets(margins)
-        moved = False
         if 1 <= on_margin.sum() <= 3:
             try:
-                z_c, mu, idx = _kkt_solve(X, y, C, on_margin, violating)
-                moved = try_direction(z_c - z)
-                if not moved:
-                    # the current point is (numerically) this partition's own
-                    # solution; the multipliers decide what happens next
-                    low, high = min(mu), max(mu)
-                    if low >= -kkt_tol and high <= C + kkt_tol:
-                        return z_c, "kkt"
-                    # release the worst-priced margin constraint
-                    released = on_margin.copy()
-                    viol = violating.copy()
-                    if -low >= high - C:
-                        released[idx[mu.index(low)]] = False
-                    else:
-                        j = idx[mu.index(high)]
-                        released[j] = False
-                        viol[j] = True
-                    if released.any():
-                        z_c2, _, _ = _kkt_solve(X, y, C, released, viol)
-                        moved = try_direction(z_c2 - z)
+                z_c, mu = _kkt_solve(X, y, C, on_margin, violating)
             except SingularMatrix:
                 pass
-        if not moved:
-            g = _min_norm_subgradient(X, y, C, z, on_margin, violating)
-            if float(np.linalg.norm(g)) <= 1e-10 * grad_scale:
-                return z, "subgradient"
-            if not try_direction(-g):
-                return z, None
+            else:
+                if try_direction(z_c - z):
+                    continue
+                # the current point is (numerically) this partition's own solution
+                if min(mu) >= -kkt_tol and max(mu) <= C + kkt_tol:
+                    return z_c, "kkt"
+        g = _min_norm_subgradient(X, y, C, z, on_margin, violating)
+        if float(np.linalg.norm(g)) <= 1e-10 * grad_scale:
+            return z, "subgradient"
+        if not try_direction(-g):
+            return z, None
     return z, None
 
 
@@ -420,7 +404,9 @@ def svm_train(
     exact active-set descent from the squared-hinge optimum, on the points
     minus their mean m. The boundary is mapped back to the raw plane, its
     bias as ``b' - (w0*m0 + w1*m1)`` in Python floats. The result carries
-    the primal objective and per-point slack values in the raw plane.
+    the primal objective and per-point slack values, both read off the
+    descent's own margins on the centered points; the one-sided test reads
+    the signs of the same margins.
     Raises :class:`NonFiniteValue` when the descent overflows a float,
     :class:`NoConvergence` when it certified no optimum, and
     :class:`OneSidedBoundary` when the certified optimum puts every point
@@ -436,32 +422,27 @@ def svm_train(
             m = X.mean(axis=0)
             centered = X - m
             z, certificate = _polish(centered, y, C, _warm_start(centered, y, C))
+            margins = _margins(centered, y, z)
     except FloatingPointError as exc:
         raise NonFiniteValue(f"svm training on these points overflows a float ({exc})") from None
     beta = z[:2]
+    objective = _objective(C, beta, margins)
     if not certificate:
-        raise NoConvergence(
-            "svm training certified no optimum",
-            objective=_objective(C, beta, _margins(centered, y, z)),
-        )
-    (w0, w1, b), (m0, m1) = z.tolist(), m.tolist()
-    b -= w0 * m0 + w1 * m1
-
-    decision = X @ beta + b
-    positive = decision >= 0
+        raise NoConvergence("svm training certified no optimum", objective=objective)
+    positive = y * margins >= 0     # the decision values' signs
     if positive.all() or not positive.any():
         n_pos = int((y > 0).sum())
         raise OneSidedBoundary(
             f"the optimal boundary in the ({feature_names[0]}, {feature_names[1]}) plane puts "
             f"all {y.size} points on its {'+1' if positive[0] else '-1'} side "
             f"({n_pos} labelled +1, {y.size - n_pos} labelled -1)")
-    margins = y * decision
+    (w0, w1, b), (m0, m1) = z.tolist(), m.tolist()
     return LinearBoundary(
         feature_names=feature_names,
         weights=beta,
-        bias=b,
+        bias=b - (w0 * m0 + w1 * m1),
         box_constraint=C,
-        objective=_objective(C, beta, margins),
+        objective=objective,
         slacks=np.maximum(0.0, 1.0 - margins),
     )
 

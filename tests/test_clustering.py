@@ -160,12 +160,15 @@ class TestKMeans:
         assert np.array_equal(r1.centroids, r2.centroids)
         assert r1.objective == r2.objective
 
-    def test_objective_trace_non_increasing(self):
-        rng = np.random.default_rng(3)
+    @pytest.mark.parametrize("seed", [3, 7, 11, 19])
+    def test_objective_does_not_increase_with_max_iter(self, seed):
+        rng = np.random.default_rng(seed)
         pts = rng.normal(size=(30, 2))
-        result = kmeans(pts, k=3, seed=1)
-        trace = np.array(result.objective_trace)
-        assert np.all(np.diff(trace) <= 1e-12)
+        full = kmeans(pts, k=3, seed=1, restarts=1)
+        objectives = [kmeans(pts, k=3, seed=1, restarts=1, max_iter=j).objective
+                      for j in range(1, full.iterations + 2)]
+        assert np.all(np.diff(objectives) <= 1e-12)
+        assert objectives[-1] == full.objective
 
     def test_centroids_are_cluster_means(self):
         rng = np.random.default_rng(4)
@@ -239,7 +242,6 @@ def kmeans_by_public_steps(points, k, seed, max_iter=300, restarts=16):
         objective=trace[-1],
         iterations=iterations,
         converged=converged,
-        objective_trace=tuple(trace),
         empty_clusters=tuple(c for c in range(k) if not np.any(assignments == c)),
         restart_iterations=tuple(restart_iterations),
         restart_converged=tuple(restart_converged),
@@ -252,8 +254,6 @@ def assert_same_result(result, expected):
     assert result.centroids.shape == expected.centroids.shape
     assert result.assignments.tobytes() == expected.assignments.tobytes()
     assert np.array(result.objective).tobytes() == np.array(expected.objective).tobytes()
-    trace, expected_trace = np.array(result.objective_trace), np.array(expected.objective_trace)
-    assert trace.tobytes() == expected_trace.tobytes()
     assert (result.iterations, result.converged) == (expected.iterations, expected.converged)
     assert result.empty_clusters == expected.empty_clusters
     assert result.restart_iterations == expected.restart_iterations

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sulfexp.cli import main
 from sulfexp.curves import ExpansionSeries
 from sulfexp.dataio import (
     emit_plot_data,
@@ -254,6 +255,73 @@ class TestBundlePersistence:
         loaded = load_bundle(path)
         assert loaded == bundle
         assert loaded.boundary_first is None and loaded.boundary_second is None
+
+
+#: (key path, replacement, field named by the error): values numpy would read as numbers
+NOT_NUMBERS = [
+    (("boundary_second", "bias"), "-233.6", "boundary_second.bias"),
+    (("boundary_first_simplified", "bias"), True, "boundary_first_simplified.bias"),
+    (("boundary_first", "weights"), [True, 0.5], "boundary_first.weights"),
+    (("boundary_second", "weights"), ["1.0", 387.3], "boundary_second.weights"),
+    (("models", "LL", "coefficients"), ["0.0157", "0.0305"], "models.LL.coefficients"),
+    (("models", "ML", "coefficients"), [[0.0293], [False], [0.0216]], "models.ML.coefficients"),
+    (("models", "LL", "fit", "r_squared"), "x", "models.LL.fit.r_squared"),
+    (("models", "HN", "fit", "residual_std"), False, "models.HN.fit.residual_std"),
+    (("models", "ML", "fit", "t_statistics"), ["298.3", 104.4, 68.6],
+     "models.ML.fit.t_statistics"),
+    (("models", "LL", "fit", "n_observations"), 2.5, "models.LL.fit.n_observations"),
+    (("models", "LL", "fit", "n_observations"), "148", "models.LL.fit.n_observations"),
+    (("models", "HN", "fit", "n_observations"), True, "models.HN.fit.n_observations"),
+]
+
+
+class TestBundleNumbers:
+    @pytest.fixture(scope="class")
+    def fitted_doc(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fitted") / "bundle.json"
+        save_bundle(fit_pipeline(generate_synthetic((4, 5, 4), noise=0.01, seed=8).pairs), path)
+        return json.loads(path.read_text())
+
+    @staticmethod
+    def replaced(doc, keys, value):
+        doc = json.loads(json.dumps(doc))
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return doc
+
+    @pytest.mark.parametrize("keys,value,field", NOT_NUMBERS)
+    def test_value_that_is_not_a_number_is_rejected_by_field(
+            self, tmp_path, fitted_doc, keys, value, field):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(self.replaced(fitted_doc, keys, value)))
+        with pytest.raises(ParseError) as excinfo:
+            load_bundle(path)
+        assert excinfo.value.field == field
+        assert str(excinfo.value).startswith(
+            ("expected a number, got ", "expected an integer, got "))
+
+    @pytest.mark.parametrize("command", ["classify", "predict"])
+    @pytest.mark.parametrize("keys,value,field", NOT_NUMBERS[:5], ids=[
+        "bias-text", "bias-bool", "weights-bool", "weights-text", "coefficients-text"])
+    def test_cli_exits_2(self, tmp_path, capsys, keys, value, field, command):
+        path = tmp_path / "bundle.json"
+        save_bundle(default_bundle(), path)
+        path.write_text(json.dumps(self.replaced(json.loads(path.read_text()), keys, value)))
+        mixtures = tmp_path / "mix.csv"
+        mixtures.write_text("id,wc,c3a,c3s,c2s,c4af,cement_content,air\nm,0.53,6.0,40,,,,\n")
+        assert main([command, str(mixtures), "--bundle", str(path)]) == 2
+        assert f"field={field}" in capsys.readouterr().err
+
+    def test_integers_are_numbers(self, tmp_path, fitted_doc):
+        doc = self.replaced(fitted_doc, ("boundary_second", "bias"), -233)
+        doc = self.replaced(doc, ("models", "LL", "coefficients"), [0, 1])
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_bundle(path)
+        assert loaded.boundary_second.bias == -233.0
+        assert loaded.models[GroupLabel.LL].coefficients.tolist() == [0.0, 1.0]
 
 
 class TestGenerateSynthetic:
