@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue, TooFewPoints, ValidationError
-from .linalg import check_finite
+from .linalg import check_finite, read_only
 
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_ITER = 300
@@ -70,11 +70,9 @@ def _starts(n: int, k: int, seed: int, restarts: int) -> np.ndarray:
 
     Restart r draws k distinct indices with the rng seeded by (seed, r).
     """
-    idx = np.array([
+    return read_only(np.array([
         np.random.default_rng([seed, r]).choice(n, size=k, replace=False) for r in range(restarts)
-    ])
-    idx.flags.writeable = False
-    return idx
+    ]))
 
 
 def _nearest_batch(pts: np.ndarray, cts: np.ndarray) -> np.ndarray:

@@ -14,13 +14,13 @@ names every other one it rejects.
 from __future__ import annotations
 
 import dataclasses
-import math
 import numbers
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .errors import (
     InvalidAlpha,
     MissingField,
@@ -95,22 +95,12 @@ class ExpansionSeries:
     @classmethod
     def _on_grid(cls, mixture_id: str, times: np.ndarray, values: np.ndarray,
                  group: str | None) -> "ExpansionSeries":
-        """The series of a shared ``times`` grid, read-only and already
-        checked by :func:`check_times`, and of fresh ``values`` of an affine
-        line (or its exp) on it, which the series takes over.
-
-        Only the first and last value are checked. The precondition is
-        that of :meth:`GroupModel.expansion`'s bound check: on ascending
-        times, every value of the line lies between its two end values,
-        and exp of it is finite where exp of its larger end is. So finite
-        ends mean finite values, and a grid time past the largest float
-        gives the line a non-finite last value, so they mean finite times
-        too."""
-        if not (math.isfinite(values[0]) and math.isfinite(values[-1])):
-            raise NonFiniteValue(f"series {mixture_id!r} has non-finite samples")
-        values.flags.writeable = False
+        """The series of a shared read-only ``times`` grid and of fresh
+        ``values`` that :meth:`GroupModel.expansion` computed on it, which
+        the series takes over unchecked: that method's bound check already
+        makes every value, and so every grid time, finite."""
         series = cls.__new__(cls)
-        series._store(mixture_id, times, values.view(), group)
+        series._store(mixture_id, times, linalg.read_only(values), group)
         return series
 
     def _set_columns(self, mixture_id: str, columns: np.ndarray, group: str | None) -> None:
@@ -118,7 +108,7 @@ class ExpansionSeries:
         series owns."""
         if not np.isfinite(columns).all():
             raise NonFiniteValue(f"series {mixture_id!r} has non-finite samples")
-        columns.flags.writeable = False
+        columns = linalg.read_only(columns)
         check_times(mixture_id, columns[0])
         self._store(mixture_id, columns[0], columns[1], group)
 
@@ -199,11 +189,6 @@ def check_alpha(alpha: float) -> None:
         raise InvalidAlpha(f"alpha must be in [0, 1], got {alpha!r}")
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 def _offsets(lengths: np.ndarray) -> np.ndarray:
     """Record boundaries: 0, then the running total of ``lengths``."""
     offsets = np.zeros(lengths.size + 1, dtype=np.intp)
@@ -236,8 +221,9 @@ class SeriesBlock:
     owns ``[offsets[i], offsets[i + 1])``. ``fields`` is the (N, 7) matrix
     of the records' mixture fields in :data:`MIXTURE_FIELDS` order, NaN
     where a field is absent (every field, for a block built from series
-    alone). All four arrays are read-only. ``len()`` counts samples, as it
-    does for a series; ``ids`` holds one id per record. Build a block with
+    alone). All four arrays are :func:`linalg.read_only` views, whose write
+    flags cannot be set again. ``len()`` counts samples, as it does for a
+    series; ``ids`` holds one id per record. Build a block with
     :meth:`from_series` or :meth:`from_pairs`, whose series are already
     validated.
     """
@@ -270,8 +256,7 @@ class SeriesBlock:
             np.concatenate([getattr(s, column) for s in series_list] or [np.empty(0)])
             for column in ("times", "values")
         )
-        return cls(tuple(ids), _read_only(times), _read_only(values), _read_only(offsets),
-                   _read_only(fields))
+        return cls(tuple(ids), *map(linalg.read_only, (times, values, offsets, fields)))
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -293,9 +278,8 @@ class SeriesBlock:
         lengths = self.offsets[rows + 1] - starts
         offsets = _offsets(lengths)
         take = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
-        return SeriesBlock(tuple(self.ids[i] for i in rows.tolist()),
-                           _read_only(self.times[take]), _read_only(self.values[take]),
-                           _read_only(offsets), _read_only(self.fields[rows]))
+        return SeriesBlock(tuple(self.ids[i] for i in rows.tolist()), *map(
+            linalg.read_only, (self.times[take], self.values[take], offsets, self.fields[rows])))
 
     def require(self, names, rows=None) -> np.ndarray:
         """The named fields of records ``rows`` (all by default), one row each.
@@ -341,7 +325,7 @@ def smooth(data, alpha: float = DEFAULT_ALPHA):
     if isinstance(data, ExpansionSeries):
         values = _smooth_values(SeriesBlock.from_series([data]), alpha)
         return ExpansionSeries.from_columns(data.mixture_id, data.times, values, data.group)
-    return dataclasses.replace(data, values=_read_only(_smooth_values(data, alpha)))
+    return dataclasses.replace(data, values=linalg.read_only(_smooth_values(data, alpha)))
 
 
 def _smooth_values(block: SeriesBlock, alpha: float) -> np.ndarray:

@@ -40,12 +40,19 @@ def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
     return out
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that rejects writes. The write flags of ``array``
+    and of the array that owns its memory are cleared, so the view's flag
+    cannot be set again. Pass an array that nothing else writes to."""
+    if array.base is not None:
+        array.base.flags.writeable = False
+    array.flags.writeable = False
+    return array.view()
+
+
 def read_only_copy(values) -> np.ndarray:
-    """A float64 copy of ``values`` that rejects writes. It is a view of a
-    read-only copy, so its write flag cannot be set again either."""
-    owner = np.array(values, dtype=float)
-    owner.flags.writeable = False
-    return owner.view()
+    """A float64 copy of ``values`` that rejects writes, through :func:`read_only`."""
+    return read_only(np.array(values, dtype=float))
 
 
 def check_positive(name: str, value) -> None:

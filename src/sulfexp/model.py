@@ -104,16 +104,10 @@ class PipelineDiagnostics:
     def pca_selected(self) -> dict[GroupLabel, list[pca.SelectedVariable]]:
         """Each group's screening picks (see :func:`_screen_group`), the same
         lists, flags included, that a fit with ``data_driven_variables``
-        chooses its roles from. Only such a fit runs the screen itself.
-
-        Group fields lie within :data:`FIELD_RANGES`, every group has at
-        least 2 rows, and a field whose spread within a group is at
-        rounding level (50, 50 and the next float above 50, say) is
-        constant to the z-score. So the one error the screen can raise is
-        :func:`pca.principal_components`'s centering check, on a field whose
-        spread is real but at most about 1e-8 of its mean, where the
-        mean's rounding shows in the z-scores. A fit that screens raises
-        it; otherwise it comes here, on reading.
+        chooses its roles from. Only such a fit runs the screen itself;
+        otherwise it runs here, on first read. Group fields lie within
+        :data:`FIELD_RANGES` and every group has at least 2 rows, so the
+        screen raises nothing.
         """
         return {label: _screen_group(matrix) for label, matrix in self.group_fields.items()}
 
@@ -344,7 +338,6 @@ def time_grid(horizon: float, step: float) -> np.ndarray:
     anything is allocated. Both are then taken as Python floats, so an
     exact number (an int, a ``Fraction``, a ``Decimal``) gives the float64
     grid of its float. The grid itself is computed once per (points, step)
-    and checked for negative or out-of-order times as a series' times are,
     and the last :data:`TIME_GRID_CACHE_SIZE` grids are kept: every call on
     one returns the same read-only array, which every curve sampled on it
     shares. A grid whose last point overflows a float is returned as it is;
@@ -368,13 +361,15 @@ def time_grid(horizon: float, step: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=TIME_GRID_CACHE_SIZE)
 def _grid(points: int, step: float) -> np.ndarray:
-    """``points`` multiples of ``step`` from 0, as a view of a read-only
-    owner, so that its write flag cannot be set again either."""
+    """``points`` multiples of ``step`` from 0, read-only.
+
+    Rounding is monotone, so the multiples ascend from 0. As
+    :func:`time_grid` passes ``points - 1 <= horizon / step + 1e-9``,
+    every point but the last is at most the horizon, and only the last can
+    overflow a float.
+    """
     with np.errstate(over="ignore"):  # an overflowing last point fails the curve's check
-        grid = np.arange(points, dtype=float) * step
-    curves.check_times("time grid", grid)
-    grid.flags.writeable = False
-    return grid.view()
+        return linalg.read_only(np.arange(points, dtype=float) * step)
 
 
 def predict_curve(
@@ -386,8 +381,8 @@ def predict_curve(
     """Classify, then sample the predicted curve on :func:`time_grid`.
 
     The series' ``times`` is that shared read-only grid, not a copy; its
-    ``values``, one :meth:`GroupModel.expansion` call over the grid, are
-    checked finite and stored read-only. They equal
+    ``values``, one :meth:`GroupModel.expansion` call over the grid, which
+    makes them finite, are stored read-only. They equal
     :func:`predict_expansion` at the grid times, bit for bit.
     """
     times = time_grid(horizon, step)
@@ -448,9 +443,8 @@ def _screen_group(matrix: np.ndarray) -> list[pca.SelectedVariable]:
     if np.isnan(matrix).any():
         return []
     m = min(pca.DEFAULT_COMPONENTS, matrix.shape[0] - 1, matrix.shape[1])
-    with _stage("variable selection"):
-        centered, _, _ = pca.center_and_scale(matrix)
-        return pca.select_dominant_variables(pca.principal_components(centered, m), m)
+    scaled, _, _ = pca.center_and_scale(matrix)
+    return pca.select_dominant_variables(pca.principal_components(scaled, m), m)
 
 
 def dataset_hash(dataset: list[tuple[Mixture, ExpansionSeries]]) -> str:

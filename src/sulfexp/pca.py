@@ -62,12 +62,13 @@ def center_and_scale(X: np.ndarray, standardize: bool = True) -> tuple[np.ndarra
 
 
 def principal_components(X: np.ndarray, m: int) -> PCAResult:
-    """First ``m`` principal components of a centered matrix ``X``.
+    """First ``m`` principal components of ``X``.
 
-    The loadings are the eigenvectors of the Gram matrix ``X^T X`` with the
+    ``X`` is centered here, by subtracting its column means. The loadings
+    are the eigenvectors of the centered Gram matrix ``X^T X`` with the
     ``m`` largest eigenvalues, in descending order, each oriented so its
-    entry of largest magnitude is positive. Center ``X`` with
-    :func:`center_and_scale`.
+    entry of largest magnitude is positive. Scale ``X`` first with
+    :func:`center_and_scale` to screen standardized variables.
     """
     X = linalg.check_finite(X, "X")
     if X.ndim != 2:
@@ -75,9 +76,7 @@ def principal_components(X: np.ndarray, m: int) -> PCAResult:
     n, p = X.shape
     if not 1 <= m <= min(n - 1, p):
         raise ValidationError(f"m must be in [1, min(rows-1, cols)] = [1, {min(n - 1, p)}], got {m}")
-    col_means = X.mean(axis=0)
-    if float(np.abs(col_means).max(initial=0.0)) > 1e-8 * (1.0 + float(np.abs(X).max(initial=0.0))):
-        raise ValidationError("X must be centered (column means zero); use center_and_scale first")
+    X = X - X.mean(axis=0)
 
     _, eigenvectors = np.linalg.eigh(X.T @ X)
     loadings = linalg.sign_convention(eigenvectors[:, ::-1][:, :m].T)

@@ -78,7 +78,8 @@ class OLSFit:
 
     ``t_statistics`` are coefficient estimates divided by their standard
     errors; on an exact fit the residual variance is zero and they come
-    out infinite.
+    out infinite. Both arrays are stored as read-only float64 copies, and
+    a copy or an unpickled fit is built again, so its arrays are too.
     """
 
     coefficients: np.ndarray
@@ -86,6 +87,14 @@ class OLSFit:
     residual_std: float
     t_statistics: np.ndarray
     n_observations: int
+
+    def __post_init__(self):
+        for name in ("coefficients", "t_statistics"):
+            object.__setattr__(self, name, linalg.read_only_copy(getattr(self, name)))
+
+    def __reduce__(self):  # a copy is built again, with read-only arrays
+        return (OLSFit, (self.coefficients, self.r_squared, self.residual_std,
+                         self.t_statistics, self.n_observations))
 
 
 def ols_fit(X: np.ndarray, y: np.ndarray) -> OLSFit:
@@ -251,7 +260,7 @@ class GroupModel:
         rounding is monotone, so each ``fl(fl(slope*t) + intercept)`` lies
         between the two bounds, and numpy's ``exp`` overflows only above
         ln of the largest float. :meth:`ExpansionSeries._on_grid` relies on
-        this and checks a curve at its two ends only.
+        this and checks no value again.
         """
         slope, intercept = self.time_line(mixture)
         first, last = (float(times[0]), float(times[-1])) if times.ndim else (float(times),) * 2

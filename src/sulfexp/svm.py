@@ -58,9 +58,9 @@ class LinearBoundary:
     in does not reach the boundary. The weights and bias are also kept as
     Python floats, outside the fields, for :meth:`value_at`. ``slacks``
     and ``objective`` are carried along as training diagnostics and do not
-    participate in equality. A ``box_constraint``, when given, must be a
-    finite positive number, and ``feature_names`` must be exactly two
-    strings.
+    participate in equality; ``slacks`` is stored as a read-only copy too.
+    A ``box_constraint``, when given, must be a finite positive number, and
+    ``feature_names`` must be exactly two strings.
     """
 
     feature_names: tuple[str, str]
@@ -86,12 +86,14 @@ class LinearBoundary:
         if self.box_constraint is not None:
             linalg.check_positive("box constraint", self.box_constraint)
         object.__setattr__(self, "weights", w)
+        if self.slacks is not None:
+            object.__setattr__(self, "slacks", linalg.read_only_copy(self.slacks))
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "bias", bias)
         # not a field: equality, repr, replace and pickling never see it
         object.__setattr__(self, "_terms", (*w.tolist(), bias))
 
-    def __reduce__(self):  # a copy is built again, with read-only weights
+    def __reduce__(self):  # a copy is built again, with read-only arrays
         return (LinearBoundary, (self.feature_names, self.weights, self.bias,
                                  self.box_constraint, self.objective, self.slacks))
 

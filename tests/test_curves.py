@@ -526,3 +526,17 @@ class TestSeriesBlock:
     def test_require_is_c_contiguous(self):
         matrix = SeriesBlock.from_pairs(self.pairs()).require(("c3a", "wc"), [0])
         assert matrix.flags.c_contiguous
+
+    @pytest.mark.parametrize("make", [
+        lambda pairs: SeriesBlock.from_pairs(pairs),
+        lambda pairs: SeriesBlock.from_series([s for _, s in pairs]),
+        lambda pairs: SeriesBlock.from_pairs(pairs).subset([2, 0]),
+        lambda pairs: smooth(SeriesBlock.from_pairs([pairs[0], pairs[2]])),
+    ], ids=["from_pairs", "from_series", "subset", "smooth"])
+    def test_arrays_cannot_be_made_writable_again(self, make):
+        block = make(self.pairs())
+        for array in (block.times, block.values, block.offsets, block.fields):
+            with pytest.raises(ValueError):
+                array[0] = 5
+            with pytest.raises(ValueError):
+                array.flags.writeable = True

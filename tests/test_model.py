@@ -147,7 +147,8 @@ def fitted_bundle():
 class TestReadOnlyArrays:
     """Every bundle's coefficient and weight arrays are read-only copies,
     so the routing rule and time-line terms derived from them at
-    construction cannot go stale."""
+    construction cannot go stale; so are its fit statistics and slacks,
+    which a saved bundle writes."""
 
     @pytest.fixture(params=["default", "fitted", "loaded"])
     def bundle(self, request, fitted_bundle, tmp_path):
@@ -158,12 +159,20 @@ class TestReadOnlyArrays:
         save_bundle(fitted_bundle, tmp_path / "bundle.json")
         return load_bundle(tmp_path / "bundle.json")
 
+    #: the 6 coefficient and weight arrays, each fitted model's coefficients and
+    #: t-statistics, and the slacks of the two trained boundaries, which a
+    #: saved bundle does not keep
+    ARRAY_COUNTS = {"default": 6, "fitted": 14, "loaded": 12}
+
     @staticmethod
-    def assert_every_array_rejects_writes(bundle):
-        arrays = [m.coefficients for m in bundle.models.values()] + [
-            b.weights for b in (bundle.boundary_first, bundle.boundary_first_simplified,
-                                bundle.boundary_second)]
-        assert len(arrays) == 6
+    def assert_every_array_rejects_writes(bundle, count):
+        boundaries = (bundle.boundary_first, bundle.boundary_first_simplified,
+                      bundle.boundary_second)
+        fits = [m.fit for m in bundle.models.values() if m.fit is not None]
+        arrays = [m.coefficients for m in bundle.models.values()] + [b.weights for b in boundaries]
+        arrays += [a for fit in fits for a in (fit.coefficients, fit.t_statistics)]
+        arrays += [b.slacks for b in boundaries if b.slacks is not None]
+        assert len(arrays) == count
         for array in arrays:
             assert array.dtype == np.float64 and not array.flags.writeable
             before = array.tolist()
@@ -173,8 +182,9 @@ class TestReadOnlyArrays:
                 array.flags.writeable = True
             assert array.tolist() == before
 
-    def test_every_array_rejects_writes(self, bundle):
-        self.assert_every_array_rejects_writes(bundle)
+    def test_every_array_rejects_writes(self, bundle, request):
+        self.assert_every_array_rejects_writes(
+            bundle, self.ARRAY_COUNTS[request.node.callspec.params["bundle"]])
 
     def test_boundary_does_not_alias_its_weights(self):
         w = np.array([1.0, 387.3])
@@ -207,7 +217,7 @@ class TestReadOnlyArrays:
     def test_copies_are_built_again_with_read_only_arrays(self, fitted_bundle, duplicate):
         copied = duplicate(fitted_bundle)
         assert copied == fitted_bundle
-        self.assert_every_array_rejects_writes(copied)
+        self.assert_every_array_rejects_writes(copied, self.ARRAY_COUNTS["fitted"])
         mix = Mixture(id="m", wc=0.45, c3a=5.0, c3s=55.0, cement_content=0.5)
         assert classify_mixture(mix, copied) is classify_mixture(mix, fitted_bundle)
         for label, group_model in copied.models.items():
@@ -722,6 +732,17 @@ class TestTimeGrid:
                     predict_curve(mix, horizon=horizon, step=step)
             grid = time_grid(horizon, step)
         assert grid.size == 4 and math.isinf(grid[-1]) and _rejects_writes(grid)
+
+    @pytest.mark.parametrize("horizon,step", [
+        (MAX_CURVE_POINTS - 1.0, 1.0),
+        (MAX_CURVE_POINTS - 1.0, 1.0 - 1e-15),
+        (sys.float_info.max, sys.float_info.max / (3 - 5e-10)),
+        (sys.float_info.max, sys.float_info.max / (MAX_CURVE_POINTS - 1)),
+    ])
+    def test_extreme_grids_ascend_from_zero_to_at_most_one_infinite_point(self, horizon, step):
+        grid = time_grid(horizon, step)
+        assert grid[0] == 0.0 and (np.diff(grid) > 0).all()
+        assert np.isfinite(grid[:-1]).all() and (grid[:-1] <= horizon).all()
 
     def test_cache_holds_at_most_its_size(self):
         model._grid.cache_clear()
@@ -1402,19 +1423,25 @@ class TestDeferredScreen:
         assert diagnostics.pca_selected == expected
 
     def test_rounding_level_spread_screens(self):
-        # one HN record's c2s one float above the others': the column's spread
-        # is rounding, so the z-score leaves it constant
+        # one HN record's c2s above the others' 50. One float above is a spread
+        # at rounding level, which the z-score leaves constant. 1e-9 above is a
+        # real spread, where the rounding of the column's mean shows in the
+        # z-scores; principal_components centers them again.
         ds = generate_synthetic((12, 16, 12), noise=0.03, seed=0)
         hn = sorted(mid for mid, label in ds.labels.items() if label is HN)
-        pairs = [(dataclasses.replace(mix, c2s=np.nextafter(50.0, 100.0) if mix.id == hn[0] else 50.0)
-                  if mix.id in hn else mix, series) for mix, series in ds.pairs]
-        driven = fit_pipeline(pairs, PipelineConfig(data_driven_variables=True))
-        bundle = fit_pipeline(pairs)
-        assert bundle.boundary_first == fit_pipeline(ds.pairs).boundary_first
-        picks = bundle.diagnostics.pca_selected
-        assert picks == driven.diagnostics.pca_selected
-        assert picks == eager_screen(pairs, bundle.diagnostics.assignments)
-        assert len(picks[HN]) == 3
+        reference = fit_pipeline(ds.pairs).boundary_first
+        for c2s in (np.nextafter(50.0, 100.0), 50.0 * (1 + 1e-9)):
+            pairs = [(dataclasses.replace(mix, c2s=c2s if mix.id == hn[0] else 50.0)
+                      if mix.id in hn else mix, series) for mix, series in ds.pairs]
+            driven = fit_pipeline(pairs, PipelineConfig(data_driven_variables=True))
+            bundle = fit_pipeline(pairs)
+            assert bundle.boundary_first == reference
+            picks = bundle.diagnostics.pca_selected
+            assert picks == driven.diagnostics.pca_selected
+            assert picks == eager_screen(pairs, bundle.diagnostics.assignments)
+            assert len(picks[HN]) == 3
+            assert driven.models[HN].variable_roles == tuple(
+                regression.FIELD_TO_ROLE[MIXTURE_FIELDS[p.column]] for p in picks[HN]) + ("const",)
 
 
 def test_bundle_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -123,9 +123,18 @@ class TestPrincipalComponents:
         for w in result.loadings:
             assert w[np.argmax(np.abs(w))] > 0
 
-    def test_uncentered_rejected(self):
-        with pytest.raises(ValidationError):
-            principal_components(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 5.0]]), m=1)
+    def test_uncentered_input_gives_the_centered_loadings(self):
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            n, p = int(rng.integers(3, 11)), int(rng.integers(2, 7))
+            x = rng.normal(size=(n, p)) * rng.uniform(0.1, 10, p)
+            centered, _, _ = center_and_scale(x, standardize=False)
+            m = min(n - 1, p)
+            shifted = principal_components(x + rng.uniform(-100, 100, p), m)
+            expected = principal_components(centered, m)
+            assert np.allclose(shifted.loadings, expected.loadings, rtol=0, atol=1e-8)
+            assert np.allclose(shifted.explained_variance, expected.explained_variance,
+                               rtol=1e-9, atol=0)
 
     def test_m_out_of_range(self):
         x = np.array([[-1.0, 0.0], [1.0, 0.0]])

@@ -480,8 +480,10 @@ def accepted_lines(draw):
 
 
 class TestEndBoundsBoundTheCurve:
-    """What ``ExpansionSeries._on_grid``'s end check rests on: a line that
-    ``GroupModel.expansion`` accepts has a finite value at every time."""
+    """The one check that keeps a predicted curve finite: a line that
+    ``GroupModel.expansion`` accepts, by its values at the first and last
+    time, has a finite value at every time. ``ExpansionSeries._on_grid``
+    stores such values unchecked, so nothing else backs this invariant."""
 
     MIX = Mixture(id="x", wc=0.5)
 
